@@ -1,59 +1,53 @@
-"""Shared scaffolding for baseline optimizers."""
+"""Shared scaffolding for baseline optimizers.
+
+A baseline is a :class:`~repro.core.driver.Driver` whose round is one
+simulation of one proposed design.  The driver gives it the same run loop,
+records, events and checkpoint format as MA-Opt, and every design is
+simulated through the same :class:`~repro.core.parallel.SimulationExecutor`
+(ERC gate, default failure policy, ``simulate``/``lint-gate`` spans), so
+the paper's comparison tables run every method on one evaluation path.
+"""
 
 from __future__ import annotations
 
-import pathlib
-import time
 from typing import Any, Iterable
 
 import numpy as np
 
-from repro.core.fom import FigureOfMerit
+from repro.core.driver import Driver
+from repro.core.parallel import SimulationExecutor
 from repro.core.problem import SizingTask
 from repro.core.result import EvaluationRecord, OptimizationResult
-from repro.obs import NULL_TELEMETRY, RunLogger, Telemetry
+from repro.obs import Telemetry
 
 
-class BaselineOptimizer:
+class BaselineOptimizer(Driver):
     """Budgeted black-box minimizer of the task FoM.
 
-    Subclasses implement :meth:`_propose` (next design(s) to simulate) and
-    may override :meth:`_observe` to update internal state.  The driver
-    enforces the shared-initial-set protocol and produces the same
-    :class:`OptimizationResult` as the MA-Opt family.
-
-    Like :class:`~repro.core.ma_opt.MAOptimizer`, baselines accept a
-    :class:`~repro.obs.Telemetry` bundle and observer callbacks; each
-    simulation is treated as a round of size one for observer purposes.
+    Subclasses implement :meth:`_propose` (the next design to simulate)
+    and may override :meth:`_observe` to update internal state.  Each
+    simulation is a round of size one for observer purposes.
 
     Checkpoint/resume: :meth:`save_checkpoint` snapshots the driver state
-    (histories, records, RNG, wall-clock offset) and :meth:`restore`
-    rebuilds it, after which :meth:`run` continues toward its budget from
-    the records it already holds.  Subclasses with extra mutable state
-    (swarm positions, surrogate datasets, ...) participate by overriding
-    :meth:`_extra_state` / :meth:`_load_extra_state`; the default resume
-    is bit-exact for any subclass whose only state is the histories plus
-    ``self.rng`` (e.g. random search).
+    plus the FoM history, and :meth:`restore` rebuilds it, after which
+    :meth:`run` continues toward its budget from the records it already
+    holds.  Resume is bit-exact for any subclass whose only state is the
+    history plus ``self.rng`` (e.g. random search); subclasses with more
+    mutable state (swarm positions, surrogate datasets, ...) extend
+    :meth:`_state_arrays` / :meth:`_load_state`.
     """
 
+    checkpoint_kind = "baseline"
     method_name = "baseline"
 
     def __init__(self, task: SizingTask, seed: int | None = None,
                  telemetry: Telemetry | None = None,
                  observers: Iterable[Any] = ()) -> None:
-        self.task = task
+        super().__init__(task, telemetry, observers)
         self.rng = np.random.default_rng(seed)
-        self.fom = FigureOfMerit(task)
-        self.obs = telemetry or NULL_TELEMETRY
-        self._observers = self.obs.observers.extended(observers)
-        self.run_log = (self.obs.run_logger
-                        if self.obs.run_logger is not None else RunLogger())
+        self._executor = SimulationExecutor(task, telemetry=self.obs)
         self.x_hist: list[np.ndarray] = []
         self.y_hist: list[float] = []
-        self._records: list[EvaluationRecord] = []
-        self._init_best_fom = np.inf
-        self._initialized = False
-        self._t_offset = 0.0  # post-init seconds already spent (resume)
 
     # -- subclass interface ----------------------------------------------------
     def _propose(self) -> np.ndarray:
@@ -62,194 +56,46 @@ class BaselineOptimizer:
 
     def _observe(self, x: np.ndarray, fom_value: float,
                  metrics: np.ndarray) -> None:
-        """Hook called after each simulation (default: record history)."""
+        """Hook called after each post-init simulation."""
         del metrics
 
-    def _extra_state(self) -> dict[str, np.ndarray]:
-        """Subclass state to checkpoint beyond the shared driver state."""
-        return {}
+    # -- driver hooks ------------------------------------------------------------
+    def _add(self, x: np.ndarray, metrics: np.ndarray, fom: float,
+             owner: int | None) -> None:
+        self.x_hist.append(np.array(x, dtype=float))
+        self.y_hist.append(fom)
 
-    def _load_extra_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore what :meth:`_extra_state` captured."""
+    def _step(self, budget: int | None) -> list[EvaluationRecord]:
+        self._start_clock()
+        self._observers.emit("on_round_start", self, self._round,
+                             self.method_name)
+        with self.obs.span("propose"):
+            x = np.clip(self._propose(), 0.0, 1.0)
+        metrics = self._executor.evaluate_batch(
+            x[None], kind=self.method_name)[0]
+        rec = self._record(x, metrics, kind=self.method_name, owner=None)
+        self._observe(x, rec.fom, metrics)
+        self._observers.emit(
+            "on_round_end", self, self._round,
+            {"round": self._round, "kind": self.method_name, "fom": rec.fom})
+        return [rec]
 
-    # -- initialization ---------------------------------------------------------
-    def _initialize(self, n_init: int, x_init: np.ndarray | None,
-                    f_init: np.ndarray | None) -> None:
-        if x_init is None:
-            x_init = self.task.space.sample(self.rng, n_init)
-        x_init = np.atleast_2d(np.asarray(x_init, dtype=float))
-        if f_init is None:
-            with self.obs.span("simulate", n=len(x_init), kind="init"):
-                f_init = self.task.evaluate_batch(x_init)
-            self.obs.inc("sims_total", len(x_init), kind="init")
-        f_init = np.atleast_2d(np.asarray(f_init, dtype=float))
-        init_foms = self.fom(f_init)
-        for x, g in zip(x_init, init_foms):
-            self.x_hist.append(np.asarray(x, dtype=float))
-            self.y_hist.append(float(g))
-            self.run_log.emit("evaluation", kind="init", fom=float(g))
-        self._init_best_fom = float(np.min(init_foms))
-        self._initialized = True
-
-    # -- driver -------------------------------------------------------------------
     def run(self, n_sims: int, n_init: int = 100,
             x_init: np.ndarray | None = None,
             f_init: np.ndarray | None = None) -> OptimizationResult:
-        start = time.perf_counter()
-        run_id = self.obs.run_id
-        if run_id is None:
-            from repro.obs.store import new_run_id
-            run_id = new_run_id()
-            if self.obs is not NULL_TELEMETRY:  # the shared default is
-                self.obs.run_id = run_id        # immutable by contract
-        self.run_log.emit("run_start", method=self.method_name,
-                          task=self.task.name, n_sims=n_sims, run_id=run_id)
-        with self.obs.span("run", method=self.method_name,
-                           task=self.task.name, run_id=run_id):
-            if not self._initialized:
-                self._initialize(n_init, x_init, f_init)
-            # t_wall convention (shared with MAOptimizer): the clock starts
-            # when the first post-init round begins, before proposal work;
-            # a restored optimizer resumes the clock where it left off.
-            t0 = time.perf_counter() - self._t_offset
-            while len(self._records) < n_sims:
-                i = len(self._records)
-                self._observers.emit("on_round_start", self, i + 1,
-                                     self.method_name)
-                with self.obs.span("propose"):
-                    x = np.clip(self._propose(), 0.0, 1.0)
-                t_sim = time.perf_counter()
-                with self.obs.span("simulate", n=1, kind=self.method_name):
-                    metrics = self.task.evaluate(x)
-                self.obs.inc("sims_total", kind=self.method_name)
-                self.obs.observe("sim_latency_s",
-                                 time.perf_counter() - t_sim,
-                                 kind=self.method_name)
-                g = float(self.fom(metrics))
-                self.x_hist.append(x.copy())
-                self.y_hist.append(g)
-                self._observe(x, g, metrics)
-                rec = EvaluationRecord(
-                    index=i, x=x.copy(), metrics=metrics, fom=g,
-                    kind=self.method_name, owner=None,
-                    feasible=self.task.is_feasible(metrics),
-                    t_wall=time.perf_counter() - t0,
-                )
-                self._records.append(rec)
-                self.run_log.emit("evaluation", index=i,
-                                  kind=self.method_name, fom=g,
-                                  feasible=bool(rec.feasible),
-                                  t_wall=rec.t_wall)
-                self._observers.emit("on_evaluation", self, rec)
-                self._observers.emit(
-                    "on_round_end", self, i + 1,
-                    {"round": i + 1, "kind": self.method_name, "fom": g})
-            self._t_offset = time.perf_counter() - t0
-        result = OptimizationResult(
-            task_name=self.task.name, method=self.method_name,
-            records=list(self._records),
-            init_best_fom=self._init_best_fom,
-            wall_time_s=time.perf_counter() - start,
-            meta={"run_id": run_id},
-        )
-        self.run_log.emit("run_end", method=self.method_name,
-                          n_sims=len(self._records), best_fom=result.best_fom,
-                          success=result.success,
-                          wall_time_s=result.wall_time_s, run_id=run_id)
-        self._observers.emit("on_run_end", self, result)
-        return result
+        """Spend ``n_sims`` post-init simulations, one design per round."""
+        return self._drive(self.method_name, n_sims, n_init, x_init, f_init)
 
-    # -- checkpoint / resume -------------------------------------------------
-    def save_checkpoint(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Snapshot driver state (histories, records, RNG) atomically.
-
-        The equivalent of :meth:`MAOptimizer.save_checkpoint` for the
-        baseline family; see the class docstring for subclass hooks.
-        """
-        from repro.resilience.checkpoint import save_checkpoint
-        from repro.resilience.state import rng_state
-
-        recs = self._records
-        d = self.task.d
-        header = {
-            "kind": "baseline",
-            "method": self.method_name,
-            "task": self.task.name,
-            "d": d,
-            "m": self.task.m,
-            "initialized": self._initialized,
-            "init_best_fom": self._init_best_fom,
-            "rng_state": rng_state(self.rng),
-            "t_offset": self._t_offset,
-        }
-        arrays: dict[str, np.ndarray] = {
+    # -- checkpoint state ----------------------------------------------------
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        return {
             "hist/x": (np.array(self.x_hist) if self.x_hist
-                       else np.empty((0, d))),
+                       else np.empty((0, self.task.d))),
             "hist/y": np.array(self.y_hist),
-            "records/x": (np.array([r.x for r in recs]) if recs
-                          else np.empty((0, d))),
-            "records/metrics": (np.array([r.metrics for r in recs]) if recs
-                                else np.empty((0, self.task.m + 1))),
-            "records/fom": np.array([r.fom for r in recs]),
-            "records/feasible": np.array([r.feasible for r in recs],
-                                         dtype=bool),
-            "records/t_wall": np.array([r.t_wall for r in recs]),
         }
-        for key, value in self._extra_state().items():
-            arrays[f"extra/{key}"] = np.asarray(value)
-        final = save_checkpoint(path, header, arrays)
-        self.run_log.emit("checkpoint_saved", path=str(final),
-                          n_records=len(recs))
-        self.obs.inc("checkpoints_total")
-        self._observers.emit("on_checkpoint", self, final)
-        return final
 
-    @classmethod
-    def restore(cls, path: str | pathlib.Path, task: SizingTask,
-                telemetry: Telemetry | None = None,
-                observers: Iterable[Any] = (),
-                **kwargs: Any) -> "BaselineOptimizer":
-        """Rebuild an optimizer from :meth:`save_checkpoint` output.
-
-        ``kwargs`` are forwarded to the subclass constructor (hyper-
-        parameters are not checkpointed — pass the same ones).
-        """
-        from repro.resilience.checkpoint import load_checkpoint
-        from repro.resilience.state import set_rng_state
-
-        header, arrays = load_checkpoint(path)
-        if header.get("kind") != "baseline":
-            raise ValueError(f"{path} is not a baseline checkpoint")
-        if header["method"] != cls.method_name:
-            raise ValueError(
-                f"checkpoint is for method {header['method']!r}, "
-                f"restore it with that class (got {cls.method_name!r})")
-        if (header["task"] != task.name or header["d"] != task.d
-                or header["m"] != task.m):
-            raise ValueError(
-                f"checkpoint was taken on task {header['task']!r}; "
-                f"got {task.name!r}")
-        opt = cls(task, telemetry=telemetry, observers=observers, **kwargs)
-        opt.x_hist = [np.array(x) for x in arrays["hist/x"]]
-        opt.y_hist = [float(y) for y in arrays["hist/y"]]
-        for i in range(len(arrays["records/fom"])):
-            opt._records.append(EvaluationRecord(
-                index=i,
-                x=np.array(arrays["records/x"][i]),
-                metrics=np.array(arrays["records/metrics"][i]),
-                fom=float(arrays["records/fom"][i]),
-                kind=cls.method_name, owner=None,
-                feasible=bool(arrays["records/feasible"][i]),
-                t_wall=float(arrays["records/t_wall"][i]),
-            ))
-        opt._initialized = bool(header["initialized"])
-        opt._init_best_fom = float(header["init_best_fom"])
-        opt._t_offset = float(header["t_offset"])
-        opt._load_extra_state({
-            key[len("extra/"):]: value for key, value in arrays.items()
-            if key.startswith("extra/")
-        })
-        set_rng_state(opt.rng, header["rng_state"])
-        opt.run_log.emit("checkpoint_restored", path=str(path),
-                         n_records=len(opt._records))
-        return opt
+    def _load_state(self, header: dict, arrays: dict[str, np.ndarray]
+                    ) -> None:
+        self.x_hist = [np.array(x) for x in arrays["hist/x"]]
+        self.y_hist = [float(y) for y in arrays["hist/y"]]
+        self._round = len(self._records)  # one simulation per round

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import SizingTask
+from repro.spice.exceptions import SpiceError
 
 # Unit multipliers used by the parameter tables.
 UM = 1e-6
@@ -109,11 +110,11 @@ class CircuitTask(SizingTask):
             return []
         return run_erc(circuit)
 
-    # Small helper: run ``fn`` and return None on *any* simulator error so a
+    # Small helper: run ``fn`` and return None on a simulator error so a
     # single failing measurement doesn't void the rest of the metric dict.
     @staticmethod
     def _try(fn):
         try:
             return fn()
-        except Exception:
+        except SpiceError:
             return None

@@ -41,6 +41,7 @@ from repro.spice import (
 )
 from repro.spice import measure as M
 from repro.spice.ac import logspace_frequencies
+from repro.spice.exceptions import SpiceError
 from repro.spice.waveforms import Pulse
 
 VIN_NOM = 3.3
@@ -140,7 +141,7 @@ class LDORegulator(CircuitTask):
         ckt = self._build(params)
         try:
             op = operating_point(ckt)
-        except Exception:
+        except SpiceError:
             return {}
         vout = op.v("vout")
         metrics["vout"] = vout

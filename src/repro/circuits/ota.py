@@ -38,6 +38,7 @@ from repro.spice import (
 )
 from repro.spice import measure as M
 from repro.spice.ac import logspace_frequencies
+from repro.spice.exceptions import SpiceError
 from repro.spice.waveforms import Pulse
 
 VDD = 1.8
@@ -136,7 +137,7 @@ class TwoStageOTA(CircuitTask):
         ckt = build_ota(params, nmos=self.nmos, pmos=self.pmos)
         try:
             op = operating_point(ckt)
-        except Exception:
+        except SpiceError:
             return {}
         metrics["power"] = VDD * abs(op.branch_current("Vdd"))
 

@@ -45,6 +45,7 @@ from repro.spice import (
 )
 from repro.spice import measure as M
 from repro.spice.ac import logspace_frequencies
+from repro.spice.exceptions import SpiceError
 
 VDD = 1.8
 C_PHOTODIODE = 2e-12     # photodiode junction capacitance
@@ -121,7 +122,7 @@ class ThreeStageTIA(CircuitTask):
         ckt = build_tia(params, nmos=self.nmos, pmos=self.pmos)
         try:
             op = operating_point(ckt)
-        except Exception:
+        except SpiceError:
             return {}
         metrics["power"] = VDD * abs(op.branch_current("Vdd"))
 

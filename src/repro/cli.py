@@ -162,7 +162,7 @@ _MA_METHODS = ("DNN-Opt", "MA-Opt1", "MA-Opt2", "MA-Opt")
 
 def _build_resilience(args: argparse.Namespace):
     """ResilienceConfig from the --max-retries/--sim-timeout/--checkpoint*
-    flags; None when none of them is set (legacy fail-fast behaviour)."""
+    flags; None (the executor's default policy) when none of them is set."""
     if not (args.max_retries or args.sim_timeout is not None
             or args.checkpoint or args.checkpoint_every):
         return None
@@ -189,9 +189,25 @@ def _wrap_faults(task, args: argparse.Namespace):
                       seed=args.seed)
 
 
+def _reject_ma_only_flags(args: argparse.Namespace) -> None:
+    """Baselines take no retry, timeout, checkpoint or resume settings."""
+    if args.method in _MA_METHODS:
+        return
+    given = [flag for flag, value in (
+        ("--resume", args.resume), ("--max-retries", args.max_retries),
+        ("--sim-timeout", args.sim_timeout is not None),
+        ("--checkpoint", args.checkpoint),
+        ("--checkpoint-every", args.checkpoint_every is not None)) if value]
+    if given:
+        raise SystemExit(
+            f"repro: error: {', '.join(given)}: only the MA-Opt family "
+            f"({', '.join(_MA_METHODS)}) supports this, not {args.method!r}")
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.experiments import make_initial_set, run_method
 
+    _reject_ma_only_flags(args)
     task = _wrap_faults(_make_task(args.task, args.fidelity, args.corner),
                         args)
     resilience = _build_resilience(args)
@@ -219,10 +235,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         overrides["heartbeat_s"] = args.heartbeat
     try:
         if args.resume:
-            if args.method not in _MA_METHODS:
-                raise SystemExit(
-                    f"repro: error: --resume supports the MA-Opt family "
-                    f"({', '.join(_MA_METHODS)}), not {args.method!r}")
             from repro.core.ma_opt import MAOptimizer
 
             opt = MAOptimizer.restore(args.resume, task, telemetry=telemetry)
@@ -1059,10 +1071,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", help="archive the run to this .npz file")
     p.add_argument("--max-retries", type=int, default=0, metavar="N",
                    help="retry each failed simulation up to N times "
-                        "before quarantining the design")
+                        "before quarantining the design (MA-Opt family)")
     p.add_argument("--sim-timeout", type=float, default=None, metavar="S",
                    help="per-simulation watchdog timeout in seconds "
-                        "(pool path only)")
+                        "(pool path only; MA-Opt family)")
     p.add_argument("--inject-faults", type=float, default=0.0, metavar="P",
                    help="fault-injection drill: wrap the task so each "
                         "attempt fails with probability P (half "

@@ -13,9 +13,12 @@ Contents map one-to-one onto the paper's Section II:
 * :mod:`repro.core.near_sampling` — the near-sampling method (Alg. 2).
 * :mod:`repro.core.ma_opt` — Algorithms 1 and 3 tied together, with the
   DNN-Opt / MA-Opt1 / MA-Opt2 / MA-Opt variant presets.
+* :mod:`repro.core.driver` — the run loop, records and checkpoint format
+  MA-Opt shares with the baselines.
 """
 
 from repro.core.config import MAOptConfig, VariantPreset
+from repro.core.driver import Driver
 from repro.core.fom import FigureOfMerit
 from repro.core.ma_opt import MAOptimizer
 from repro.core.population import EliteSet, TotalDesignSet
@@ -35,6 +38,7 @@ __all__ = [
     "MAOptConfig",
     "VariantPreset",
     "MAOptimizer",
+    "Driver",
     "OptimizationResult",
     "EvaluationRecord",
 ]

@@ -15,9 +15,9 @@ near-sampling every ``t_ns``-th round.  All four paper variants (DNN-Opt,
 MA-Opt1, MA-Opt2, MA-Opt) are this class under different
 :class:`~repro.core.config.MAOptConfig` presets.
 
-Observability: the optimizer accepts a :class:`~repro.obs.Telemetry`
-bundle and/or a list of :class:`~repro.obs.ObserverProtocol` observers.
-Every simulation flows through the instrumented
+The run loop, records, events, ``t_wall`` clock and the common checkpoint
+format come from :class:`~repro.core.driver.Driver`, shared with the
+baselines.  Every simulation flows through the instrumented
 :class:`~repro.core.parallel.SimulationExecutor`; every round and every
 evaluation emits one structured event on the run log (see
 ``docs/observability.md``).  The legacy :attr:`MAOptimizer.diagnostics`
@@ -26,15 +26,13 @@ list is now a read-only view over the ``round_end`` events.
 
 from __future__ import annotations
 
-import pathlib
-import time
 from typing import Any, Iterable
 
 import numpy as np
 
 from repro.analysis.configlint import check_config, validate_config
 from repro.core.config import MAOptConfig
-from repro.core.fom import FigureOfMerit
+from repro.core.driver import Driver
 from repro.core.near_sampling import near_sampling_proposal
 from repro.core.networks import Actor, Critic, CriticEnsemble
 from repro.core.parallel import SimulationExecutor
@@ -42,24 +40,19 @@ from repro.core.population import EliteSet, TotalDesignSet
 from repro.core.problem import SizingTask
 from repro.core.result import EvaluationRecord, OptimizationResult
 from repro.core.training import propose_design, train_actor, train_critic
-from repro.obs import NULL_TELEMETRY, RunLogger, Telemetry
+from repro.obs import Telemetry
 
 
-class MAOptimizer:
+class MAOptimizer(Driver):
     """The MA-Opt family optimizer (see module docstring)."""
+
+    checkpoint_kind = "maopt"
 
     def __init__(self, task: SizingTask, config: MAOptConfig | None = None,
                  telemetry: Telemetry | None = None,
                  observers: Iterable[Any] = ()) -> None:
-        self.task = task
+        super().__init__(task, telemetry, observers)
         self.config = config or MAOptConfig()
-        self.obs = telemetry or NULL_TELEMETRY
-        self._observers = self.obs.observers.extended(observers)
-        # The run log always exists (in-memory) — it backs `diagnostics`;
-        # a telemetry-supplied RunLogger additionally gets JSONL/logging.
-        # (`is None` check: an empty RunLogger is falsy via __len__.)
-        self.run_log = (self.obs.run_logger
-                        if self.obs.run_logger is not None else RunLogger())
         # Config cross-validation (repro.analysis.configlint): errors that
         # are knowable without the simulation budget raise here, before any
         # state is built; warnings become config_warning run events.
@@ -67,7 +60,6 @@ class MAOptimizer:
             self.run_log.emit("config_warning", rule=diag.rule,
                               message=diag.message, fix=diag.fix)
         self.rng = np.random.default_rng(self.config.seed)
-        self.fom = FigureOfMerit(task)
         n_metrics = task.m + 1
         self.total = TotalDesignSet(task.d, n_metrics)
         seed_seq = np.random.SeedSequence(self.config.seed)
@@ -108,16 +100,6 @@ class MAOptimizer:
             telemetry=self.obs, resilience=self.config.resilience,
             heartbeat_s=self.config.heartbeat_s,
         )
-        self._round = 0
-        self._records: list[EvaluationRecord] = []
-        self._init_best_fom = np.inf
-        self._initialized = False
-        self._t0: float | None = None
-
-    @property
-    def records(self) -> list[EvaluationRecord]:
-        """Evaluation records accumulated so far (copy; one per sim)."""
-        return list(self._records)
 
     @property
     def diagnostics(self) -> list[dict]:
@@ -128,33 +110,21 @@ class MAOptimizer:
         """
         return [dict(e.payload) for e in self.run_log.events("round_end")]
 
-    # -- initialization ------------------------------------------------------
-    def initialize(self, n_init: int = 100,
-                   x_init: np.ndarray | None = None,
-                   f_init: np.ndarray | None = None) -> None:
-        """Load or simulate the initial sample set X^init.
+    @property
+    def method_name(self) -> str:  # type: ignore[override]
+        """The paper variant this configuration is."""
+        cfg = self.config
+        if cfg.n_actors == 1 and not cfg.near_sampling:
+            return "DNN-Opt"
+        if not cfg.shared_elite:
+            return "MA-Opt1"
+        if not cfg.near_sampling:
+            return "MA-Opt2"
+        return "MA-Opt"
 
-        Passing the same ``(x_init, f_init)`` arrays to several optimizers
-        reproduces the paper's shared-initial-set protocol.
-        """
-        if self._initialized:
-            raise RuntimeError("optimizer already initialized")
-        if x_init is None:
-            x_init = self.task.space.sample(self.rng, n_init)
-            f_init = None
-        x_init = np.atleast_2d(np.asarray(x_init, dtype=float))
-        if f_init is None:
-            f_init = self._executor.evaluate_batch(x_init, kind="init")
-        f_init = np.atleast_2d(np.asarray(f_init, dtype=float))
-        if len(f_init) != len(x_init):
-            raise ValueError("x_init and f_init lengths differ")
-        for x, f in zip(x_init, f_init):
-            g = float(self.fom(f))
-            self.total.add(x, f, g, owner=None)
-            self._init_best_fom = min(self._init_best_fom, g)
-            self.run_log.emit("evaluation", kind="init", fom=g,
-                              feasible=bool(self.task.is_feasible(f)))
-        self._initialized = True
+    def _add(self, x: np.ndarray, metrics: np.ndarray, fom: float,
+             owner: int | None) -> None:
+        self.total.add(x, metrics, fom, owner=owner)
 
     # -- single round ----------------------------------------------------------
     def _specs_met(self) -> bool:
@@ -162,31 +132,6 @@ class MAOptimizer:
         if len(metrics) == 0:
             return False
         return bool(np.any(self.fom.is_feasible(metrics)))
-
-    def _start_clock(self) -> None:
-        # t_wall convention (shared with baselines/base.py): the clock
-        # starts when the first post-init round begins, before any
-        # training or proposal work.
-        if self._t0 is None:
-            self._t0 = time.perf_counter()
-
-    def _record(self, x: np.ndarray, metrics: np.ndarray, kind: str,
-                owner: int | None) -> EvaluationRecord:
-        g = float(self.fom(metrics))
-        self.total.add(x, metrics, g, owner=owner)
-        self._start_clock()
-        rec = EvaluationRecord(
-            index=len(self._records), x=np.asarray(x, dtype=float).copy(),
-            metrics=np.asarray(metrics, dtype=float).copy(), fom=g, kind=kind,
-            owner=owner, feasible=self.task.is_feasible(metrics),
-            t_wall=time.perf_counter() - self._t0,
-        )
-        self._records.append(rec)
-        self.run_log.emit("evaluation", index=rec.index, kind=kind,
-                          owner=owner, fom=g, feasible=bool(rec.feasible),
-                          t_wall=rec.t_wall)
-        self._observers.emit("on_evaluation", self, rec)
-        return rec
 
     def optimization_round(self, budget: int | None = None
                            ) -> list[EvaluationRecord]:
@@ -273,11 +218,8 @@ class MAOptimizer:
         self._observers.emit("on_round_end", self, self._round, info)
         return record
 
-    def step(self, budget: int | None = None) -> list[EvaluationRecord]:
-        """One Alg. 3 round; returns the new evaluation records."""
-        if not self._initialized:
-            raise RuntimeError("call initialize() first")
-        self._round += 1
+    def _step(self, budget: int | None) -> list[EvaluationRecord]:
+        """One Alg. 3 round."""
         use_ns = (
             self.config.near_sampling
             and self._specs_met()
@@ -320,16 +262,12 @@ class MAOptimizer:
             ckpt_every = checkpoint_every
         else:
             ckpt_every = res_cfg.checkpoint_every if res_cfg is not None else 0
-        start = time.perf_counter()
-        name = method_name or self._default_name()
-        run_id = self.obs.run_id
-        if run_id is None:
-            from repro.obs.store import new_run_id
-            run_id = new_run_id()
-            if self.obs is not NULL_TELEMETRY:  # the shared default is
-                self.obs.run_id = run_id        # immutable by contract
-        self.run_log.emit("run_start", method=name, task=self.task.name,
-                          n_sims=n_sims, run_id=run_id)
+        return self._drive(method_name or self.method_name, n_sims, n_init,
+                           x_init, f_init, checkpoint_path=ckpt_path,
+                           checkpoint_every=ckpt_every,
+                           should_stop=should_stop)
+
+    def _check_budget(self, n_sims: int, n_init: int) -> None:
         # Budget-aware config checks: logged, never raised — a deliberate
         # tiny-budget run (tests, smoke runs) must not be blocked here.
         n_have = len(self.total.foms) if self._initialized else n_init
@@ -338,81 +276,21 @@ class MAOptimizer:
             self.run_log.emit("config_warning", rule=diag.rule,
                               severity=str(diag.severity),
                               message=diag.message, fix=diag.fix)
-        stop_reason: str | None = None
-        with self.obs.span("run", method=name, task=self.task.name,
-                           run_id=run_id):
-            with self._executor:
-                if not self._initialized:
-                    self.initialize(n_init=n_init, x_init=x_init,
-                                    f_init=f_init)
-                while len(self._records) < n_sims:
-                    if should_stop is not None:
-                        stop_reason = should_stop() or None
-                        if stop_reason:
-                            self.run_log.emit("run_stopped",
-                                              reason=stop_reason,
-                                              round=self._round,
-                                              n_sims=len(self._records))
-                            break
-                    self.step(budget=n_sims - len(self._records))
-                    if (ckpt_path and ckpt_every
-                            and self._round % ckpt_every == 0):
-                        self.save_checkpoint(ckpt_path)
-            if ckpt_path:
-                self.save_checkpoint(ckpt_path)
-        meta = {"rounds": self._round, "config": self.config,
-                "diagnostics": self.diagnostics, "run_id": run_id}
-        if stop_reason:
-            meta["stopped"] = stop_reason
-        result = OptimizationResult(
-            task_name=self.task.name,
-            method=name,
-            records=list(self._records),
-            init_best_fom=self._init_best_fom,
-            wall_time_s=time.perf_counter() - start,
-            meta=meta,
-        )
-        end_info = dict(method=name, n_sims=len(self._records),
-                        best_fom=result.best_fom, success=result.success,
-                        wall_time_s=result.wall_time_s, run_id=run_id)
-        if stop_reason:
-            end_info["stopped"] = stop_reason
-        self.run_log.emit("run_end", **end_info)
-        # A stopped run is not a finished run: recorders must not seal the
-        # record as "finished" when the service cancelled or interrupted it.
-        if stop_reason:
-            self._observers.emit("on_run_stopped", self, result, stop_reason)
-        else:
-            self._observers.emit("on_run_end", self, result)
-        return result
 
-    # -- checkpoint / resume -------------------------------------------------
-    def save_checkpoint(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Atomically snapshot the full optimizer state to ``path``.
+    def _result_meta(self) -> dict:
+        return {"rounds": self._round, "config": self.config,
+                "diagnostics": self.diagnostics}
 
-        The snapshot is bit-exact: dataset, records, actor/critic weights,
-        Adam moments, RNG state, round counter, and the wall-clock offset.
-        See ``docs/resilience.md`` for the format.
-        """
-        from repro.resilience.checkpoint import save_checkpoint
-        from repro.resilience.state import (capture_actor, capture_critic,
-                                            rng_state)
+    # -- checkpoint state ----------------------------------------------------
+    # The checkpoint is bit-exact: on top of the driver's records it holds
+    # the dataset, actor/critic weights, Adam moments and the round counter.
+    def _state_header(self) -> dict:
+        return {"config": self.config.to_dict(), "round": self._round}
+
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        from repro.resilience.state import capture_actor, capture_critic
 
         recs = self._records
-        header = {
-            "kind": "maopt",
-            "task": self.task.name,
-            "d": self.task.d,
-            "m": self.task.m,
-            "method": self._default_name(),
-            "config": self.config.to_dict(),
-            "round": self._round,
-            "initialized": self._initialized,
-            "init_best_fom": self._init_best_fom,
-            "rng_state": rng_state(self.rng),
-            "t_offset": (None if self._t0 is None
-                         else time.perf_counter() - self._t0),
-        }
         arrays: dict[str, np.ndarray] = {
             "total/x": self.total.designs,
             "total/f": self.total.metrics,
@@ -420,92 +298,33 @@ class MAOptimizer:
             "total/owner": np.array(
                 [-1 if o is None else o for o in self.total.owners],
                 dtype=int),
-            "records/x": np.array([r.x for r in recs])
-            if recs else np.empty((0, self.task.d)),
-            "records/metrics": np.array([r.metrics for r in recs])
-            if recs else np.empty((0, self.task.m + 1)),
-            "records/fom": np.array([r.fom for r in recs]),
             "records/kind": np.array([r.kind for r in recs], dtype=np.str_)
             if recs else np.empty(0, dtype="U1"),
             "records/owner": np.array(
                 [-1 if r.owner is None else r.owner for r in recs],
                 dtype=int),
-            "records/feasible": np.array([r.feasible for r in recs],
-                                         dtype=bool),
-            "records/t_wall": np.array([r.t_wall for r in recs]),
         }
         arrays.update(capture_critic("critic", self.critic))
         for i, actor in enumerate(self.actors):
             arrays.update(capture_actor(f"actor{i}", actor))
-        final = save_checkpoint(path, header, arrays)
-        self.run_log.emit("checkpoint_saved", path=str(final),
-                          round=self._round, n_records=len(recs))
-        self.obs.inc("checkpoints_total")
-        self._observers.emit("on_checkpoint", self, final)
-        return final
+        return arrays
 
     @classmethod
-    def restore(cls, path: str | pathlib.Path, task: SizingTask,
-                telemetry: Telemetry | None = None,
-                observers: Iterable[Any] = ()) -> "MAOptimizer":
-        """Rebuild an optimizer from a :meth:`save_checkpoint` snapshot.
+    def _from_header(cls, header: dict, task: SizingTask,
+                     telemetry: Telemetry | None,
+                     observers: Iterable[Any], **kwargs: Any
+                     ) -> "MAOptimizer":
+        return cls(task, MAOptConfig.from_dict(header["config"]),
+                   telemetry=telemetry, observers=observers, **kwargs)
 
-        ``task`` must be the same task the checkpoint was taken on (name
-        and dimensions are verified); telemetry/observers are rewired
-        fresh — the event stream is a side channel, not part of the
-        checkpointed state.  Continuing with ``run(n_sims=...)`` replays
-        the exact record stream an uninterrupted run would have produced.
-        """
-        from repro.resilience.checkpoint import load_checkpoint
-        from repro.resilience.state import (restore_actor, restore_critic,
-                                            set_rng_state)
+    def _load_state(self, header: dict, arrays: dict[str, np.ndarray]
+                    ) -> None:
+        from repro.resilience.state import restore_actor, restore_critic
 
-        header, arrays = load_checkpoint(path)
-        if header.get("kind") != "maopt":
-            raise ValueError(f"{path} is not an MAOptimizer checkpoint")
-        if (header["task"] != task.name or header["d"] != task.d
-                or header["m"] != task.m):
-            raise ValueError(
-                f"checkpoint was taken on task {header['task']!r} "
-                f"(d={header['d']}, m={header['m']}); got {task.name!r} "
-                f"(d={task.d}, m={task.m})")
-        config = MAOptConfig.from_dict(header["config"])
-        opt = cls(task, config, telemetry=telemetry, observers=observers)
         for x, f, g, o in zip(arrays["total/x"], arrays["total/f"],
                               arrays["total/fom"], arrays["total/owner"]):
-            opt.total.add(x, f, float(g), owner=None if o < 0 else int(o))
-        for i in range(len(arrays["records/fom"])):
-            o = int(arrays["records/owner"][i])
-            opt._records.append(EvaluationRecord(
-                index=i,
-                x=np.array(arrays["records/x"][i]),
-                metrics=np.array(arrays["records/metrics"][i]),
-                fom=float(arrays["records/fom"][i]),
-                kind=str(arrays["records/kind"][i]),
-                owner=None if o < 0 else o,
-                feasible=bool(arrays["records/feasible"][i]),
-                t_wall=float(arrays["records/t_wall"][i]),
-            ))
-        restore_critic("critic", opt.critic, arrays)
-        for i, actor in enumerate(opt.actors):
+            self.total.add(x, f, float(g), owner=None if o < 0 else int(o))
+        restore_critic("critic", self.critic, arrays)
+        for i, actor in enumerate(self.actors):
             restore_actor(f"actor{i}", actor, arrays)
-        set_rng_state(opt.rng, header["rng_state"])
-        opt._round = int(header["round"])
-        opt._initialized = bool(header["initialized"])
-        opt._init_best_fom = float(header["init_best_fom"])
-        t_offset = header.get("t_offset")
-        opt._t0 = (None if t_offset is None
-                   else time.perf_counter() - float(t_offset))
-        opt.run_log.emit("checkpoint_restored", path=str(path),
-                         round=opt._round, n_records=len(opt._records))
-        return opt
-
-    def _default_name(self) -> str:
-        cfg = self.config
-        if cfg.n_actors == 1 and not cfg.near_sampling:
-            return "DNN-Opt"
-        if not cfg.shared_elite:
-            return "MA-Opt1"
-        if not cfg.near_sampling:
-            return "MA-Opt2"
-        return "MA-Opt"
+        self._round = int(header["round"])

@@ -7,9 +7,10 @@ with ``n_workers = 0`` it degrades to a serial loop (the default for tests
 and benches, where determinism and low overhead matter more).
 
 The executor is the single instrumented choke point every simulation flows
-through.  Each batch opens a ``simulate`` span, each simulation is timed
-individually — in the worker process for the pool path, so queueing and
-pickling overhead are excluded — and the timings feed the
+through — MA-Opt's rounds, every baseline's proposals and the shared
+initial set alike.  Each batch opens a ``simulate`` span, each simulation
+is timed individually — in the worker process for the pool path, so
+queueing and pickling overhead are excluded — and the timings feed the
 ``sim_latency_s`` histogram, the ``sims_total{kind=...}`` counter, and the
 executor's :attr:`~SimulationExecutor.batch_timings` log.
 
@@ -18,18 +19,22 @@ executor's :attr:`~SimulationExecutor.batch_timings` log.
 is dispatched.  Designs with error-severity findings never reach the
 simulator: they are charged the task's penalty metrics, counted under
 ``lint_rejections_total{kind=...}``, and logged as ``lint_rejected`` run
-events.  Pass ``lint_gate=False`` to opt out.
+events.
 
-**Failure policy** (:mod:`repro.resilience.policy`): pass a
-:class:`~repro.core.config.ResilienceConfig` and every simulation runs
-under the retry/backoff/quarantine loop — identically in the caller (serial
-path) and inside each worker (pool path), so retry accounting matches
-bit-for-bit.  When ``sim_timeout_s`` is set, the pool path additionally
-runs a watchdog: a hung or crashed worker costs the affected design one
-attempt, the pool is rebuilt, and only the designs whose results were lost
-are re-dispatched.  Quarantined designs surface as ``sim_failed`` run
-events plus ``sim_retries_total`` / ``sim_failures_total`` counters, and
-their per-design outcomes stay readable on
+**Failure policy** (:mod:`repro.resilience.policy`): every simulation runs
+under :func:`~repro.resilience.policy.evaluate_design`, the
+retry/backoff/quarantine loop — identically in the caller (serial path)
+and inside each worker (pool path), so retry accounting matches
+bit-for-bit.  ``resilience=None`` means the default
+:class:`~repro.core.config.ResilienceConfig`: no retries, quarantine on.
+Only simulator errors (:class:`~repro.spice.exceptions.SpiceError`) are
+retried and quarantined; any other exception is a bug and propagates.
+When ``sim_timeout_s`` is set, the pool path additionally runs a watchdog:
+a hung or crashed worker costs the affected design one attempt, the pool
+is rebuilt, and only the designs whose results were lost are
+re-dispatched.  Quarantined designs surface as ``sim_failed`` run events
+plus ``sim_retries_total`` / ``sim_failures_total`` counters, and their
+per-design outcomes stay readable on
 :attr:`~SimulationExecutor.last_outcomes`.
 
 **Worker telemetry** (:mod:`repro.obs.telemetry`): when the attached
@@ -62,7 +67,7 @@ import numpy as np
 from repro.core.config import ResilienceConfig
 from repro.core.problem import SizingTask
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.obs.telemetry import WorkerCapture, WorkerTelemetry, absorb_capture
+from repro.obs.telemetry import WorkerTelemetry, absorb_capture
 from repro.resilience.policy import (
     SimOutcome,
     evaluate_design,
@@ -95,8 +100,7 @@ _WATCHDOG_SLACK_S = 5.0
 
 
 @worker_side
-def _init_worker(task: SizingTask,
-                 policy: ResilienceConfig | None = None,
+def _init_worker(task: SizingTask, policy: ResilienceConfig,
                  capture: bool = False) -> None:
     # These globals are the *per-worker* slots this initializer exists to
     # fill — each spawn worker populates its own copy, and nothing in the
@@ -109,37 +113,18 @@ def _init_worker(task: SizingTask,
 
 
 @worker_side
-def _evaluate_one(u: np.ndarray
-                  ) -> tuple[np.ndarray, float, WorkerCapture | None]:
-    """Evaluate one design in a worker; returns (metrics, seconds, capture)."""
-    if _WORKER_TASK is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker not initialized")
-    wt = _WORKER_TELEMETRY  # per-worker recorder; shipped back, never shared
-    if wt is None:
-        t0 = time.perf_counter()
-        metrics = _WORKER_TASK.evaluate(u)
-        return metrics, time.perf_counter() - t0, None
-    t0 = time.perf_counter()
-    with wt.span("worker-evaluate"):
-        metrics = _WORKER_TASK.evaluate(u)
-    dt = time.perf_counter() - t0
-    wt.inc("worker_sims_total")
-    return metrics, dt, wt.drain()
-
-
-@worker_side
-def _evaluate_one_resilient(u: np.ndarray,
-                            start_attempt: int = 0) -> SimOutcome:
+def _evaluate_one(u: np.ndarray, start_attempt: int = 0) -> SimOutcome:
     """Worker-side retry loop; mirrors the serial path exactly."""
     if _WORKER_TASK is None or _WORKER_POLICY is None:  # pragma: no cover
-        raise RuntimeError("worker not initialized with a policy")
+        raise RuntimeError("worker not initialized")
     wt = _WORKER_TELEMETRY  # per-worker recorder; shipped back, never shared
     if wt is None:
         return evaluate_design(_WORKER_TASK, u, _WORKER_POLICY,
                                start_attempt=start_attempt)
-    with wt.span("worker-evaluate", resilient=True):
+    with wt.span("worker-evaluate"):
         out = evaluate_design(_WORKER_TASK, u, _WORKER_POLICY,
                               start_attempt=start_attempt, obs=wt)
+    wt.inc("worker_sims_total")
     out.capture = wt.drain()
     return out
 
@@ -213,7 +198,6 @@ class SimulationExecutor:
     def __init__(self, task: SizingTask, n_workers: int = 0,
                  telemetry: Telemetry | None = None,
                  resilience: ResilienceConfig | None = None,
-                 lint_gate: bool = True,
                  heartbeat_s: float = 0.0) -> None:
         if n_workers < 0:
             raise ValueError("n_workers must be >= 0")
@@ -222,14 +206,13 @@ class SimulationExecutor:
         self.task = task
         self.n_workers = n_workers
         self.obs = telemetry or NULL_TELEMETRY
-        self.policy = resilience
-        self.lint_gate = lint_gate
+        self.policy = resilience or ResilienceConfig()
         self.heartbeat_s = heartbeat_s
         # Ship WorkerTelemetry into pool workers only when someone is
         # listening parent-side (tracer or metrics attached).
         self._capture = self.obs.wants_worker_capture
         self.batch_timings: list[BatchTiming] = []
-        #: Per-design outcomes of the most recent policy-path batch.
+        #: Per-design outcomes of the most recent simulated batch.
         self.last_outcomes: list[SimOutcome] = []
         #: Per-design ERC findings of the most recent gated batch
         #: (design index -> list of error diagnostics).
@@ -288,29 +271,37 @@ class SimulationExecutor:
                                     len(designs), self.n_workers)
                          if use_pool and self.heartbeat_s > 0 else None)
             try:
-                if self.policy is None:
-                    metrics, durations, captures = self._plain_batch(
-                        designs, use_pool)
-                else:
-                    metrics, durations, captures = self._policy_batch(
-                        designs, use_pool, kind)
+                outcomes = (self._pool_outcomes(designs) if use_pool else
+                            [evaluate_design(self.task, u, self.policy,
+                                             obs=self.obs)
+                             for u in designs])
             finally:
                 if heartbeat is not None:
                     heartbeat.stop()
-            # Graft worker-recorded telemetry while the simulate span is
-            # still the live parent (NOOP spans enter as None — metrics
-            # still merge, spans are dropped).
-            for cap in captures:
-                if cap is not None:
-                    absorb_capture(self.obs, cap, sim_span)
-        wall = time.perf_counter() - t_batch
+            self.last_outcomes = outcomes
+            for i, out in enumerate(outcomes):
+                # Graft worker-recorded telemetry while the simulate span
+                # is still the live parent (NOOP spans enter as None —
+                # metrics still merge, spans are dropped).
+                if out.capture is not None:
+                    absorb_capture(self.obs, out.capture, sim_span)
+                if out.retries:
+                    self.obs.inc("sim_retries_total", out.retries, kind=kind)
+                if out.failed:
+                    self.obs.inc("sim_failures_total", kind=kind)
+                    if self.obs.run_logger is not None:
+                        self.obs.run_logger.emit(
+                            "sim_failed", kind=kind, design_index=i,
+                            retries=out.retries, reason=out.reason,
+                            error=out.error)
+        durations = [out.seconds for out in outcomes]
         self.batch_timings.append(BatchTiming(
-            n=len(designs), kind=kind, wall_s=wall,
+            n=len(designs), kind=kind, wall_s=time.perf_counter() - t_batch,
             sim_s=tuple(durations), parallel=use_pool))
         self.obs.inc("sims_total", len(designs), kind=kind)
         for dt in durations:
             self.obs.observe("sim_latency_s", dt, kind=kind)
-        return metrics
+        return np.stack([out.metrics for out in outcomes])
 
     def _lint_rejections(self, designs: np.ndarray,
                          kind: str) -> dict[int, list]:
@@ -319,11 +310,11 @@ class SimulationExecutor:
         Returns ``{design index -> error diagnostics}`` for the designs to
         reject; the caller substitutes the task's penalty metrics so the
         optimizer sees a decisively bad (but finite) evaluation instead of
-        burning simulation budget on a netlist that cannot work.  Disabled
-        via ``lint_gate=False`` or when the task has no ``lint_design``.
+        burning simulation budget on a netlist that cannot work.  Tasks
+        without ``lint_design`` are not gated.
         """
         lint = getattr(self.task, "lint_design", None)
-        if not self.lint_gate or lint is None:
+        if lint is None:
             self.last_lint_rejections = {}
             return {}
         from repro.analysis.diagnostics import Severity
@@ -345,58 +336,9 @@ class SimulationExecutor:
                         first=errors[0].message)
         return rejected
 
-    def _plain_batch(self, designs: np.ndarray, use_pool: bool
-                     ) -> tuple[np.ndarray, list[float],
-                                list[WorkerCapture | None]]:
-        """Legacy path (no failure policy): evaluate, let exceptions fly."""
-        if not use_pool:
-            outputs, durations = [], []
-            for u in designs:
-                t0 = time.perf_counter()
-                outputs.append(self.task.evaluate(u))
-                durations.append(time.perf_counter() - t0)
-            return np.stack(outputs), durations, []
-        pool = self._ensure_pool()
-        self.obs.set_gauge("pool_workers_busy",
-                           min(self.n_workers, len(designs)))
-        try:
-            results = pool.map(_evaluate_one, list(designs))
-        finally:
-            # An exception mid-batch must not leave a stale busy count.
-            self.obs.set_gauge("pool_workers_busy", 0)
-        return (np.stack([m for m, _, _ in results]),
-                [dt for _, dt, _ in results],
-                [cap for _, _, cap in results])
-
-    def _policy_batch(self, designs: np.ndarray, use_pool: bool, kind: str
-                      ) -> tuple[np.ndarray, list[float],
-                                 list[WorkerCapture | None]]:
-        """Failure-policy path: retries, quarantine, pool watchdog."""
-        policy = self.policy
-        assert policy is not None
-        if not use_pool:
-            outcomes = [evaluate_design(self.task, u, policy, obs=self.obs)
-                        for u in designs]
-        else:
-            outcomes = self._pool_outcomes(designs, policy)
-        self.last_outcomes = outcomes
-        for i, out in enumerate(outcomes):
-            if out.retries:
-                self.obs.inc("sim_retries_total", out.retries, kind=kind)
-            if out.failed:
-                self.obs.inc("sim_failures_total", kind=kind)
-                if self.obs.run_logger is not None:
-                    self.obs.run_logger.emit(
-                        "sim_failed", kind=kind, design_index=i,
-                        retries=out.retries, reason=out.reason,
-                        error=out.error)
-        metrics = np.stack([out.metrics for out in outcomes])
-        durations = [out.seconds for out in outcomes]
-        captures = [out.capture for out in outcomes]
-        return metrics, durations, captures
-
-    def _attempt_budget_s(self, policy: ResilienceConfig) -> float:
+    def _attempt_budget_s(self) -> float:
         """Worst-case worker-side seconds for one design's full retry loop."""
+        policy = self.policy
         attempts = policy.max_retries + 1
         budget = (policy.sim_timeout_s or 0.0) * attempts
         if policy.backoff_base_s > 0:
@@ -406,8 +348,7 @@ class SimulationExecutor:
                 for k in range(policy.max_retries))
         return budget
 
-    def _pool_outcomes(self, designs: np.ndarray,
-                       policy: ResilienceConfig) -> list[SimOutcome]:
+    def _pool_outcomes(self, designs: np.ndarray) -> list[SimOutcome]:
         """Dispatch with watchdog + crash recovery.
 
         Without ``sim_timeout_s`` this is a plain (blocking) pool map of
@@ -417,12 +358,13 @@ class SimulationExecutor:
         same stuck result), and every design whose result died with the
         pool is re-dispatched — completed outcomes are kept.
         """
+        policy = self.policy
         n = len(designs)
         self.obs.set_gauge("pool_workers_busy", min(self.n_workers, n))
         try:
             if policy.sim_timeout_s is None:
                 pool = self._ensure_pool()
-                return pool.starmap(_evaluate_one_resilient,
+                return pool.starmap(_evaluate_one,
                                     [(u, 0) for u in designs])
             outcomes: list[SimOutcome | None] = [None] * n
             # (index, start_attempt, timeouts_charged) still to run.
@@ -432,10 +374,10 @@ class SimulationExecutor:
                 # Generous per-result deadline: full retry budget for every
                 # design that may be queued ahead, plus pool-spinup slack.
                 waves = math.ceil(len(pending) / max(1, self.n_workers))
-                deadline = (self._attempt_budget_s(policy) * waves
+                deadline = (self._attempt_budget_s() * waves
                             + _WATCHDOG_SLACK_S)
                 handles = [(i, sa, pool.apply_async(
-                    _evaluate_one_resilient, (designs[i], sa)))
+                    _evaluate_one, (designs[i], sa)))
                     for i, sa in pending]
                 pending = []
                 wedged = False

@@ -88,9 +88,12 @@ class SizingTask(ABC):
 
     Subclasses provide :attr:`space`, :attr:`target`, :attr:`specs` and
     implement :meth:`simulate`.  The optimizer-facing entry point is
-    :meth:`evaluate`, which never raises: measurement failures are mapped to
-    decisively-bad metric values so the optimizer always sees a finite
-    vector (mirroring how a sizing flow treats non-convergent SPICE runs).
+    :meth:`evaluate`: metrics a simulation could not measure are mapped to
+    decisively-bad values so the optimizer sees a finite vector.  A
+    simulator error (:class:`~repro.spice.exceptions.SpiceError`) raised
+    by :meth:`simulate` propagates; the failure policy in
+    :class:`~repro.core.parallel.SimulationExecutor` turns it into a
+    counted penalty record.
     """
 
     name: str = "task"
@@ -127,17 +130,16 @@ class SizingTask(ABC):
     def simulate(self, u: np.ndarray) -> dict[str, float]:
         """Run the full evaluation of one normalized design.
 
-        Returns a metric-name -> value dict; missing/None entries and raised
-        exceptions are handled by :meth:`evaluate`.
+        Returns a metric-name -> value dict; missing/None entries are
+        handled by :meth:`evaluate`.  Raises
+        :class:`~repro.spice.exceptions.SpiceError` when the simulation
+        fails outright.
         """
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """Metric vector ``[f0, f1..fm]`` for one normalized design."""
         u = self.space.clip(np.asarray(u, dtype=float).ravel())
-        try:
-            metrics = self.simulate(u)
-        except Exception:
-            metrics = {}
+        metrics = self.simulate(u)
         out = np.empty(self.m + 1)
         f0 = metrics.get(self.target.name)
         out[0] = self.target.fail_value if f0 is None or not np.isfinite(f0) \

@@ -2,16 +2,20 @@
 
 In a production sizing flow the simulation loop dies to license drops,
 non-convergent operating points, and hung simulator processes.  This module
-is the single place that decides what happens when one simulation fails:
+is the single place that decides what happens when one simulation fails.
+A failure is a :class:`~repro.spice.exceptions.SpiceError` (convergence,
+analysis, netlist and singular-matrix errors, plus the injected faults and
+non-finite metrics below); any other exception is a programming error and
+propagates to the caller.  For a failure:
 
 * **retry** — up to ``max_retries`` re-attempts with exponential backoff
   (deterministic jitter, derived from the design bytes so the serial and
   pool execution paths behave identically);
 * **quarantine** — after the retry budget is exhausted the design is *not*
   allowed to kill the run: it gets the task's decisively-bad penalty
-  metrics (the same values :meth:`repro.core.problem.SizingTask.evaluate`
-  substitutes for failed measurements) and flows on as an infeasible
-  record;
+  metrics (the values :meth:`repro.core.problem.SizingTask.evaluate`
+  gives a design whose every measurement is missing) and flows on as an
+  infeasible record;
 * **NaN/Inf quarantine** — non-finite metric vectors are treated as
   failures, so they can never poison the critic's training set.
 
@@ -31,6 +35,7 @@ import numpy as np
 
 from repro.core.config import ResilienceConfig
 from repro.obs.trace import NOOP_SPAN
+from repro.spice.exceptions import SpiceError
 
 __all__ = [
     "InjectedFault",
@@ -44,11 +49,11 @@ __all__ = [
 ]
 
 
-class InjectedFault(RuntimeError):
+class InjectedFault(SpiceError):
     """Raised by :class:`~repro.resilience.faults.FaultyTask` injections."""
 
 
-class NonFiniteMetrics(ValueError):
+class NonFiniteMetrics(SpiceError):
     """A simulation returned NaN/Inf metrics (quarantined by policy)."""
 
 
@@ -84,9 +89,9 @@ class SimOutcome:
 def penalty_metrics(task) -> np.ndarray:
     """Decisively-bad metric vector for a design whose simulation died.
 
-    Mirrors what :meth:`SizingTask.evaluate` substitutes when every
-    measurement fails: the target's ``fail_value`` plus each spec's
-    default fail value — guaranteed infeasible, finite, and terrible.
+    What :meth:`SizingTask.evaluate` returns when every measurement is
+    missing: the target's ``fail_value`` plus each spec's default fail
+    value — guaranteed infeasible, finite, and terrible.
     """
     out = np.empty(task.m + 1)
     out[0] = task.target.fail_value
@@ -133,18 +138,23 @@ def evaluate_design(task, u: np.ndarray, policy: ResilienceConfig,
     pool path uses it after a timed-out dispatch).  ``obs`` is an optional
     span source (:class:`~repro.obs.telemetry.Telemetry` serially,
     :class:`~repro.obs.telemetry.WorkerTelemetry` inside a pool worker):
-    each attempt is wrapped in a ``sim-attempt`` span so retries are
-    visible in the trace on both execution paths.  Never raises unless
+    when the policy allows retries, each attempt is wrapped in a
+    ``sim-attempt`` span so retries are visible in the trace on both
+    execution paths.  Only a
+    :class:`~repro.spice.exceptions.SpiceError` counts as a failed attempt;
+    anything else propagates.  After the last failed attempt the design is
+    quarantined, or :class:`SimulationFailure` is raised when
     ``policy.quarantine_failures`` is off.
     """
     u = np.asarray(u, dtype=float)
     t0 = time.perf_counter()
     retries = 0
     reason = error = None
+    traced = obs is not None and policy.max_retries > 0
     for attempt in range(start_attempt, policy.max_retries + 1):
         try:
             with (obs.span("sim-attempt", attempt=attempt)
-                  if obs is not None else NOOP_SPAN):
+                  if traced else NOOP_SPAN):
                 metrics = np.asarray(_call_evaluate(task, u, attempt),
                                      dtype=float)
                 if policy.quarantine_nonfinite and not np.all(
@@ -152,7 +162,7 @@ def evaluate_design(task, u: np.ndarray, policy: ResilienceConfig,
                     raise NonFiniteMetrics(
                         f"non-finite metrics at attempt {attempt}")
             return SimOutcome(metrics, time.perf_counter() - t0, retries)
-        except Exception as exc:
+        except SpiceError as exc:
             reason = ("nonfinite" if isinstance(exc, NonFiniteMetrics)
                       else "exception")
             error = repr(exc)

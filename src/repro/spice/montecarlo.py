@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.spice.elements import Mosfet
+from repro.spice.exceptions import SpiceError
 from repro.spice.netlist import Circuit
 
 A_VT = 3.5e-9   # V*m  (3.5 mV*um)
@@ -68,8 +69,9 @@ def monte_carlo(circuit_factory: Callable[[], Circuit],
     """Run ``measure`` over ``n_samples`` mismatch realizations.
 
     ``circuit_factory`` builds a fresh nominal circuit; ``measure`` runs the
-    analyses it needs and returns a scalar.  Failed samples (simulator
-    exceptions) are returned as NaN so yield can be computed.  Mismatch
+    analyses it needs and returns a scalar.  Failed samples (a
+    :class:`~repro.spice.exceptions.SpiceError`) are returned as NaN so
+    yield can be computed; any other exception propagates.  Mismatch
     draws come from ``rng``, or from a generator derived from ``seed``
     when no generator is passed — there is no unseeded fallback, so a
     yield estimate is always reproducible.
@@ -106,6 +108,6 @@ def monte_carlo(circuit_factory: Callable[[], Circuit],
         apply_mismatch(ckt, rng, a_vt=a_vt, a_kp=a_kp)
         try:
             out[k] = float(measure(ckt))
-        except Exception:
+        except SpiceError:
             out[k] = np.nan
     return out

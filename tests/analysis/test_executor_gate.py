@@ -85,13 +85,6 @@ class TestGate:
         assert ex.last_lint_rejections[0][0].rule == "erc.parse-error"
         assert np.allclose(out, penalty_metrics(task))
 
-    def test_opt_out(self):
-        task = BrokenNetlistOTA()
-        with SimulationExecutor(task, lint_gate=False) as ex:
-            ex.evaluate_batch(np.full((1, task.d), 0.5))
-        assert task.simulated == 1
-        assert ex.last_lint_rejections == {}
-
     def test_counter_increments(self):
         task = BrokenNetlistOTA()
         obs = telemetry()

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.parallel import SimulationExecutor
 from repro.core.problem import Spec, Target
 from repro.core.synthetic import ConstrainedSphere
+from repro.resilience.policy import penalty_metrics
+from repro.spice.exceptions import ConvergenceError
 
 
 class TestSpec:
@@ -68,14 +71,31 @@ class TestSizingTaskEvaluate:
         np.testing.assert_allclose(a, b)
 
     def test_exception_in_simulate_maps_to_fail_values(self, sphere_task):
+        # evaluate() lets a simulator error through; the executor's failure
+        # policy is the one place that maps it to the fail values.
         class Broken(type(sphere_task)):
             def simulate(self, u):
-                raise RuntimeError("sim crashed")
+                raise ConvergenceError("sim crashed")
 
         broken = Broken(d=sphere_task.d)
-        mv = broken.evaluate(np.full(broken.d, 0.5))
+        u = np.full((1, broken.d), 0.5)
+        with pytest.raises(ConvergenceError):
+            broken.evaluate(u[0])
+        with SimulationExecutor(broken) as ex:
+            mv = ex.evaluate_batch(u)[0]
+        np.testing.assert_array_equal(mv, penalty_metrics(broken))
         assert mv[0] == broken.target.fail_value
         assert not broken.is_feasible(mv)
+        assert ex.last_outcomes[0].failed
+
+    def test_programming_error_in_simulate_propagates(self, sphere_task):
+        class Buggy(type(sphere_task)):
+            def simulate(self, u):
+                raise TypeError("planted bug")
+
+        buggy = Buggy(d=sphere_task.d)
+        with SimulationExecutor(buggy) as ex, pytest.raises(TypeError):
+            ex.evaluate_batch(np.full((1, buggy.d), 0.5))
 
     def test_missing_metric_maps_to_fail_value(self, sphere_task):
         class Partial(type(sphere_task)):

@@ -129,13 +129,13 @@ class TestBusyGaugeGuard:
                                 telemetry=Telemetry(metrics=reg))
 
         class ExplodingPool:
-            def map(self, fn, items):
+            def starmap(self, fn, items):
                 raise RuntimeError("worker died")
 
         ex._ensure_pool = lambda: ExplodingPool()
-        with pytest.raises(RuntimeError):
-            ex._plain_batch(task.space.sample(np.random.default_rng(0), 4),
-                            use_pool=True)
+        with pytest.raises(RuntimeError, match="worker died"):
+            ex.evaluate_batch(
+                task.space.sample(np.random.default_rng(0), 4))
         assert reg.gauge_value("pool_workers_busy") == 0
 
 
@@ -182,7 +182,9 @@ class TestPooledCapture:
             ex.close()
         workers = tracer.find("worker-evaluate")
         assert len(workers) == 4
-        assert all(w.attrs.get("resilient") for w in workers)
+        # Every pooled design runs the policy's retry loop in the worker.
+        assert all([c.name for c in w.children] == ["sim-attempt"]
+                   for w in workers)
         attempts = tracer.find("sim-attempt")
         assert len(attempts) == 4  # healthy sims: exactly one attempt each
         assert all(a.attrs["attempt"] == 0 for a in attempts)

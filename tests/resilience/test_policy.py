@@ -11,6 +11,7 @@ from repro.resilience.policy import (
     evaluate_design,
     penalty_metrics,
 )
+from repro.spice.exceptions import ConvergenceError
 
 
 class FlakyTask:
@@ -27,7 +28,7 @@ class FlakyTask:
     def evaluate(self, u):
         self.calls += 1
         if self.calls <= self.n_failures:
-            raise RuntimeError(f"boom #{self.calls}")
+            raise ConvergenceError(f"boom #{self.calls}")
         return self.inner.evaluate(u)
 
 
@@ -88,6 +89,18 @@ class TestRetryLoop:
         policy = ResilienceConfig(max_retries=1, quarantine_failures=False)
         with pytest.raises(SimulationFailure):
             evaluate_design(task, np.full(sphere_task.d, 0.5), policy)
+
+    def test_programming_error_is_not_retried(self, sphere_task):
+        class Buggy(FlakyTask):
+            def evaluate(self, u):
+                self.calls += 1
+                raise TypeError("planted bug")
+
+        task = Buggy(sphere_task, n_failures=0)
+        policy = ResilienceConfig(max_retries=3)
+        with pytest.raises(TypeError):
+            evaluate_design(task, np.full(sphere_task.d, 0.5), policy)
+        assert task.calls == 1
 
     def test_start_attempt_charges_budget(self, sphere_task):
         task = FlakyTask(sphere_task, n_failures=10)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.spice import Circuit, NMOS_180, PMOS_180, operating_point
 from repro.spice.corners import CORNER_NAMES, corner_models
+from repro.spice.exceptions import ConvergenceError
 from repro.spice.montecarlo import apply_mismatch, monte_carlo, restore_models
 
 
@@ -121,10 +122,18 @@ class TestMismatch:
             return self._pair()
 
         def measure(ckt):
-            raise RuntimeError("boom")
+            raise ConvergenceError("boom")
 
         out = monte_carlo(build, measure, 3, rng=np.random.default_rng(0))
         assert np.all(np.isnan(out))
+
+    def test_programming_error_propagates(self):
+        def measure(ckt):
+            raise TypeError("planted bug")
+
+        with pytest.raises(TypeError, match="planted bug"):
+            monte_carlo(self._pair, measure, 3,
+                        rng=np.random.default_rng(0))
 
     def test_bad_sample_count_raises(self):
         with pytest.raises(ValueError):

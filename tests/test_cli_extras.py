@@ -1,5 +1,7 @@
 """Tests for the newer CLI features (corners, report)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -114,6 +116,27 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="MA-Opt family"):
             main(["optimize", "sphere", "--method", "Random",
                   "--resume", str(tmp_path / "ck.npz")])
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-retries", "2"], ["--sim-timeout", "5"],
+        ["--checkpoint", "ck.npz"], ["--checkpoint-every", "2"]])
+    def test_ma_only_flags_reject_baselines(self, flags):
+        with pytest.raises(SystemExit, match="MA-Opt family") as exc:
+            main(["optimize", "sphere", "--method", "BO",
+                  "--sims", "4", "--init", "4", *flags])
+        assert flags[0] in str(exc.value)
+
+    def test_fault_injected_baseline_completes(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        rc = main(["optimize", "sphere", "--method", "Random",
+                   "--sims", "10", "--init", "8", "--inject-faults", "0.4",
+                   "--events-out", str(events)])
+        assert rc == 0
+        lines = [json.loads(line) for line in events.read_text().splitlines()
+                 if line.strip()]
+        kinds = [e.get("kind") for e in lines if e["event"] == "evaluation"]
+        assert kinds.count("Random") == 10
+        assert any(e["event"] == "sim_failed" for e in lines)
 
     def test_bad_fault_rate_rejected(self):
         with pytest.raises(SystemExit, match="inject-faults"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.spice.compiled import solve_sweep
 from repro.spice.dc import operating_point
 from repro.spice.exceptions import AnalysisError
 from repro.spice.netlist import Circuit
@@ -20,52 +21,14 @@ def logspace_frequencies(f_start: float, f_stop: float,
     return np.logspace(np.log10(f_start), np.log10(f_stop), n)
 
 
-def _sweep_loop(circuit: Circuit, freqs: np.ndarray,
-                x_op: np.ndarray) -> np.ndarray:
-    """Reference sweep: assemble and solve one system per frequency."""
-    xs = np.empty((freqs.size, circuit.size), dtype=complex)
-    for k, f in enumerate(freqs):
-        sys = circuit.assemble_ac(x_op, 2.0 * np.pi * f)
-        try:
-            xs[k] = np.linalg.solve(sys.A, sys.z)
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError(f"singular AC system at {f:g} Hz: {exc}") from exc
-    return xs
-
-
-def _sweep_affine(circuit: Circuit, freqs: np.ndarray,
-                  x_op: np.ndarray) -> np.ndarray:
-    """Batched sweep for omega-affine stamps: assemble once, solve all.
-
-    Every built-in stamp_ac is affine in omega — Re(A) holds the
-    conductances (omega-independent), Im(A) the susceptances (proportional
-    to omega) and the excitation z is constant — so the whole sweep is
-    A(w) = Re(A0) + 1j * (w / w0) * Im(A0) from a single assembly at w0,
-    followed by one LAPACK-batched solve.
-    """
-    w0 = 2.0 * np.pi * freqs[0]
-    sys0 = circuit.assemble_ac(x_op, w0)
-    scale = (2.0 * np.pi * freqs) / w0
-    a = sys0.A.real[None, :, :] + 1j * scale[:, None, None] * sys0.A.imag
-    b = np.broadcast_to(sys0.z, (freqs.size, circuit.size))[..., None]
-    try:
-        return np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        # Re-run the scalar loop to name the offending frequency.
-        return _sweep_loop(circuit, freqs, x_op)
-
-
 def ac_analysis(circuit: Circuit, freqs: np.ndarray,
                 x_op: np.ndarray | OPResult | None = None) -> ACResult:
     """Sweep the linearized circuit over ``freqs`` (Hz).
 
     The small-signal excitation is every source's ``ac`` magnitude; set
-    ``ac=1`` on exactly one source for a transfer function.
-
-    When every element declares ``ac_affine`` (the default, true for all
-    built-ins), the sweep assembles one system and solves all frequencies
-    in a single batched call; any element with ``ac_affine = False`` drops
-    the whole sweep back to per-frequency assembly.
+    ``ac=1`` on exactly one source for a transfer function.  The circuit
+    is linearized once, ``A(w) = G + jwC`` is formed for every frequency
+    and all of them are solved in one batched call.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size == 0 or np.any(freqs <= 0):
@@ -74,9 +37,6 @@ def ac_analysis(circuit: Circuit, freqs: np.ndarray,
         x_op = operating_point(circuit).x
     elif isinstance(x_op, OPResult):
         x_op = x_op.x
-    affine = all(getattr(e, "ac_affine", False) for e in circuit.elements)
-    if affine and freqs.size > 1:
-        xs = _sweep_affine(circuit, freqs, x_op)
-    else:
-        xs = _sweep_loop(circuit, freqs, x_op)
-    return ACResult(circuit, freqs, xs)
+    circuit.compile()
+    sys = circuit.assemble_ac(x_op, 2.0 * np.pi * freqs)
+    return ACResult(circuit, freqs, solve_sweep(sys.A, sys.z, freqs, "AC"))

@@ -36,6 +36,7 @@ def _newton(circuit: Circuit, x0: np.ndarray, ctx: StampContext,
     """
     x = x0.copy()
     n_nodes = circuit.n_nodes
+    nonlinear = circuit.is_nonlinear
     for it in range(1, max_iter + 1):
         sys = circuit.assemble(x, ctx)
         try:
@@ -44,7 +45,7 @@ def _newton(circuit: Circuit, x0: np.ndarray, ctx: StampContext,
             raise AnalysisError(f"singular MNA matrix: {exc}") from exc
         if not np.all(np.isfinite(x_new)):
             raise ConvergenceError("non-finite Newton update")
-        if not circuit.is_nonlinear:
+        if not nonlinear:
             return x_new, it
         delta = x_new - x
         # Clamp node-voltage updates only (branch currents are free).
@@ -74,6 +75,7 @@ def operating_point(circuit: Circuit, x0: np.ndarray | None = None,
         raise AnalysisError(
             f"initial guess has shape {guess.shape}, expected ({circuit.size},)"
         )
+    circuit.compile()
 
     # 1. plain Newton
     try:

@@ -1,4 +1,5 @@
-"""Circuit elements with MNA stamps for DC, transient, AC, and noise."""
+"""Circuit elements: values, terminals, operating-point reports and noise
+sources (their MNA stamps live in :mod:`repro.spice.compiled`)."""
 
 from repro.spice.elements.base import Element, NoiseSource
 from repro.spice.elements.controlled import VCCS, VCVS

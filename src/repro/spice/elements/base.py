@@ -1,4 +1,4 @@
-"""Element base class and shared companion-model helpers."""
+"""Element base class and the noise-source record."""
 
 from __future__ import annotations
 
@@ -7,20 +7,19 @@ from typing import Callable
 
 import numpy as np
 
-from repro.spice.mna import MNASystem, StampContext
-
 
 @dataclass
 class NoiseSource:
     """A current-noise injection between two (bound) node indices.
 
-    ``psd(f)`` returns the one-sided current PSD in A^2/Hz.  The label keeps
+    ``psd(f)`` returns the one-sided current PSD in A^2/Hz; ``f`` is an
+    array of frequencies and the result broadcasts against it.  The label keeps
     per-device noise breakdowns readable in analysis results.
     """
 
     node_a: int
     node_b: int
-    psd: Callable[[float], float]
+    psd: Callable[[np.ndarray], np.ndarray | float]
     label: str
 
 
@@ -29,16 +28,13 @@ class Element:
 
     Life cycle: the element is created with *node names*; the circuit binds
     it (:meth:`bind`) to integer node indices and a branch-current offset
-    before any analysis runs.
+    before any analysis runs.  Elements carry values only: analyses read
+    them through :class:`repro.spice.compiled.CompiledCircuit`, which
+    holds every stamp and the transient state.
     """
 
     n_branches = 0
     is_nonlinear = False
-    # The element's stamp_ac is affine in omega: Re(A) omega-independent,
-    # Im(A) proportional to omega, RHS constant.  True for every built-in
-    # element; an exotic element (lossy line, frequency-dependent model)
-    # must set False so ac_analysis falls back to per-frequency assembly.
-    ac_affine = True
 
     def __init__(self, name: str, nodes: tuple[str, ...]) -> None:
         self.name = name
@@ -50,22 +46,6 @@ class Element:
         """Attach resolved node indices / branch offset (called by Circuit)."""
         self.nodes = tuple(node_indices)
         self.branch_start = branch_start
-
-    # -- stamping interface -------------------------------------------------
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        """Stamp the DC/transient (real) companion model at iterate ``x``."""
-        raise NotImplementedError
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        """Stamp the small-signal complex model linearized at ``x_op``."""
-        raise NotImplementedError
-
-    # -- transient state ----------------------------------------------------
-    def init_state(self, x: np.ndarray) -> None:
-        """Initialize reactive state from a DC solution (start of transient)."""
-
-    def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        """Commit reactive state after an accepted timestep."""
 
     # -- reporting ----------------------------------------------------------
     def op_info(self, x: np.ndarray) -> dict[str, float]:
@@ -85,39 +65,3 @@ class Element:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}({self.name!r}, nodes={self.node_names})"
 
-
-class ReactiveTwoTerminalState:
-    """Companion-model state shared by capacitors (and MOSFET internal caps).
-
-    Tracks the previous branch voltage and current so backward-Euler and
-    trapezoidal integration can form ``i = geq * v - ieq``.
-    """
-
-    __slots__ = ("v_prev", "i_prev")
-
-    def __init__(self) -> None:
-        self.v_prev = 0.0
-        self.i_prev = 0.0
-
-    def companion(self, c: float, ctx: StampContext) -> tuple[float, float]:
-        """Return ``(geq, ieq)`` for capacitance ``c`` at the current step."""
-        if ctx.dt is None or ctx.dt <= 0:
-            raise ValueError("transient stamp requires a positive dt")
-        if ctx.integ == "be":
-            geq = c / ctx.dt
-            ieq = geq * self.v_prev
-        else:  # trapezoidal
-            geq = 2.0 * c / ctx.dt
-            ieq = geq * self.v_prev + self.i_prev
-        return geq, ieq
-
-    def commit(self, c: float, v_new: float, ctx: StampContext) -> None:
-        """Update state after the step at voltage ``v_new`` is accepted."""
-        geq, ieq = self.companion(c, ctx)
-        i_new = geq * v_new - ieq
-        self.v_prev = v_new
-        self.i_prev = i_new
-
-    def reset(self, v: float) -> None:
-        self.v_prev = v
-        self.i_prev = 0.0

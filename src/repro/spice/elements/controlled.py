@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.spice.elements.base import Element
-from repro.spice.mna import MNASystem, StampContext
 
 
 class VCCS(Element):
@@ -20,21 +19,6 @@ class VCCS(Element):
         super().__init__(name, (pos, neg, cpos, cneg))
         self.gm = float(gm)
 
-    def _stamp_core(self, sys: MNASystem) -> None:
-        a, b, c, d = self.nodes
-        sys.add_a(a, c, self.gm)
-        sys.add_a(a, d, -self.gm)
-        sys.add_a(b, c, -self.gm)
-        sys.add_a(b, d, self.gm)
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x, ctx
-        self._stamp_core(sys)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op, omega
-        self._stamp_core(sys)
-
 
 class VCVS(Element):
     """Voltage-controlled voltage source: ``v(pos) - v(neg) = mu * v(ctrl)``."""
@@ -45,24 +29,6 @@ class VCVS(Element):
                  mu: float) -> None:
         super().__init__(name, (pos, neg, cpos, cneg))
         self.mu = float(mu)
-
-    def _stamp_core(self, sys: MNASystem) -> None:
-        a, b, c, d = self.nodes
-        br = self.branch_start
-        sys.add_a(a, br, 1.0)
-        sys.add_a(b, br, -1.0)
-        sys.add_a(br, a, 1.0)
-        sys.add_a(br, b, -1.0)
-        sys.add_a(br, c, -self.mu)
-        sys.add_a(br, d, self.mu)
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x, ctx
-        self._stamp_core(sys)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op, omega
-        self._stamp_core(sys)
 
     def op_info(self, x: np.ndarray) -> dict[str, float]:
         return {"i": float(np.real(x[self.branch_start]))}

@@ -1,16 +1,16 @@
-"""Junction diode element (Newton companion model)."""
+"""Junction diode element."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.spice.elements.base import Element, ReactiveTwoTerminalState
-from repro.spice.mna import MNASystem, StampContext
+from repro.spice.elements.base import Element
 from repro.spice.models import DEFAULT_DIODE, DiodeModel
 
 
 class Diode(Element):
-    """Exponential diode from anode to cathode."""
+    """Exponential diode from anode to cathode, with junction capacitance
+    ``cj0 * area`` when the model sets ``cj0``."""
 
     is_nonlinear = True
 
@@ -21,41 +21,8 @@ class Diode(Element):
             raise ValueError(f"diode {name}: area must be positive")
         self.model = model
         self.area = float(area)
-        self._cap_state = ReactiveTwoTerminalState()
-
-    def _eval(self, x: np.ndarray) -> tuple[float, float, float]:
-        v = self._v(x, 0) - self._v(x, 1)
-        i, g = self.model.evaluate(v)
-        return v, i * self.area, g * self.area
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        a, b = self.nodes
-        v, i, g = self._eval(x)
-        # Linearized: i(v) ~= i0 + g (v - v0); the constant part goes to RHS.
-        ieq = i - g * v
-        sys.stamp_conductance(a, b, g)
-        sys.add_z(a, -ieq)
-        sys.add_z(b, ieq)
-        if ctx.analysis == "tran" and self.model.cj0 > 0:
-            c = self.model.cj0 * self.area
-            geq, ceq = self._cap_state.companion(c, ctx)
-            sys.stamp_conductance(a, b, geq)
-            sys.add_z(a, ceq)
-            sys.add_z(b, -ceq)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        _v, _i, g = self._eval(x_op)
-        y = g + 1j * omega * self.model.cj0 * self.area
-        sys.stamp_conductance(self.nodes[0], self.nodes[1], y)
-
-    def init_state(self, x: np.ndarray) -> None:
-        self._cap_state.reset(self._v(x, 0) - self._v(x, 1))
-
-    def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        if self.model.cj0 > 0:
-            c = self.model.cj0 * self.area
-            self._cap_state.commit(c, self._v(x, 0) - self._v(x, 1), ctx)
 
     def op_info(self, x: np.ndarray) -> dict[str, float]:
-        v, i, g = self._eval(x)
-        return {"v": v, "i": i, "g": g}
+        v = self._v(x, 0) - self._v(x, 1)
+        i, g = self.model.evaluate(v)
+        return {"v": v, "i": i * self.area, "g": g * self.area}

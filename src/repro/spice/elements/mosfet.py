@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.spice.elements.base import Element, NoiseSource, ReactiveTwoTerminalState
-from repro.spice.mna import MNASystem, StampContext
+from repro.spice.elements.base import Element, NoiseSource
 from repro.spice.models import MosfetModel
 
 # Terminal indices within self.nodes.
@@ -33,18 +32,13 @@ class Mosfet(Element):
         self.w = float(w)
         self.l = float(l)
         self.m = int(m)
-        caps = model.capacitances(self.w, self.l)
-        self._caps = {key: value * self.m for key, value in caps.items()}
-        # Internal capacitor companion states: (terminal_a, terminal_b, C).
-        self._cap_edges = [
-            (_G, _S, self._caps["cgs"]),
-            (_G, _D, self._caps["cgd"]),
-            (_D, _B, self._caps["cdb"]),
-            (_S, _B, self._caps["csb"]),
-        ]
-        self._cap_states = [ReactiveTwoTerminalState() for _ in self._cap_edges]
 
-    # -- DC / transient -----------------------------------------------------
+    def capacitances(self) -> dict[str, float]:
+        """Meyer capacitances ``cgs/cgd/cdb/csb`` of the ``m`` devices [F],
+        derived from the current model, W, L and m."""
+        caps = self.model.capacitances(self.w, self.l)
+        return {key: value * self.m for key, value in caps.items()}
+
     def _eval(self, x: np.ndarray) -> dict[str, float]:
         info = self.model.evaluate(
             vg=self._v(x, _G), vd=self._v(x, _D),
@@ -54,48 +48,6 @@ class Mosfet(Element):
         for key in ("id", "gm", "gds", "gms", "gmb"):
             info[key] *= self.m
         return info
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        info = self._eval(x)
-        d, g, s, b = self.nodes
-        terminals = (d, g, s, b)
-        partials = (info["gds"], info["gm"], info["gms"], info["gmb"])
-        volts = tuple(self._v(x, t) for t in range(4))
-        # Channel current flows d -> s; linearize around the iterate.
-        ieq = info["id"] - sum(gt * vt for gt, vt in zip(partials, volts))
-        for col, gt in zip(terminals, partials):
-            sys.add_a(d, col, gt)
-            sys.add_a(s, col, -gt)
-        sys.add_z(d, -ieq)
-        sys.add_z(s, ieq)
-        if ctx.analysis == "tran":
-            for (ta, tb, c), state in zip(self._cap_edges, self._cap_states):
-                geq, ceq = state.companion(c, ctx)
-                na, nb = self.nodes[ta], self.nodes[tb]
-                sys.stamp_conductance(na, nb, geq)
-                sys.add_z(na, ceq)
-                sys.add_z(nb, -ceq)
-
-    # -- AC -------------------------------------------------------------------
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        info = self._eval(x_op)
-        d, g, s, b = self.nodes
-        terminals = (d, g, s, b)
-        partials = (info["gds"], info["gm"], info["gms"], info["gmb"])
-        for col, gt in zip(terminals, partials):
-            sys.add_a(d, col, gt)
-            sys.add_a(s, col, -gt)
-        for ta, tb, c in self._cap_edges:
-            sys.stamp_conductance(self.nodes[ta], self.nodes[tb], 1j * omega * c)
-
-    # -- transient state ------------------------------------------------------
-    def init_state(self, x: np.ndarray) -> None:
-        for (ta, tb, _c), state in zip(self._cap_edges, self._cap_states):
-            state.reset(self._v(x, ta) - self._v(x, tb))
-
-    def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        for (ta, tb, c), state in zip(self._cap_edges, self._cap_states):
-            state.commit(c, self._v(x, ta) - self._v(x, tb), ctx)
 
     # -- reporting --------------------------------------------------------------
     def op_info(self, x: np.ndarray) -> dict[str, float]:
@@ -112,11 +64,11 @@ class Mosfet(Element):
         d, s = self.nodes[_D], self.nodes[_S]
         model, w, l, m = self.model, self.w, self.l, self.m
 
-        def thermal(f: float, _gm=gm) -> float:
+        def thermal(f: np.ndarray, _gm=gm) -> float:
             del f
             return model.thermal_noise_psd(_gm)
 
-        def flicker(f: float, _i=abs(drain_current)) -> float:
+        def flicker(f: np.ndarray, _i=abs(drain_current)) -> np.ndarray | float:
             # m devices in parallel: PSD of the sum is m * per-device PSD,
             # and per-device current is i/m.
             if _i <= 0:

@@ -2,15 +2,16 @@
 
 Branch convention: ``self.branch_start`` (set by ``Circuit.bind``) is the
 *absolute* row/column index of the element's first branch current in the MNA
-system and in solution vectors.
+system and in solution vectors.  An optional ``ic`` is the transient initial
+condition (capacitor voltage / inductor current) used instead of the
+starting solution's value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.spice.elements.base import Element, NoiseSource, ReactiveTwoTerminalState
-from repro.spice.mna import MNASystem, StampContext
+from repro.spice.elements.base import Element, NoiseSource
 from repro.spice.models import BOLTZMANN, ROOM_TEMP
 
 
@@ -28,14 +29,6 @@ class Resistor(Element):
     @property
     def conductance(self) -> float:
         return 1.0 / self.resistance
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x, ctx
-        sys.stamp_conductance(self.nodes[0], self.nodes[1], self.conductance)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op, omega
-        sys.stamp_conductance(self.nodes[0], self.nodes[1], self.conductance)
 
     def op_info(self, x: np.ndarray) -> dict[str, float]:
         v = self._v(x, 0) - self._v(x, 1)
@@ -60,31 +53,6 @@ class Capacitor(Element):
             raise ValueError(f"capacitor {name}: capacitance must be positive")
         self.capacitance = float(capacitance)
         self.ic = ic
-        self._state = ReactiveTwoTerminalState()
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x
-        if ctx.analysis != "tran":
-            return  # open circuit in DC
-        geq, ieq = self._state.companion(self.capacitance, ctx)
-        a, b = self.nodes
-        sys.stamp_conductance(a, b, geq)
-        # ieq is injected so that i = geq*v - ieq: current ieq flows b -> a.
-        sys.add_z(a, ieq)
-        sys.add_z(b, -ieq)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op
-        sys.stamp_conductance(self.nodes[0], self.nodes[1],
-                              1j * omega * self.capacitance)
-
-    def init_state(self, x: np.ndarray) -> None:
-        v = self.ic if self.ic is not None else self._v(x, 0) - self._v(x, 1)
-        self._state.reset(v)
-
-    def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        v_new = self._v(x, 0) - self._v(x, 1)
-        self._state.commit(self.capacitance, v_new, ctx)
 
     def op_info(self, x: np.ndarray) -> dict[str, float]:
         return {"v": self._v(x, 0) - self._v(x, 1)}
@@ -102,48 +70,6 @@ class Inductor(Element):
             raise ValueError(f"inductor {name}: inductance must be positive")
         self.inductance = float(inductance)
         self.ic = ic
-        self._i_prev = 0.0
-        self._v_prev = 0.0
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x
-        a, b = self.nodes
-        br = self.branch_start
-        sys.add_a(a, br, 1.0)
-        sys.add_a(b, br, -1.0)
-        sys.add_a(br, a, 1.0)
-        sys.add_a(br, b, -1.0)
-        if ctx.analysis != "tran":
-            return  # DC: branch equation v(a) - v(b) = 0
-        if ctx.dt is None or ctx.dt <= 0:
-            raise ValueError("transient stamp requires a positive dt")
-        if ctx.integ == "be":
-            req = self.inductance / ctx.dt
-            rhs = -req * self._i_prev
-        else:  # trapezoidal: v_new - (2L/dt) i_new = -(2L/dt) i_prev - v_prev
-            req = 2.0 * self.inductance / ctx.dt
-            rhs = -req * self._i_prev - self._v_prev
-        sys.add_a(br, br, -req)
-        sys.add_z(br, rhs)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op
-        a, b = self.nodes
-        br = self.branch_start
-        sys.add_a(a, br, 1.0)
-        sys.add_a(b, br, -1.0)
-        sys.add_a(br, a, 1.0)
-        sys.add_a(br, b, -1.0)
-        sys.add_a(br, br, -1j * omega * self.inductance)
-
-    def init_state(self, x: np.ndarray) -> None:
-        self._i_prev = self.ic if self.ic is not None else float(x[self.branch_start])
-        self._v_prev = 0.0
-
-    def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        del ctx
-        self._i_prev = float(x[self.branch_start])
-        self._v_prev = self._v(x, 0) - self._v(x, 1)
 
     def op_info(self, x: np.ndarray) -> dict[str, float]:
         return {"i": float(x[self.branch_start])}

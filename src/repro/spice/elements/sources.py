@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.spice.elements.base import Element
-from repro.spice.mna import MNASystem, StampContext
 from repro.spice.waveforms import Waveform, as_waveform
 
 
@@ -28,27 +27,6 @@ class VoltageSource(Element):
         self.waveform = as_waveform(value)
         self.ac = float(ac)
 
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x
-        a, b = self.nodes
-        br = self.branch_start
-        sys.add_a(a, br, 1.0)
-        sys.add_a(b, br, -1.0)
-        sys.add_a(br, a, 1.0)
-        sys.add_a(br, b, -1.0)
-        value = self.waveform.value(ctx.time) * ctx.source_scale
-        sys.add_z(br, value)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op, omega
-        a, b = self.nodes
-        br = self.branch_start
-        sys.add_a(a, br, 1.0)
-        sys.add_a(b, br, -1.0)
-        sys.add_a(br, a, 1.0)
-        sys.add_a(br, b, -1.0)
-        sys.add_z(br, self.ac)
-
     def branch_current(self, x: np.ndarray) -> float:
         """Branch current from the solution vector."""
         return float(np.real(x[self.branch_start]))
@@ -68,15 +46,6 @@ class CurrentSource(Element):
         super().__init__(name, (pos, neg))
         self.waveform = as_waveform(value)
         self.ac = float(ac)
-
-    def stamp(self, sys: MNASystem, x: np.ndarray, ctx: StampContext) -> None:
-        del x
-        value = self.waveform.value(ctx.time) * ctx.source_scale
-        sys.stamp_current(self.nodes[0], self.nodes[1], value)
-
-    def stamp_ac(self, sys: MNASystem, x_op: np.ndarray, omega: float) -> None:
-        del x_op, omega
-        sys.stamp_current(self.nodes[0], self.nodes[1], self.ac)
 
     def op_info(self, x: np.ndarray) -> dict[str, float]:
         v = self._v(x, 0) - self._v(x, 1)

@@ -1,14 +1,15 @@
-"""Modified Nodal Analysis assembly: dense matrices plus a stamp context.
+"""Modified Nodal Analysis conventions, the assembled system and its context.
 
 Conventions
 -----------
-* Node index ``-1`` is ground and is silently skipped by the stamping
-  helpers; unknowns are the non-ground node voltages followed by the branch
-  currents of voltage-defined elements.
+* Node index ``-1`` is ground; unknowns are the non-ground node voltages
+  followed by the branch currents of voltage-defined elements.
 * KCL rows express "sum of currents leaving the node through elements" on
   the left-hand side; independent current injections go to the RHS vector.
 * A voltage source's branch current is defined flowing from its positive
   node through the source to its negative node.
+
+Assembly itself lives in :mod:`repro.spice.compiled`.
 """
 
 from __future__ import annotations
@@ -18,56 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+@dataclass
 class MNASystem:
-    """Dense MNA matrix ``A`` and right-hand side ``z`` with safe stamping."""
+    """An assembled MNA system ``A x = z`` (dense, real or complex)."""
 
-    def __init__(self, n_nodes: int, n_branches: int, complex_valued: bool = False):
-        self.n_nodes = n_nodes
-        self.n_branches = n_branches
-        n = n_nodes + n_branches
-        dtype = complex if complex_valued else float
-        self.A = np.zeros((n, n), dtype=dtype)
-        self.z = np.zeros(n, dtype=dtype)
-
-    @property
-    def size(self) -> int:
-        return self.n_nodes + self.n_branches
-
-    def add_a(self, i: int, j: int, value) -> None:
-        """Accumulate into ``A[i, j]``, ignoring ground (-1) indices."""
-        if i >= 0 and j >= 0:
-            self.A[i, j] += value
-
-    def add_z(self, i: int, value) -> None:
-        """Accumulate into ``z[i]``, ignoring ground (-1) indices."""
-        if i >= 0:
-            self.z[i] += value
-
-    def stamp_conductance(self, a: int, b: int, g) -> None:
-        """Two-terminal conductance between nodes ``a`` and ``b``."""
-        self.add_a(a, a, g)
-        self.add_a(b, b, g)
-        self.add_a(a, b, -g)
-        self.add_a(b, a, -g)
-
-    def stamp_current(self, a: int, b: int, i) -> None:
-        """Independent current ``i`` flowing from node ``a`` to node ``b``
-        through the element (extracted from ``a``, injected into ``b``)."""
-        self.add_z(a, -i)
-        self.add_z(b, i)
-
-    def branch_row(self, k: int) -> int:
-        """Global row/column index of branch ``k``."""
-        return self.n_nodes + k
+    A: np.ndarray
+    z: np.ndarray
 
 
 @dataclass
 class StampContext:
-    """Per-analysis information passed to element stamps.
+    """Per-analysis information an assembly depends on.
 
     Attributes
     ----------
-    analysis: ``"dc"`` or ``"tran"`` (AC uses a dedicated stamp method).
+    analysis: ``"dc"`` or ``"tran"`` (AC has its own small-signal path).
     time: simulation time; ``None`` for DC.
     dt: current timestep (transient only).
     source_scale: homotopy scale in [0, 1] applied to independent sources.

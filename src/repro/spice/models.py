@@ -32,31 +32,76 @@ UT_ROOM = BOLTZMANN * ROOM_TEMP / ELEMENTARY_CHARGE  # ~25.9 mV
 EPS_OX = 3.9 * 8.8541878128e-12  # F/m
 
 
-def _softplus(u: float) -> float:
-    """ln(1 + exp(u)) computed without overflow."""
-    if u > 40.0:
-        return u
-    if u < -40.0:
-        return np.exp(u)
-    return float(np.log1p(np.exp(u)))
+def _ekv_f_pair(u):
+    """``(F(u), F'(u))`` elementwise, without overflow: ``F(u) =
+    softplus(u/2)^2`` and ``F'(u) = softplus(u/2) * sigmoid(u/2)``."""
+    h = u / 2.0
+    sp = np.logaddexp(0.0, h)  # softplus(h) = ln(1 + exp(h))
+    # sigmoid(h) = exp(h) / (1 + exp(h)) = exp(h - softplus(h)).
+    return sp * sp, sp * np.exp(h - sp)
 
 
-def _sigmoid(u: float) -> float:
-    if u >= 0:
-        return 1.0 / (1.0 + np.exp(-min(u, 60.0)))
-    e = np.exp(max(u, -60.0))
-    return e / (1.0 + e)
-
-
-def ekv_f(u: float) -> float:
+def ekv_f(u):
     """EKV interpolation function ``F(u) = ln(1+exp(u/2))^2``."""
-    sp = _softplus(u / 2.0)
-    return sp * sp
+    return _ekv_f_pair(u)[0]
 
 
-def ekv_f_prime(u: float) -> float:
+def ekv_f_prime(u):
     """Derivative ``F'(u) = ln(1+exp(u/2)) * sigmoid(u/2)``."""
-    return _softplus(u / 2.0) * _sigmoid(u / 2.0)
+    return _ekv_f_pair(u)[1]
+
+
+#: Sign of the channel-length-modulation term in each terminal's
+#: conductance (drain, gate, source).
+_CLM_SIGN = np.array([[1.0], [0.0], [-1.0]])
+
+
+def ekv(polarity, vto, n, ut, isq, lam, v):
+    """EKV drain current and conductances, elementwise over devices.
+
+    The model arguments are scalars or arrays of one value per device:
+    polarity (+1/-1), threshold ``vto``, slope factor ``n``, thermal
+    voltage ``ut``, specific current ``isq`` and channel-length-modulation
+    coefficient ``lam`` (already divided by L).  ``v``, of shape
+    ``(4, n_devices)``, stacks the *absolute* terminal voltages in
+    ``(d, g, s, b)`` order.  Returns ``(id, g, i_f, i_r)``: the drain
+    current flowing drain -> source (signed, A); ``g``, stacked like ``v``,
+    its partials ``(gds, gm, gms, gmb)`` with respect to the drain, gate,
+    source and bulk voltages (in absolute-voltage space, so they stamp
+    directly); and the forward/reverse normalized currents.  :meth:`MosfetModel.evaluate` and
+    the compiled circuit both evaluate the model through this function.
+    """
+    # Flip into NMOS-equivalent, bulk-referenced space: rows d, g, s.
+    f = polarity * (v[:3] - v[3])
+    vp = (f[1] - vto) / n
+    # Forward (source) and reverse (drain) arguments share one F / F'.
+    (i_f, i_r), dfr = _ekv_f_pair((vp - f[::-2]) / ut)
+    dif, dir_ = dfr
+    icore = isq * (i_f - i_r)
+    # Channel-length modulation with a smooth |Vds|.
+    vds = f[0] - f[2]
+    eps = 1e-3
+    root = np.sqrt(vds * vds + eps * eps)
+    mclm = 1.0 + lam * (root - eps)
+    # Partials of icore in flipped space, rows d, g, s.
+    dic = np.concatenate((dfr[1:], ((dif - dir_) / n)[None], -dfr[:1])) * (
+        isq / ut)
+    # Full partials; d(flipped v)/d(abs v) = p for d/g/s and the bulk
+    # picks up minus the sum, so conductances keep their sign while the
+    # current flips with polarity.
+    g3 = dic * mclm + _CLM_SIGN * (icore * lam * vds / root)
+    g = np.concatenate((g3, -g3.sum(axis=0, keepdims=True)))
+    return polarity * icore * mclm, g, i_f, i_r
+
+
+def diode_iv(v, is_, nut, v_crit):
+    """Diode ``(current, conductance)`` at junction voltage ``v``,
+    elementwise.  Above ``v_crit`` the exponential is linearized to avoid
+    overflow during Newton iterations far from the solution."""
+    vc = np.minimum(v, v_crit)
+    e = np.exp(vc / nut)
+    g = is_ * e / nut
+    return is_ * (e - 1.0) + g * (v - vc), g
 
 
 @dataclass(frozen=True)
@@ -145,51 +190,13 @@ class MosfetModel:
         ``gm``  dId/dVg, ``gds`` dId/dVd, ``gms`` dId/dVs, ``gmb`` dId/dVb
         (all in absolute-voltage space, so they stamp directly).
         """
-        p = float(self.polarity)
-        ut = self.ut
-        # Flip into NMOS-equivalent, bulk-referenced space.
-        fvg = p * (vg - vb)
-        fvd = p * (vd - vb)
-        fvs = p * (vs - vb)
-        vp = (fvg - self.vto) / self.n
-        uf = (vp - fvs) / ut
-        ur = (vp - fvd) / ut
-        i_f = ekv_f(uf)
-        i_r = ekv_f(ur)
-        dif = ekv_f_prime(uf)
-        dir_ = ekv_f_prime(ur)
-        isq = self.specific_current(w, l)
-        icore = isq * (i_f - i_r)
-        # Channel-length modulation with a smooth |Vds|.
-        lam = self.lambda_l / l
-        vds = fvd - fvs
-        eps = 1e-3
-        sabs = float(np.sqrt(vds * vds + eps * eps)) - eps
-        dsabs = vds / float(np.sqrt(vds * vds + eps * eps))
-        mclm = 1.0 + lam * sabs
-        # Partials of icore in flipped space.
-        dic_dvg = isq * (dif - dir_) / (self.n * ut)
-        dic_dvs = -isq * dif / ut
-        dic_dvd = isq * dir_ / ut
-        # Full current and partials in flipped space.
-        idf = icore * mclm
-        gm = dic_dvg * mclm
-        gds = dic_dvd * mclm + icore * lam * dsabs
-        gms = dic_dvs * mclm - icore * lam * dsabs
-        # Back to absolute space.  d(flipped v)/d(abs v) = p for g/d/s and
-        # the bulk picks up minus the sum, so conductances keep their sign
-        # while the current flips with polarity.
-        id_abs = p * idf
-        gmb = -(gm + gds + gms)
-        return {
-            "id": id_abs,
-            "gm": gm,
-            "gds": gds,
-            "gms": gms,
-            "gmb": gmb,
-            "if": i_f,
-            "ir": i_r,
-        }
+        id_, g, i_f, i_r = ekv(
+            float(self.polarity), self.vto, self.n, self.ut,
+            self.specific_current(w, l), self.lambda_l / l,
+            np.array([[vd], [vg], [vs], [vb]], dtype=float))
+        gds, gm, gms, gmb = g[:, 0].tolist()
+        return {"id": float(id_[0]), "gm": gm, "gds": gds, "gms": gms,
+                "gmb": gmb, "if": float(i_f[0]), "ir": float(i_r[0])}
 
     def capacitances(self, w: float, l: float) -> dict[str, float]:
         """Geometry-determined small-signal capacitances [F].
@@ -209,9 +216,11 @@ class MosfetModel:
         """Channel thermal noise current PSD ``4 k T gamma gm`` [A^2/Hz]."""
         return 4.0 * BOLTZMANN * self.temp * self.gamma_noise * max(gm, 0.0)
 
-    def flicker_noise_psd(self, drain_current: float, w: float, l: float, f: float) -> float:
-        """Flicker noise current PSD ``KF Id^AF / (Cox W L f)`` [A^2/Hz]."""
-        if f <= 0:
+    def flicker_noise_psd(self, drain_current: float, w: float, l: float,
+                          f: float | np.ndarray) -> float | np.ndarray:
+        """Flicker noise current PSD ``KF Id^AF / (Cox W L f)`` [A^2/Hz];
+        ``f`` may be an array of frequencies."""
+        if np.any(np.asarray(f) <= 0):
             raise ValueError("flicker noise frequency must be positive")
         cox_tot = self.cox * w * l
         return self.kf * abs(drain_current) ** self.af / (cox_tot * f)
@@ -238,15 +247,7 @@ class DiodeModel:
         Above ``v_crit`` the exponential is linearized to avoid overflow
         during Newton iterations far from the solution.
         """
-        nut = self.n * self.ut
-        if v <= self.v_crit:
-            e = np.exp(v / nut)
-            i = self.is_ * (e - 1.0)
-            g = self.is_ * e / nut
-        else:
-            e = np.exp(self.v_crit / nut)
-            g = self.is_ * e / nut
-            i = self.is_ * (e - 1.0) + g * (v - self.v_crit)
+        i, g = diode_iv(v, self.is_, self.n * self.ut, self.v_crit)
         return float(i), float(g)
 
 

@@ -9,10 +9,9 @@ with the device's gate area,
 with the Pelgrom coefficients defaulting to generic 180 nm values
 (A_VT ~ 3.5 mV*um, A_KP ~ 1 %*um).
 
-Because :class:`~repro.spice.elements.mosfet.Mosfet` caches geometry-derived
-capacitances but reads the model on every evaluation, mismatch is applied by
-*replacing each instance's model* with a perturbed copy — cheap, reversible
-(:func:`apply_mismatch` returns the originals) and without netlist rebuild.
+Mismatch is applied by *replacing each instance's model* with a perturbed
+copy — cheap, reversible (:func:`apply_mismatch` returns the originals) and
+without netlist rebuild; the next analysis compiles the new models in.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.spice.compiled import CompiledCircuit
 from repro.spice.elements import (
     VCCS,
     VCVS,
@@ -30,7 +31,9 @@ class Circuit:
     Nodes are referenced by name; ``"0"`` and ``"gnd"`` (case-insensitive)
     are ground.  Element names must be unique.  After any structural change
     the circuit re-binds element node/branch indices lazily on the next
-    analysis.
+    analysis.  Every analysis compiles the circuit at entry
+    (:meth:`compile`), so element values changed between analyses are
+    picked up.
 
     Example
     -------
@@ -47,6 +50,7 @@ class Circuit:
         self._node_index: dict[str, int] = {}
         self._bound = False
         self._n_branches = 0
+        self._compiled: CompiledCircuit | None = None
 
     # -- construction -------------------------------------------------------
     @staticmethod
@@ -65,6 +69,7 @@ class Circuit:
             if canon != "0" and canon not in self._node_index:
                 self._node_index[canon] = len(self._node_index)
         self._bound = False
+        self._compiled = None
         return element
 
     def add_resistor(self, name: str, a: str, b: str, r: float) -> Resistor:
@@ -214,28 +219,31 @@ class Circuit:
         self._n_branches = branch
         self._bound = True
 
-    def assemble(self, x: np.ndarray, ctx: StampContext) -> MNASystem:
-        """Assemble the real MNA system at iterate ``x``."""
-        self._bind()
-        sys = MNASystem(self.n_nodes, self._n_branches)
-        for elem in self.elements:
-            elem.stamp(sys, x, ctx)
-        if ctx.gmin > 0:
-            for i in range(self.n_nodes):
-                sys.A[i, i] += ctx.gmin
-        return sys
+    def compile(self) -> CompiledCircuit:
+        """Compile the circuit from its current element values.
 
-    def assemble_ac(self, x_op: np.ndarray, omega: float,
+        Analyses call this once at entry; :meth:`assemble` and
+        :meth:`assemble_ac` then read the compiled form, which also holds
+        the transient companion state.
+        """
+        self._compiled = CompiledCircuit(self)
+        return self._compiled
+
+    def _compiled_form(self) -> CompiledCircuit:
+        return self._compiled if self._compiled is not None else self.compile()
+
+    def assemble(self, x: np.ndarray, ctx: StampContext) -> MNASystem:
+        """Assemble the real MNA system at iterate ``x`` (one Newton step)."""
+        return self._compiled_form().assemble(x, ctx)
+
+    def assemble_ac(self, x_op: np.ndarray, omega: float | np.ndarray,
                     gmin: float = 1e-12) -> MNASystem:
-        """Assemble the complex small-signal system at ``omega`` rad/s."""
-        self._bind()
-        sys = MNASystem(self.n_nodes, self._n_branches, complex_valued=True)
-        for elem in self.elements:
-            elem.stamp_ac(sys, x_op, omega)
-        if gmin > 0:
-            for i in range(self.n_nodes):
-                sys.A[i, i] += gmin
-        return sys
+        """The complex small-signal system ``(G + j omega C) x = z``
+        linearized at ``x_op``.  ``omega`` (rad/s) may be an array, giving
+        ``A`` of shape ``omega.shape + (size, size)``."""
+        g, c, z = self._compiled_form().small_signal(x_op, gmin)
+        w = np.asarray(omega, dtype=float)[..., None, None]
+        return MNASystem(g + 1j * w * c, z.astype(complex))
 
     # -- reporting --------------------------------------------------------------
     def netlist_text(self) -> str:

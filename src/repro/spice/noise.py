@@ -1,18 +1,18 @@
 """Small-signal noise analysis via the adjoint method.
 
-For each frequency the complex MNA matrix ``A`` is factorized once; the
-adjoint solve ``A^H y = e_out`` yields, in ``y``, the transfer impedance
-from a unit current injected between any node pair to the output voltage.
-Every device noise current source then contributes
-``|y[p] - y[m]|^2 * S_i(f)`` to the output voltage PSD — one factorization
-per frequency regardless of the number of noise sources.
+The complex MNA matrix ``A(f) = G + j 2 pi f C`` is formed for every
+frequency at once; one batched adjoint solve ``A^H y = e_out`` yields, in
+``y``, the transfer impedance from a unit current injected between any node
+pair to the output voltage.  Every device noise current source then
+contributes ``|y[p] - y[m]|^2 * S_i(f)`` to the output voltage PSD, as one
+array operation over frequency per source.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from repro.spice.compiled import solve_sweep
 from repro.spice.dc import operating_point
 from repro.spice.exceptions import AnalysisError
 from repro.spice.netlist import Circuit
@@ -47,6 +47,8 @@ def noise_analysis(circuit: Circuit, output_node: str, freqs: np.ndarray,
         raise AnalysisError("output node cannot be ground")
     neg_idx = circuit.node_index(output_node_neg) if output_node_neg else -1
 
+    if input_source is not None and input_source not in circuit:
+        raise AnalysisError(f"no input source named {input_source!r}")
     sources = []
     for elem in circuit.elements:
         sources.extend(elem.noise_sources(x_op))
@@ -57,33 +59,28 @@ def noise_analysis(circuit: Circuit, output_node: str, freqs: np.ndarray,
     if neg_idx >= 0:
         e_out[neg_idx] = -1.0
 
+    circuit.compile()
+    sys = circuit.assemble_ac(x_op, 2.0 * np.pi * freqs)
+    # Adjoint: A^H y = e_out, with a zero column appended for ground.
+    y = solve_sweep(np.conj(np.swapaxes(sys.A, -1, -2)), e_out, freqs,
+                    "noise")
+    y = np.concatenate((y, np.zeros((freqs.size, 1))), axis=1)
+    node_a = [n if src.node_a < 0 else src.node_a for src in sources]
+    node_b = [n if src.node_b < 0 else src.node_b for src in sources]
+    transfer2 = np.abs(y[:, node_a] - y[:, node_b]) ** 2
+
     output_psd = np.zeros(freqs.size)
     contributions: dict[str, np.ndarray] = {
         src.label: np.zeros(freqs.size) for src in sources
     }
-    gain = np.zeros(freqs.size, dtype=complex) if input_source else None
-    if input_source is not None and input_source not in circuit:
-        raise AnalysisError(f"no input source named {input_source!r}")
-
-    for k, f in enumerate(freqs):
-        sys = circuit.assemble_ac(x_op, 2.0 * np.pi * f)
-        try:
-            lu = lu_factor(sys.A)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise AnalysisError(f"singular noise system at {f:g} Hz: {exc}") from exc
-        # Adjoint: A^H y = e_out  (trans=2 is conjugate transpose).
-        y = lu_solve(lu, e_out, trans=2)
-        for src in sources:
-            yp = y[src.node_a] if src.node_a >= 0 else 0.0
-            ym = y[src.node_b] if src.node_b >= 0 else 0.0
-            transfer2 = abs(yp - ym) ** 2
-            psd = transfer2 * src.psd(f)
-            contributions[src.label][k] += psd
-            output_psd[k] += psd
-        if gain is not None:
-            x_sig = lu_solve(lu, sys.z)
-            g = x_sig[out_idx]
-            if neg_idx >= 0:
-                g = g - x_sig[neg_idx]
-            gain[k] = g
+    for k, src in enumerate(sources):
+        psd = transfer2[:, k] * src.psd(freqs)
+        contributions[src.label] += psd
+        output_psd += psd
+    gain = None
+    if input_source is not None:
+        x_sig = solve_sweep(sys.A, sys.z, freqs, "noise")
+        gain = x_sig[:, out_idx]
+        if neg_idx >= 0:
+            gain = gain - x_sig[:, neg_idx]
     return NoiseResult(circuit, freqs, output_psd, contributions, gain=gain)

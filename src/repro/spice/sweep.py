@@ -3,10 +3,9 @@
 :func:`param_sweep` varies any numeric element attribute (a resistor's
 ``resistance``, a MOSFET's ``w``, a source's DC value...) and re-solves the
 operating point at each step, warm-starting from the previous solution —
-the workhorse behind "plot gain vs W1" design exploration.
-
-Note: attributes that feed *cached* derived state are handled — MOSFET
-geometry changes refresh the device's capacitance cache.
+the workhorse behind "plot gain vs W1" design exploration.  Derived values
+(a MOSFET's capacitances from W, L and m) are recomputed when the next
+analysis compiles the circuit, so any attribute can be swept.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from repro.spice.dc import operating_point
-from repro.spice.elements import Mosfet
 from repro.spice.exceptions import AnalysisError
 from repro.spice.netlist import Circuit
 from repro.spice.results import OPResult
@@ -27,15 +25,6 @@ def _set_param(element, attr: str, value: float) -> None:
         raise AnalysisError(
             f"element {element.name!r} has no attribute {attr!r}")
     setattr(element, attr, float(value))
-    if isinstance(element, Mosfet) and attr in ("w", "l"):
-        # Refresh the geometry-derived capacitance cache.
-        caps = element.model.capacitances(element.w, element.l)
-        element._caps = {k: v * element.m for k, v in caps.items()}
-        element._cap_edges = [
-            (ta, tb, element._caps[key])
-            for (ta, tb, _), key in zip(element._cap_edges,
-                                        ("cgs", "cgd", "cdb", "csb"))
-        ]
 
 
 def param_sweep(circuit: Circuit, element_name: str, attr: str,

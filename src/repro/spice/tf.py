@@ -7,9 +7,10 @@ Computes, from one linearized solve at the operating point:
 * the output resistance at the output node.
 
 Capacitors are open and inductors short at DC, exactly as in ``.TF``.
-Implementation: three real linear solves on the small-signal system — one
-with the input source active, one with a unit current at the output (for
-R_out), and one with the input's own excitation pattern (for R_in).
+Implementation: one LU factorization of the compiled circuit's
+small-signal system, solved for two excitations — the input source active
+(gain and R_in) and a unit current at the output with the input dead
+(R_out).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from repro.spice.elements import CurrentSource, VoltageSource
 from repro.spice.exceptions import AnalysisError
@@ -35,15 +37,6 @@ class TransferFunction:
     gain: float
     input_resistance: float
     output_resistance: float
-
-
-def _solve(circuit: Circuit, x_op: np.ndarray, z: np.ndarray) -> np.ndarray:
-    sys = circuit.assemble_ac(x_op, _OMEGA_DC)
-    a = sys.A
-    try:
-        return np.real(np.linalg.solve(a, z.astype(complex)))
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError(f"singular small-signal system: {exc}") from exc
 
 
 def transfer_function(circuit: Circuit, input_source: str, output_node: str,
@@ -67,35 +60,40 @@ def transfer_function(circuit: Circuit, input_source: str, output_node: str,
         raise AnalysisError("output node cannot be ground")
     n = circuit.size
 
-    circuit.ensure_bound()
+    circuit.compile()
+    a = circuit.assemble_ac(x_op, _OMEGA_DC).A
+    # Column 0 excites the input, column 1 drives a unit current into the
+    # output node with the input dead.
+    z = np.zeros((n, 2), dtype=complex)
+    z[out_idx, 1] = 1.0
     if isinstance(src, VoltageSource):
         # Excite the source branch with 1 V.
-        z = np.zeros(n)
-        z[src.branch_start] = 1.0
-        x = _solve(circuit, x_op, z)
-        gain = float(x[out_idx])
-        i_in = float(x[src.branch_start])
-        rin = np.inf if abs(i_in) < 1e-30 else abs(1.0 / i_in)
+        z[src.branch_start, 0] = 1.0
     elif isinstance(src, CurrentSource):
         # Unit current from pos through the source into neg.
-        z = np.zeros(n)
         p, m = src.nodes
         if p >= 0:
-            z[p] -= 1.0
+            z[p, 0] -= 1.0
         if m >= 0:
-            z[m] += 1.0
-        x = _solve(circuit, x_op, z)
-        gain = float(x[out_idx])
+            z[m, 0] += 1.0
+    else:
+        raise AnalysisError(f"{input_source!r} is not an independent source")
+    try:
+        lu = lu_factor(a)
+    except ValueError as exc:  # non-finite entries
+        raise AnalysisError(f"singular small-signal system: {exc}") from exc
+    if not np.all(np.diagonal(lu[0])):
+        raise AnalysisError("singular small-signal system: zero pivot")
+    x, x_out = np.real(lu_solve(lu, z)).T
+
+    gain = float(x[out_idx])
+    if isinstance(src, VoltageSource):
+        i_in = float(x[src.branch_start])
+        rin = np.inf if abs(i_in) < 1e-30 else abs(1.0 / i_in)
+    else:
         vp = x[p] if p >= 0 else 0.0
         vm = x[m] if m >= 0 else 0.0
         rin = abs(float(vp - vm))
-    else:
-        raise AnalysisError(f"{input_source!r} is not an independent source")
-
-    # Output resistance: unit current into the output node, input dead.
-    z = np.zeros(n)
-    z[out_idx] = 1.0
-    x = _solve(circuit, x_op, z)
-    rout = abs(float(x[out_idx]))
+    rout = abs(float(x_out[out_idx]))
     return TransferFunction(gain=gain, input_resistance=rin,
                             output_resistance=rout)

@@ -2,7 +2,7 @@
 
 The output grid is uniform (``dt``); inside a grid step the solver halves
 the local step on Newton failure (up to ``MAX_HALVINGS`` times), committing
-element states after every accepted substep.  The first substep after t=0
+the compiled circuit's companion state after every accepted substep.  The first substep after t=0
 always uses backward Euler to damp the trapezoidal rule's start-up ringing.
 """
 
@@ -50,8 +50,10 @@ def transient_analysis(circuit: Circuit, t_stop: float, dt: float,
     else:
         x = np.asarray(x0, dtype=float).copy()
 
-    for elem in circuit.elements:
-        elem.init_state(x)
+    # Compiled after any operating-point solve, so Newton's assemblies
+    # below read this form and its companion state.
+    compiled = circuit.compile()
+    compiled.init_state(x)
 
     n_steps = int(round(t_stop / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
@@ -81,8 +83,7 @@ def transient_analysis(circuit: Circuit, t_stop: float, dt: float,
                             f"(circuit {circuit.title!r})"
                         ) from None
                     h *= 0.5
-            for elem in circuit.elements:
-                elem.update_state(x_new, ctx)
+            compiled.commit(x_new, ctx)
             x = x_new
             t += h
             first_substep = False

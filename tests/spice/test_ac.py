@@ -72,6 +72,16 @@ class TestLinearAC:
         with pytest.raises(AnalysisError):
             ac_analysis(rc_lowpass(), np.array([-1.0]))
 
+    def test_singular_system_names_the_frequency(self):
+        # Two ideal voltage sources in parallel: no unique branch currents.
+        ckt = Circuit()
+        ckt.add_vsource("V1", "a", "0", 1.0, ac=1.0)
+        ckt.add_vsource("V2", "a", "0", 1.0)
+        ckt.add_capacitor("C", "a", "0", 1e-9)
+        with pytest.raises(AnalysisError,
+                           match="singular AC system at 500 Hz"):
+            ac_analysis(ckt, np.array([500.0, 5e3]), np.zeros(ckt.size))
+
 
 class TestMosfetAC:
     def test_cs_gain_matches_gm_rout(self):

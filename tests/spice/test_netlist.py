@@ -5,7 +5,7 @@ import pytest
 
 from repro.spice import Circuit, NMOS_180
 from repro.spice.exceptions import NetlistError
-from repro.spice.mna import MNASystem, StampContext
+from repro.spice.mna import StampContext
 
 
 class TestNodes:
@@ -101,26 +101,35 @@ class TestAssembly:
 
 
 class TestMNASystem:
+    """MNA conventions of the assembled system (ground row/column dropped,
+    conductance pattern, current direction, complex AC system)."""
+
     def test_ground_stamps_ignored(self):
-        sys = MNASystem(2, 0)
-        sys.add_a(-1, 0, 5.0)
-        sys.add_a(0, -1, 5.0)
-        sys.add_z(-1, 5.0)
-        assert np.all(sys.A == 0.0)
-        assert np.all(sys.z == 0.0)
+        ckt = Circuit()
+        ckt.add_resistor("R1", "a", "0", 0.2)
+        ckt.add_isource("I1", "0", "b", 5.0)
+        ckt.add_resistor("R2", "b", "0", 1.0)
+        sys = ckt.assemble(np.zeros(2), StampContext(gmin=0.0))
+        assert sys.A.shape == (2, 2) and sys.z.shape == (2,)
+        np.testing.assert_allclose(sys.A, [[5.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(sys.z, [0.0, 5.0])
 
     def test_conductance_stamp_pattern(self):
-        sys = MNASystem(2, 0)
-        sys.stamp_conductance(0, 1, 3.0)
+        ckt = Circuit()
+        ckt.add_resistor("R1", "a", "b", 1.0 / 3.0)
+        sys = ckt.assemble(np.zeros(2), StampContext(gmin=0.0))
         np.testing.assert_allclose(sys.A, [[3.0, -3.0], [-3.0, 3.0]])
 
     def test_current_stamp_direction(self):
-        sys = MNASystem(2, 0)
-        sys.stamp_current(0, 1, 1e-3)
+        ckt = Circuit()
+        ckt.add_isource("I1", "a", "b", 1e-3)
+        sys = ckt.assemble(np.zeros(2), StampContext(gmin=0.0))
         assert sys.z[0] == pytest.approx(-1e-3)
         assert sys.z[1] == pytest.approx(1e-3)
 
     def test_complex_system(self):
-        sys = MNASystem(1, 0, complex_valued=True)
-        sys.add_a(0, 0, 1j)
+        ckt = Circuit()
+        ckt.add_capacitor("C1", "a", "0", 1.0)
+        sys = ckt.assemble_ac(np.zeros(1), 1.0, gmin=0.0)
         assert sys.A.dtype == complex
+        assert sys.A[0, 0] == 1j

@@ -128,3 +128,14 @@ class TestValidation:
         nz = noise_analysis(ckt, "a", np.array([1e3, 1e4]))
         with pytest.raises(AnalysisError):
             nz.integrated_output_noise(f_lo=1e6, f_hi=1e7)
+
+    def test_singular_system_names_the_frequency(self):
+        # Two ideal voltage sources in parallel: no unique branch currents.
+        ckt = Circuit()
+        ckt.add_vsource("V1", "a", "0", 1.0)
+        ckt.add_vsource("V2", "a", "0", 1.0)
+        ckt.add_resistor("R", "a", "0", 1e3)
+        with pytest.raises(AnalysisError,
+                           match="singular noise system at 2000 Hz"):
+            noise_analysis(ckt, "a", np.array([2e3, 1e4]),
+                           x_op=np.zeros(ckt.size))

@@ -95,3 +95,13 @@ class TestValidation:
         ckt.add_resistor("R", "a", "0", 1e3)
         with pytest.raises(AnalysisError):
             transfer_function(ckt, "R", "a")
+
+    def test_singular_system_raises(self):
+        # Two ideal voltage sources in parallel: no unique branch currents.
+        ckt = Circuit()
+        ckt.add_vsource("V1", "a", "0", 1.0)
+        ckt.add_vsource("V2", "a", "0", 1.0)
+        ckt.add_resistor("R", "a", "b", 1e3)
+        ckt.add_resistor("RL", "b", "0", 1e3)
+        with pytest.raises(AnalysisError, match="singular small-signal"):
+            transfer_function(ckt, "V1", "b", x_op=np.zeros(ckt.size))

@@ -12,6 +12,7 @@ Usage:
 
 import numpy as np
 
+from repro.analysis.erc import run_erc
 from repro.spice import (
     ac_analysis,
     noise_analysis,
@@ -23,7 +24,6 @@ from repro.spice import (
 )
 from repro.spice import measure as M
 from repro.spice.ac import logspace_frequencies
-from repro.spice.lint import lint_circuit
 from repro.spice.sweep import param_sweep
 
 DECK = """
@@ -50,8 +50,8 @@ CL  out 0 1p
 def main() -> None:
     ckt = parse_netlist(DECK)
     print(f"parsed {len(ckt.elements)} elements, {ckt.n_nodes} nodes")
-    warnings = lint_circuit(ckt)
-    print("lint:", warnings or "clean")
+    findings = run_erc(ckt)
+    print("lint:", [d.render() for d in findings] or "clean")
 
     op = operating_point(ckt)
     print()

@@ -2,8 +2,9 @@
 
 MA-Opt's whole premise is a tight simulation budget (Alg. 3: ~200 sims);
 a malformed netlist or a self-inconsistent configuration wastes exactly
-that resource.  This subsystem catches both *statically*, plus the repo's
-own coding invariants, behind one ``ma-opt lint`` command:
+that resource.  This subsystem catches both *statically*, plus the
+invariants that keep runs reproducible, behind one ``ma-opt lint``
+command:
 
 * :mod:`repro.analysis.erc` — electrical rule checks over netlists
   (topology + device values), also wired as the pre-simulation gate in
@@ -12,27 +13,14 @@ own coding invariants, behind one ``ma-opt lint`` command:
   :class:`~repro.core.config.MAOptConfig` / run plans / design spaces;
 * :mod:`repro.analysis.codelint` — AST linter enforcing repo invariants
   (no global RNG, no pickle, no wall-clock in ``core/``, ...);
-* :mod:`repro.analysis.rngflow` / :mod:`repro.analysis.concurrency` —
-  flow-sensitive passes over the shared dataflow core
-  (:mod:`repro.analysis.flow`): Generator provenance and worker-safety
-  of code submitted through :mod:`repro.core.parallel`;
+* :mod:`repro.analysis.rngflow` — Generator provenance over the shared
+  dataflow core (:mod:`repro.analysis.flow`), guarding seeded
+  determinism;
 * :mod:`repro.analysis.shapes` — symbolic checks of the paper's
   dimensional contracts (critic ``2d -> m+1``, actor ``d -> d``,
-  ``N_es`` bound, near-sampling box);
-* :mod:`repro.analysis.locks` / :mod:`repro.analysis.dynrace` — the
-  race-detection layer for the threaded obs/parallel code: a static
-  lockset/guarded-by analyzer (``flow.lock.*``, ``ma-opt lint
-  --locks``) and a runtime race sanitizer (``race.*``, ``ma-opt
-  sanitize <cmd>``);
-* :mod:`repro.analysis.taint` / :mod:`repro.analysis.protoconform` —
-  the service-boundary layer for :mod:`repro.serve`: cross-file taint
-  tracking of untrusted job specs into path/exec/budget/format/frame
-  sinks (``flow.taint.*``, ``ma-opt lint --taint``) and protocol /
-  lifecycle conformance against the declared state machine, op table
-  and error codes (``proto.*``, ``ma-opt lint --proto``).
+  ``N_es`` bound, near-sampling box).
 
-Deployment infrastructure: an incremental content-hash result cache
-(:mod:`repro.analysis.cache`), a committed baseline ratchet that freezes
+Deployment infrastructure: a committed baseline ratchet that freezes
 pre-existing findings while new ones hard-fail
 (:mod:`repro.analysis.baseline`), and a SARIF 2.1.0 renderer for GitHub
 code scanning (:mod:`repro.analysis.sarif`).
@@ -45,19 +33,12 @@ codes.  See ``docs/static_analysis.md`` for the rule catalog.
 """
 
 from repro.analysis.baseline import Baseline, DEFAULT_BASELINE_PATH
-from repro.analysis.cache import (
-    AnalysisCache,
-    DEFAULT_CACHE_PATH,
-    analyzer_fingerprint,
-)
 from repro.analysis.codelint import (
     CODE_RULES,
     lint_file,
     lint_paths,
     lint_source,
 )
-from repro.analysis.concurrency import CONC_RULES
-from repro.analysis.concurrency import check_paths as check_concurrency
 from repro.analysis.configlint import (
     CFG_RULES,
     ConfigLintError,
@@ -79,65 +60,37 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.erc import (
     ERC_RULES,
-    assert_clean,
     gate_errors,
     is_simulatable,
-    lint_circuit,
     lint_deck,
     run_erc,
 )
-from repro.analysis.dynrace import (
-    RACE_RULES,
-    RaceSanitizer,
-    schedule_torture,
-)
-from repro.analysis.locks import LOCK_RULES
-from repro.analysis.locks import check_paths as check_locks
-from repro.analysis.protoconform import PROTO_RULES
-from repro.analysis.protoconform import check_paths as check_protoconform
 from repro.analysis.rngflow import RNG_RULES
 from repro.analysis.rngflow import check_paths as check_rngflow
 from repro.analysis.sarif import render_sarif, to_sarif
 from repro.analysis.shapes import SHAPE_RULES, check_shapes
-from repro.analysis.taint import TAINT_RULES
-from repro.analysis.taint import check_paths as check_taint
 
 __all__ = [
-    "AnalysisCache",
     "Baseline",
     "CODE_RULES",
     "CFG_RULES",
-    "CONC_RULES",
     "ConfigLintError",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_CACHE_PATH",
     "Diagnostic",
     "ERC_RULES",
-    "LOCK_RULES",
-    "PROTO_RULES",
-    "RACE_RULES",
     "RNG_RULES",
-    "RaceSanitizer",
     "Rule",
     "RuleSet",
     "SHAPE_RULES",
     "Severity",
-    "TAINT_RULES",
-    "analyzer_fingerprint",
-    "assert_clean",
-    "check_concurrency",
     "check_config",
-    "check_locks",
-    "check_protoconform",
     "check_rngflow",
     "check_shapes",
-    "check_taint",
     "exit_code",
     "filter_diagnostics",
     "gate_errors",
     "has_errors",
     "is_simulatable",
-    "lint_circuit",
     "lint_deck",
     "lint_file",
     "lint_paths",
@@ -147,16 +100,13 @@ __all__ = [
     "render_sarif",
     "render_text",
     "run_erc",
-    "schedule_torture",
     "sort_diagnostics",
     "to_sarif",
     "validate_config",
 ]
 
 #: Catalogs of every analyzer, in documentation order.
-RULE_SETS = (ERC_RULES, CFG_RULES, CODE_RULES, RNG_RULES, CONC_RULES,
-             LOCK_RULES, RACE_RULES, SHAPE_RULES, TAINT_RULES,
-             PROTO_RULES)
+RULE_SETS = (ERC_RULES, CFG_RULES, CODE_RULES, RNG_RULES, SHAPE_RULES)
 
 
 def all_rules():

@@ -1,10 +1,9 @@
 """Electrical rule checks (ERC) over :class:`repro.spice.netlist.Circuit`.
 
-Successor of the orphaned ``repro.spice.lint`` module: same topology
-checks — no ground reference, floating nodes, capacitor-isolated islands
-with no DC path to ground, loops of ideal voltage sources/inductors — but
-rewritten over an in-tree union-find (:mod:`repro.analysis.graph`) instead
-of the undeclared :mod:`networkx` dependency, plus device-level rules:
+Topology checks — no ground reference, floating nodes, capacitor-isolated
+islands with no DC path to ground, loops of ideal voltage
+sources/inductors — over an in-tree union-find
+(:mod:`repro.analysis.graph`), plus device-level rules:
 
 * MOSFET geometry sanity (non-finite/nonpositive W or L, out-of-family
   dimensions),
@@ -17,9 +16,9 @@ of the undeclared :mod:`networkx` dependency, plus device-level rules:
   certainly meant ``1meg``; suffixes :func:`repro.spice.units.parse_si`
   silently drops).
 
-Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic`;
-:func:`lint_circuit` / :func:`assert_clean` keep the legacy
-list-of-strings / raising API for existing callers.
+Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic`
+(:func:`run_erc`); :func:`gate_errors` / :func:`is_simulatable` are the
+pre-simulation gate's views of the same list.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.analysis.diagnostics import (
     has_errors,
 )
 from repro.analysis.graph import UnionFind, find_cycle
-from repro.spice.exceptions import NetlistError, SpiceError
+from repro.spice.exceptions import SpiceError
 from repro.spice.netlist import Circuit
 
 GROUND = "0"
@@ -318,25 +317,6 @@ def lint_deck(text: str) -> list[Diagnostic]:
                                     fix="fix the deck syntax"))
         return diags
     return diags + run_erc(circuit)
-
-
-# -- legacy API (repro.spice.lint) -------------------------------------------
-
-def lint_circuit(circuit: Circuit) -> list[str]:
-    """Run all checks; returns human-readable strings (empty = clean).
-
-    Back-compat surface of the old ``repro.spice.lint`` module: message
-    strings only, no severities.  New code should call :func:`run_erc`.
-    """
-    return [d.message for d in run_erc(circuit)]
-
-
-def assert_clean(circuit: Circuit) -> None:
-    """Raise :class:`~repro.spice.exceptions.NetlistError` listing every
-    ERC finding, if any."""
-    findings = lint_circuit(circuit)
-    if findings:
-        raise NetlistError("netlist lint failed:\n  " + "\n  ".join(findings))
 
 
 def gate_errors(circuit: Circuit) -> list[Diagnostic]:

@@ -1,19 +1,16 @@
 """Shared AST dataflow core for the flow-sensitive analyzers.
 
 The syntactic codelint (:mod:`repro.analysis.codelint`) inspects one node
-at a time; the flow passes (:mod:`repro.analysis.rngflow`,
-:mod:`repro.analysis.concurrency`) need to answer *where does this name
-come from* and *who calls whom*.  This module builds the minimal model
-both share:
+at a time; the flow pass (:mod:`repro.analysis.rngflow`) needs to answer
+*where does this name come from*.  This module builds the minimal model
+it uses:
 
 * a :class:`Scope` per function (plus one synthetic module scope) with
   its parameters, local bindings (assignment targets with their value
   expressions, in statement order), ``global``/``nonlocal`` declarations,
   call sites, attribute/subscript writes and mutating method calls;
 * lexical name resolution (:meth:`Scope.resolve`) walking local →
-  enclosing functions → module, honouring ``global``/``nonlocal``;
-* a best-effort :class:`CallGraph` over a set of analyzed modules,
-  linking dotted call-site names to analyzed function scopes.
+  enclosing functions → module, honouring ``global``/``nonlocal``.
 
 It is a CFG-lite: statements inside one scope are kept in source order
 (enough for straight-line binding resolution), but branches are not
@@ -25,7 +22,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Method names that mutate their receiver in place (used to decide
 #: whether a captured/shared object is written, not just read).
@@ -371,64 +368,6 @@ def build_module(source: str, path: str = "<string>") -> ModuleModel:
     """Parse + scope-model one module.  Raises ``SyntaxError`` on bad
     source (callers surface it as a ``code.syntax`` diagnostic)."""
     return ModuleModel(source, path=path)
-
-
-class CallGraph:
-    """Best-effort call graph over a set of analyzed modules.
-
-    Edges are matched by name: a call site whose dotted callee's *last*
-    segment names exactly one analyzed function links to it (same module
-    preferred).  Dynamic dispatch, aliasing and shadowing are ignored —
-    good enough to propagate worker-side-ness through helper functions.
-    """
-
-    def __init__(self, modules: list[ModuleModel]) -> None:
-        self.modules = modules
-        self._by_name: dict[str, list[Scope]] = {}
-        for mod in modules:
-            for scope in mod.functions():
-                self._by_name.setdefault(scope.name, []).append(scope)
-        self._module_of: dict[int, ModuleModel] = {}
-        for mod in modules:
-            for scope in mod.scopes:
-                self._module_of[id(scope)] = mod
-
-    def module_of(self, scope: Scope) -> ModuleModel:
-        return self._module_of[id(scope)]
-
-    def resolve_callee(self, caller: Scope, callee: str) -> Scope | None:
-        """The analyzed scope a dotted call-site name refers to, if any."""
-        if not callee:
-            return None
-        last = callee.split(".")[-1]
-        candidates = self._by_name.get(last, [])
-        if not candidates:
-            return None
-        same_module = [s for s in candidates
-                       if self.module_of(s) is self.module_of(caller)]
-        pool = same_module or candidates
-        return pool[0] if len(pool) == 1 else None
-
-    def callees(self, scope: Scope) -> list[Scope]:
-        out, seen = [], set()
-        for call in scope.calls:
-            target = self.resolve_callee(scope, call.callee)
-            if target is not None and id(target) not in seen:
-                seen.add(id(target))
-                out.append(target)
-        return out
-
-    def reachable_from(self, roots: list[Scope]) -> list[Scope]:
-        """Roots plus everything transitively called from them."""
-        seen: dict[int, Scope] = {}
-        frontier = list(roots)
-        while frontier:
-            scope = frontier.pop()
-            if id(scope) in seen:
-                continue
-            seen[id(scope)] = scope
-            frontier.extend(self.callees(scope))
-        return list(seen.values())
 
 
 def iter_python_files(paths) -> list[pathlib.Path]:

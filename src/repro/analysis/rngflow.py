@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import ast
 import pathlib
+from dataclasses import dataclass
 
 from repro.analysis.codelint import _suppressed, _suppressions
-from repro.analysis.concurrency import find_submissions
 from repro.analysis.diagnostics import Diagnostic, RuleSet, Severity
 from repro.analysis.flow import (
     ModuleModel,
@@ -95,6 +95,52 @@ def is_entry_point(scope: Scope, path: str) -> bool:
     if scope.is_module and (stem == "__main__" or "examples" in parts):
         return True
     return False
+
+
+#: Pool/executor submission methods whose first positional argument is the
+#: callable shipped to another worker.
+_SUBMIT_METHODS = frozenset({
+    "map", "starmap", "imap", "imap_unordered",
+    "apply_async", "map_async", "starmap_async", "submit",
+})
+#: Constructors taking the callable as a ``target=``/``initializer=`` kwarg.
+_CTOR_KWARGS = {
+    "Thread": "target",
+    "Process": "target",
+    "Pool": "initializer",
+    "Timer": "function",
+}
+
+
+@dataclass(frozen=True)
+class Submission:
+    """One callable shipped to concurrent execution."""
+
+    func: ast.expr          # the callable expression as written
+    lineno: int             # line of the submitting call
+
+
+def find_submissions(scope: Scope) -> list[Submission]:
+    """Concurrency submission call sites inside one scope."""
+    out: list[Submission] = []
+    for site in scope.calls:
+        callee = site.callee
+        if not callee:
+            continue
+        last = callee.split(".")[-1]
+        func: ast.expr | None = None
+        if last in _SUBMIT_METHODS and "." in callee:
+            if site.node.args:
+                func = site.node.args[0]
+        elif last in _CTOR_KWARGS:
+            wanted = _CTOR_KWARGS[last]
+            for kw in site.node.keywords:
+                if kw.arg == wanted:
+                    func = kw.value
+                    break
+        if func is not None:
+            out.append(Submission(func=func, lineno=site.lineno))
+    return out
 
 
 def _submitted_scopes(mod: ModuleModel) -> set[int]:
@@ -205,9 +251,11 @@ def check_paths(paths) -> list[Diagnostic]:
 __all__ = [
     "RNG_RULES",
     "SAMPLER_METHODS",
+    "Submission",
     "check_module",
     "check_paths",
     "check_source",
+    "find_submissions",
     "is_entry_point",
     "is_rng_name",
 ]

@@ -350,53 +350,6 @@ def _bench_rngflow(rng: np.random.Generator):
 
 
 @REGISTRY.register(
-    "micro.analysis.locks", repeats=5, warmup=1,
-    description="lockset/guarded-by pass over the obs/ telemetry "
-                "package (parse + class models + all flow.lock rules)")
-def _bench_locks(rng: np.random.Generator):
-    import pathlib
-
-    import repro
-    from repro.analysis.locks import check_modules
-    from repro.analysis.flow import build_module
-
-    del rng  # analyzes fixed source text; input-free by design
-    root = pathlib.Path(repro.__file__).parent
-    sources = [(str(p), p.read_text(encoding="utf-8"))
-               for p in sorted((root / "obs").glob("*.py"))]
-
-    def payload():
-        check_modules([build_module(text, path=path)
-                       for path, text in sources])
-
-    return payload
-
-
-@REGISTRY.register(
-    "micro.analysis.taint", repeats=5, warmup=1,
-    description="service-boundary taint pass over the serve/ package "
-                "(parse + call-graph summaries + fixpoint + all "
-                "flow.taint rules)")
-def _bench_taint(rng: np.random.Generator):
-    import pathlib
-
-    import repro
-    from repro.analysis.flow import build_module
-    from repro.analysis.taint import check_modules
-
-    del rng  # analyzes fixed source text; input-free by design
-    root = pathlib.Path(repro.__file__).parent
-    sources = [(str(p), p.read_text(encoding="utf-8"))
-               for p in sorted((root / "serve").glob("*.py"))]
-
-    def payload():
-        check_modules([build_module(text, path=path)
-                       for path, text in sources])
-
-    return payload
-
-
-@REGISTRY.register(
     "micro.analysis.shapes", repeats=5, warmup=1,
     description="full shape-contract sweep (critic/actor IO, config "
                 "bounds, construction sites) over the installed package")

@@ -11,14 +11,9 @@ Commands
 ``netlist <task>``    print the netlist of a design (mid-space by default).
 ``lint <targets>``    static analysis: ERC over task netlists or deck
                       files, ``--config`` cross-validation, ``--code``
-                      AST lint, ``--locks`` lockset/guarded-by checks,
-                      ``--taint`` service-boundary taint tracking,
-                      ``--proto`` protocol/state-machine conformance
-                      (``--all`` for everything).  Exit 1 on
-                      error-severity findings.
-``sanitize <cmd>``    run any other command under the runtime race
-                      sanitizer (telemetry channels watched, schedule
-                      torture on).  Exit 1 when races are observed.
+                      AST lint (``--flow`` adds RNG provenance),
+                      ``--shapes`` paper dimension contracts (``--all``
+                      for both).  Exit 1 on error-severity findings.
 ``bench <cmd>``       performance benchmarking: ``run`` the micro/macro
                       suites, ``compare`` two result files (exit 1 on
                       regression), ``list`` the registry.
@@ -105,15 +100,11 @@ def _build_telemetry(args: argparse.Namespace):
     run_logger = None
     if args.events_out or logger is not None:
         run_logger = RunLogger(path=args.events_out, logger=logger)
-    telemetry = Telemetry(
+    return Telemetry(
         tracer=Tracer() if args.trace_out else None,
         metrics=MetricsRegistry() if args.metrics_out else None,
         run_logger=run_logger,
     )
-    from repro.analysis import dynrace
-
-    # No-op unless 'ma-opt sanitize' activated a sanitizer upstream.
-    return dynrace.instrument_telemetry(telemetry)
 
 
 def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
@@ -220,9 +211,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             method=args.method, task=task.name, base=telemetry,
             meta={"seed": args.seed, "n_sims": args.sims,
                   "n_init": args.init})
-        from repro.analysis import dynrace
-
-        telemetry = dynrace.instrument_telemetry(recorder.telemetry)
+        telemetry = recorder.telemetry
         print(f"run {recorder.run_id} recording to "
               f"{args.store}/{recorder.run_id} "
               f"(follow with: ma-opt tail {recorder.run_id})")
@@ -458,101 +447,22 @@ def _shapes_root(code_paths: list[str]):
     return None
 
 
-def _lint_code_path(path: str, args: argparse.Namespace,
-                    cache) -> list:
-    """codelint (+ flow passes with ``--flow``) over one ``--code``
-    target, routing the per-file passes through the result cache."""
-    from repro.analysis.cache import analyzer_fingerprint
-    from repro.analysis.codelint import CODE_RULES, lint_source
+def _lint_code_path(path: str, args: argparse.Namespace) -> list:
+    """codelint (+ the rngflow pass with ``--flow``) over one ``--code``
+    target."""
+    from repro.analysis.codelint import lint_source
     from repro.analysis.flow import iter_python_files
 
-    per_file = [("codelint", analyzer_fingerprint("codelint", CODE_RULES),
-                 lint_source)]
+    passes = [lint_source]
     if args.flow:
-        from repro.analysis.rngflow import RNG_RULES
         from repro.analysis.rngflow import check_source as rng_check
 
-        per_file.append(
-            ("rngflow", analyzer_fingerprint("rngflow", RNG_RULES),
-             rng_check))
+        passes.append(rng_check)
     diags: list = []
     for f in iter_python_files([path]):
         source = f.read_text(encoding="utf-8")
-        for _, fp, run in per_file:
-            if cache is None:
-                diags.extend(run(source, str(f)))
-            else:
-                diags.extend(cache.cached_call(fp, str(f), source, run))
-    if args.flow:
-        # The concurrency pass builds a call graph across the whole
-        # target; its result depends on *other* files, so a per-file
-        # cache key would be unsound — it always runs.
-        from repro.analysis.concurrency import check_paths as conc_check
-
-        diags.extend(conc_check([path]))
-    if args.locks:
-        # Same story as concurrency: the lockset pass resolves guards
-        # and worker closures across the whole target, so it bypasses
-        # the per-file cache too.
-        from repro.analysis.locks import check_paths as locks_check
-
-        diags.extend(locks_check([path]))
-    diags.extend(_unit_passes(path, args, cache))
-    return diags
-
-
-def _unit_cached(name: str, rules, run, target: str, cache,
-                 extra: str = "") -> list:
-    """Route a whole-unit pass through the incremental cache.
-
-    Whole-unit results depend on *every* file in the target, so the
-    cache key digests the full ``(path, content-hash)`` list (plus
-    ``extra`` for out-of-tree inputs like the service doc) — any file
-    change reruns the pass, and the per-file soundness caveat in
-    :mod:`repro.analysis.cache` does not apply.
-    """
-    from repro.analysis.cache import analyzer_fingerprint, content_hash
-    from repro.analysis.flow import iter_python_files
-
-    if cache is None:
-        return run()
-    parts = [f"{f}:{content_hash(f.read_text(encoding='utf-8'))}"
-             for f in iter_python_files([target])]
-    if extra:
-        parts.append(extra)
-    return cache.cached_call(
-        analyzer_fingerprint(name, rules), f"<{name}-unit:{target}>",
-        "\n".join(parts), lambda _source, _path: run())
-
-
-def _unit_passes(target: str, args: argparse.Namespace, cache) -> list:
-    """The service-boundary whole-unit passes (``--taint``/``--proto``)
-    over one Python target, through the whole-unit cache."""
-    diags: list = []
-    if args.taint:
-        from repro.analysis.taint import TAINT_RULES
-        from repro.analysis.taint import check_paths as taint_check
-
-        diags.extend(_unit_cached(
-            "taint", TAINT_RULES, lambda: taint_check([target]),
-            target, cache))
-    if args.proto:
-        import os
-
-        from repro.analysis.cache import content_hash
-        from repro.analysis.protoconform import PROTO_RULES, SERVICE_DOC
-        from repro.analysis.protoconform import check_paths as proto_check
-
-        doc = args.proto_doc
-        doc_file = doc if doc is not None else SERVICE_DOC
-        extra = ""
-        if os.path.isfile(doc_file):
-            with open(doc_file, encoding="utf-8") as fh:
-                extra = f"{doc_file}:{content_hash(fh.read())}"
-        diags.extend(_unit_cached(
-            "protoconform", PROTO_RULES,
-            lambda: proto_check([target], doc=doc), target, cache,
-            extra=extra))
+        for run in passes:
+            diags.extend(run(source, str(f)))
     return diags
 
 
@@ -564,27 +474,8 @@ def _lint_groups(args: argparse.Namespace) -> list[tuple[str, list]]:
     from repro.analysis.erc import lint_deck
 
     groups: list[tuple[str, list]] = []
-    cache = None
-    if args.use_cache and (args.code or args.taint or args.proto):
-        from repro.analysis.cache import AnalysisCache
-
-        cache = AnalysisCache.load(args.cache_path)
     for target in args.targets:
         if os.path.exists(target):
-            # With --locks/--taint/--proto, Python trees/files given
-            # positionally are whole-unit targets ('ma-opt lint --taint
-            # --proto src/repro'); deck files keep their ERC meaning.
-            if (args.locks or args.taint or args.proto) \
-                    and (os.path.isdir(target) or target.endswith(".py")):
-                diags: list = []
-                if args.locks:
-                    from repro.analysis.locks import \
-                        check_paths as locks_check
-
-                    diags.extend(locks_check([target]))
-                diags.extend(_unit_passes(target, args, cache))
-                groups.append((target, diags))
-                continue
             with open(target, encoding="utf-8") as fh:
                 groups.append((target, lint_deck(fh.read())))
             continue
@@ -611,10 +502,7 @@ def _lint_groups(args: argparse.Namespace) -> list[tuple[str, list]]:
     for path in args.code:
         if not os.path.exists(path):
             raise SystemExit(f"repro: error: no such path {path!r}")
-        groups.append((path, _lint_code_path(path, args, cache)))
-    if cache is not None:
-        cache.save()
-        args._cache_stats = (cache.hits, cache.misses)
+        groups.append((path, _lint_code_path(path, args)))
     if args.shapes:
         from repro.analysis.shapes import check_shapes
 
@@ -643,13 +531,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
                                             render_text, sort_diagnostics)
 
     if args.all:
-        args.flow = args.shapes = args.locks = True
-        args.taint = args.proto = True
+        args.flow = args.shapes = True
     if not args.targets and not args.config and not args.code \
             and not args.shapes:
         print("repro: error: nothing to lint — give task names / deck "
-              "files (or Python paths with --locks/--taint/--proto), "
-              "--config, --code PATH, or --shapes",
+              "files, --config, --code PATH, or --shapes",
               file=sys.stderr)
         return 2
     bad = _unknown_prefixes([*args.select, *args.ignore])
@@ -704,54 +590,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if n_suppressed:
             print(f"{n_suppressed} baseline-suppressed finding(s) "
                   f"not shown")
-        stats = getattr(args, "_cache_stats", None)
-        if stats is not None:
-            print(f"cache: {stats[0]} hit(s), {stats[1]} miss(es)")
     return exit_code(everything)
-
-
-def cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.analysis import dynrace
-    from repro.analysis.diagnostics import render_text
-
-    cmd = list(args.cmd)
-    if cmd and cmd[0] == "--":
-        cmd = cmd[1:]
-    if not cmd:
-        print("repro: error: sanitize needs a command to run, e.g. "
-              "'ma-opt sanitize optimize sphere --events-out ev.jsonl'",
-              file=sys.stderr)
-        return 2
-    if cmd[0] == "sanitize":
-        print("repro: error: 'sanitize' cannot wrap itself",
-              file=sys.stderr)
-        return 2
-    sanitizer = dynrace.activate(dynrace.RaceSanitizer())
-    try:
-        with dynrace.schedule_torture(args.switch_interval):
-            try:
-                inner_rc = main(cmd)
-            except SystemExit as exc:
-                # The inner command's argparse/SystemExit paths should
-                # not skip the race report.
-                code = exc.code
-                inner_rc = (code if isinstance(code, int)
-                            else 0 if code is None else 1)
-    finally:
-        dynrace.deactivate()
-    diags = sanitizer.diagnostics()
-    if args.sarif_out:
-        from repro.analysis.sarif import render_sarif
-
-        with open(args.sarif_out, "w", encoding="utf-8") as fh:
-            fh.write(render_sarif(diags,
-                                  rule_sets=(dynrace.RACE_RULES,)))
-    print()
-    print(sanitizer.summary())
-    if diags:
-        print(render_text(diags))
-        return 1
-    return inner_rc
 
 
 def _parse_threshold(value: str) -> float:
@@ -1150,28 +989,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(file or directory; repeatable)")
     p.add_argument("--flow", action="store_true",
                    help="with --code: also run the flow-sensitive RNG "
-                        "provenance and concurrency passes (flow.*)")
-    p.add_argument("--locks", action="store_true",
-                   help="run the lockset/guarded-by pass (flow.lock.*) "
-                        "over --code paths and over Python files or "
-                        "directories given as positional targets")
-    p.add_argument("--taint", action="store_true",
-                   help="run the service-boundary taint pass "
-                        "(flow.taint.*: untrusted job specs reaching "
-                        "path/exec/budget/format/frame sinks) over "
-                        "--code paths and positional Python targets")
-    p.add_argument("--proto", action="store_true",
-                   help="run the protocol/state-machine conformance "
-                        "pass (proto.*: job lifecycle vs "
-                        "JOB_TRANSITIONS, client/server/doc op drift) "
-                        "over --code paths and positional Python "
-                        "targets")
-    p.add_argument("--proto-doc", metavar="PATH", default=None,
-                   help="markdown contract the --proto pass cross-checks "
-                        "(default: docs/service.md when it exists)")
+                        "provenance pass (flow.rng.*)")
     p.add_argument("--all", action="store_true",
-                   help="shorthand: enable every pass "
-                        "(--flow --shapes --locks --taint --proto)")
+                   help="shorthand: enable every pass (--flow --shapes)")
     p.add_argument("--shapes", action="store_true",
                    help="check the paper's dimensional contracts "
                         "(critic 2d->m+1, actor d->d, N_es bound; "
@@ -1185,13 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sarif-out", metavar="PATH", default=None,
                    help="also write findings as a SARIF 2.1.0 document "
                         "(GitHub code scanning)")
-    p.add_argument("--cache", dest="cache_path", metavar="PATH",
-                   default=".ma-opt-lint-cache.json",
-                   help="incremental result cache for --code passes "
-                        "(keyed by file content hash)")
-    p.add_argument("--no-cache", dest="use_cache", action="store_false",
-                   default=True,
-                   help="disable the incremental result cache")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text report or one JSON object per finding")
     p.add_argument("--select", action="append", default=[],
@@ -1202,20 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PREFIX",
                    help="drop rules matching this id prefix (repeatable)")
     p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "sanitize", help="run another command under the runtime race "
-                         "sanitizer")
-    p.add_argument("--switch-interval", type=float, default=1e-5,
-                   metavar="S",
-                   help="thread switch interval while the command runs "
-                        "(small = aggressive interleaving; default 1e-5)")
-    p.add_argument("--sarif-out", metavar="PATH", default=None,
-                   help="write observed races as a SARIF 2.1.0 document")
-    p.add_argument("cmd", nargs=argparse.REMAINDER,
-                   help="the command to run, e.g. 'optimize sphere "
-                        "--events-out ev.jsonl'")
-    p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser(
         "bench", help="performance benchmarks: run/compare/list")

@@ -81,17 +81,6 @@ _WORKER_POLICY: ResilienceConfig | None = None
 _WORKER_TELEMETRY: WorkerTelemetry | None = None
 
 
-def worker_side(fn):
-    """Mark ``fn`` as running inside a pool worker process.
-
-    The marker is consumed by the flow-sensitive concurrency pass
-    (:mod:`repro.analysis.concurrency`): any function carrying it — or
-    reachable from one through the call graph — must not rely on writes
-    to parent-process state.  At runtime it is an identity decorator.
-    """
-    fn.__worker_side__ = True
-    return fn
-
 # Watchdog slack added on top of the computed retry budget: covers pool
 # spin-up (spawn context) and pickling, so healthy-but-queued designs are
 # never misdiagnosed as hung.  The deadline is deliberately conservative —
@@ -99,20 +88,17 @@ def worker_side(fn):
 _WATCHDOG_SLACK_S = 5.0
 
 
-@worker_side
 def _init_worker(task: SizingTask, policy: ResilienceConfig,
                  capture: bool = False) -> None:
     # These globals are the *per-worker* slots this initializer exists to
     # fill — each spawn worker populates its own copy, and nothing in the
     # parent ever reads them.
     global _WORKER_TASK, _WORKER_POLICY, _WORKER_TELEMETRY
-    _WORKER_TASK = task        # repro: ignore[flow.conc.global-write]
-    _WORKER_POLICY = policy    # repro: ignore[flow.conc.global-write]
-    _WORKER_TELEMETRY = (      # repro: ignore[flow.conc.global-write]
-        WorkerTelemetry() if capture else None)
+    _WORKER_TASK = task
+    _WORKER_POLICY = policy
+    _WORKER_TELEMETRY = WorkerTelemetry() if capture else None
 
 
-@worker_side
 def _evaluate_one(u: np.ndarray, start_attempt: int = 0) -> SimOutcome:
     """Worker-side retry loop; mirrors the serial path exactly."""
     if _WORKER_TASK is None or _WORKER_POLICY is None:  # pragma: no cover

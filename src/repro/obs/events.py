@@ -96,8 +96,8 @@ class RunLogger:
         # heartbeat thread; the lock keeps the in-memory list and the
         # JSONL file line-atomic under that concurrency.
         self._lock = threading.Lock()
-        self._events: list[RunEvent] = []  # repro: guarded-by[_lock]
-        self._fh: TextIO | None = (        # repro: guarded-by[_lock]
+        self._events: list[RunEvent] = []  # guarded by _lock
+        self._fh: TextIO | None = (        # guarded by _lock
             open(path, "w", encoding="utf-8") if path else None)
         if isinstance(logger, str):
             logger = logging.getLogger(logger)
@@ -114,10 +114,9 @@ class RunLogger:
                 # Writing under the lock is the point: it is what makes
                 # each JSONL line atomic with its in-memory append, so a
                 # tail reader never sees interleaved half-lines.
-                self._fh.write(  # repro: ignore[flow.lock.blocking]
-                    json.dumps(event.to_dict(),
-                               default=_json_default) + "\n")
-                self._fh.flush()  # repro: ignore[flow.lock.blocking]
+                self._fh.write(json.dumps(event.to_dict(),
+                                          default=_json_default) + "\n")
+                self._fh.flush()
         if self._logger is not None:
             self._logger.log(
                 self._level, "%s %s", kind,

@@ -137,10 +137,10 @@ class MetricsRegistry:
     """Lazily-created counters, gauges, and histograms."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, float] = {}    # repro: guarded-by[_lock]
-        self._gauges: dict[str, float] = {}      # repro: guarded-by[_lock]
-        self._hists: dict[str, _Histogram] = {}  # repro: guarded-by[_lock]
+        self._lock = threading.Lock()   # guards the three tables below
+        self._counters: dict[str, float] = {}
+        self._gauges: dict[str, float] = {}
+        self._hists: dict[str, _Histogram] = {}
 
     # -- recording -----------------------------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:

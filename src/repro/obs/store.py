@@ -192,9 +192,8 @@ class RunRecorder(BaseObserver):
         if base is not None:
             observers.extend(base.observers)
         # The recorder keeps non-optional handles to its own channels:
-        # the bundle's attributes are typed optional (and may be swapped
-        # for sanitizer proxies), but the record on disk is always
-        # written from the real objects built here.
+        # the bundle's attributes are typed optional, but the record on
+        # disk is always written from the real objects built here.
         self._tracer = tracer
         self._metrics = metrics
         self._run_logger = run_logger

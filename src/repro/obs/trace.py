@@ -125,7 +125,7 @@ class Tracer:
         self._epoch = time.perf_counter()
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._roots: list[Span] = []  # repro: guarded-by[_lock]
+        self._roots: list[Span] = []  # guarded by _lock
 
     # -- span lifecycle ------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _SpanContext:

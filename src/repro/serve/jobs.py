@@ -74,11 +74,12 @@ JOB_STATES = ("queued", "running", "finished", "failed", "cancelled",
 #: re-queues it).
 TERMINAL_JOB_STATES = ("finished", "failed", "cancelled")
 
-#: The declared lifecycle, as ``(from, to)`` edges.  This is the spec the
-#: ``proto.state.*`` conformance pass checks the implementation against:
-#: terminal states have no outgoing edges ("no resurrection"), and
-#: ``running -> queued`` / ``interrupted -> queued`` are the resume
-#: paths (crashed mid-run / parked by a shutdown).
+#: The declared lifecycle, as ``(from, to)`` edges.  Terminal states have
+#: no outgoing edges ("no resurrection"), and ``running -> queued`` /
+#: ``interrupted -> queued`` are the resume paths (crashed mid-run /
+#: parked by a shutdown).  ``tests/serve/test_contract.py`` checks the
+#: table: edges stay inside ``JOB_STATES``, none leaves a terminal state,
+#: and every state is reachable from ``queued``.
 JOB_TRANSITIONS = (
     ("queued", "running"),
     ("queued", "cancelled"),
@@ -93,8 +94,8 @@ JOB_TRANSITIONS = (
 #: Tenant names must stay a single safe path component: they key the
 #: per-tenant concurrency cap and run-record metadata today and a
 #: per-tenant directory layout tomorrow, so separators and traversal
-#: (``..``) are rejected at validation time (the ``flow.taint.path``
-#: boundary the taint pass polices).
+#: (``..``) are rejected at validation time (pinned by
+#: ``tests/serve/test_jobs.py::test_bad_tenant``).
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: ``should_stop`` reason -> final job state.
@@ -484,12 +485,12 @@ class JobManager:
         self._task_factory = task_factory or default_task_factory
         self._runner = runner or run_job
         self._stop = threading.Event()      # set once, at close()
-        self._cv = threading.Condition()
-        self._jobs: dict[str, Job] = {}     # repro: guarded-by[_cv]
-        self._order: list[str] = []         # repro: guarded-by[_cv]
-        self._running: dict[str, str] = {}  # repro: guarded-by[_cv]
-        self._seq = 0                       # repro: guarded-by[_cv]
-        self._shutdown = False              # repro: guarded-by[_cv]
+        self._cv = threading.Condition()    # guards the five fields below
+        self._jobs: dict[str, Job] = {}
+        self._order: list[str] = []
+        self._running: dict[str, str] = {}
+        self._seq = 0
+        self._shutdown = False
         self._threads = [
             threading.Thread(target=self._worker,
                              name=f"serve-worker-{i}", daemon=True)

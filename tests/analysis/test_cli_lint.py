@@ -108,7 +108,6 @@ class TestConfigAndCode:
         assert "nothing to lint" in capsys.readouterr().err
 
 
-GOOD_FLOW = "def sample(rng, n):\n    return rng.uniform(size=n)\n"
 BAD_FLOW = ("import numpy as np\n"
             "rng = np.random.default_rng(0)\n"
             "def sample(n):\n"
@@ -136,54 +135,56 @@ class TestFlowAndShapes:
     def test_flow_finds_global_rng_sampling(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_FLOW, encoding="utf-8")
-        assert main(["lint", "--code", str(bad), "--flow",
-                     "--no-cache"]) == 1
+        assert main(["lint", "--code", str(bad), "--flow"]) == 1
         assert "flow.rng.no-param" in capsys.readouterr().out
 
     def test_without_flow_flag_silent(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_FLOW, encoding="utf-8")
-        assert main(["lint", "--code", str(bad), "--no-cache"]) == 0
+        assert main(["lint", "--code", str(bad)]) == 0
 
     def test_shapes_alone_is_a_valid_invocation(self, capsys):
         assert main(["lint", "--shapes"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_repo_gate_invocation_with_baseline(self, monkeypatch, capsys):
-        # The exact CI gate: everything on, screened by the committed
-        # baseline, must exit 0.  The ratchet has closed — the baseline
-        # is empty, so nothing may be suppressed either.
+        # The exact CI gate: every pass on every python tree, screened
+        # by the committed baseline, must exit 0.  The ratchet has
+        # closed — the baseline is empty, so nothing may be suppressed
+        # either.
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         monkeypatch.chdir(repo_root)
-        assert main(["lint", "--code", "src/repro", "--flow", "--shapes",
-                     "--locks", "--no-cache",
+        assert main(["lint", "--code", "src/repro", "--code", "examples",
+                     "--code", "benchmarks", "--flow", "--shapes",
                      "--baseline", "lint-baseline.json"]) == 0
         out = capsys.readouterr().out
         assert "clean: no findings" in out
         assert "baseline-suppressed" not in out
 
+    def test_all_shorthand_runs_every_pass(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text(BAD_FLOW, encoding="utf-8")
+        assert main(["lint", "--all", "--code", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "flow.rng.no-param" in out
+        assert "== shapes ==" in out
 
-class TestCacheFlag:
-    def test_cache_populated_and_hit(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text(GOOD_FLOW, encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        assert main(["lint", "--code", str(good), "--flow",
-                     "--cache", str(cache)]) == 0
-        first = capsys.readouterr().out
-        assert "miss(es)" in first and cache.exists()
-        assert main(["lint", "--code", str(good), "--flow",
-                     "--cache", str(cache)]) == 0
-        second = capsys.readouterr().out
-        assert "2 hit(s), 0 miss(es)" in second
 
-    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        good = tmp_path / "good.py"
-        good.write_text(GOOD_FLOW, encoding="utf-8")
-        assert main(["lint", "--code", str(good), "--no-cache"]) == 0
-        assert not (tmp_path / ".ma-opt-lint-cache.json").exists()
-        assert "cache:" not in capsys.readouterr().out
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flag", ["--locks", "--taint", "--proto",
+                                      "--proto-doc=x", "--cache=x",
+                                      "--no-cache"])
+    def test_deleted_lint_options_are_unknown(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "ota", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sanitize_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sanitize", "optimize", "sphere"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestBaselineFlags:
@@ -192,24 +193,24 @@ class TestBaselineFlags:
         bad.write_text(BAD_FLOW, encoding="utf-8")
         baseline = tmp_path / "baseline.json"
         # 1. freeze the pre-existing finding
-        assert main(["lint", "--code", str(bad), "--flow", "--no-cache",
+        assert main(["lint", "--code", str(bad), "--flow",
                      "--baseline", str(baseline),
                      "--update-baseline"]) == 0
         assert "froze 1 finding(s)" in capsys.readouterr().out
         # 2. screened run is clean
-        assert main(["lint", "--code", str(bad), "--flow", "--no-cache",
+        assert main(["lint", "--code", str(bad), "--flow",
                      "--baseline", str(baseline)]) == 0
         assert "1 baseline-suppressed" in capsys.readouterr().out
         # 3. a NEW finding still fails
         bad.write_text(BAD_FLOW + "import pickle\n", encoding="utf-8")
-        assert main(["lint", "--code", str(bad), "--flow", "--no-cache",
+        assert main(["lint", "--code", str(bad), "--flow",
                      "--baseline", str(baseline)]) == 1
         assert "code.pickle" in capsys.readouterr().out
 
     def test_missing_baseline_file_is_strict(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_FLOW, encoding="utf-8")
-        assert main(["lint", "--code", str(bad), "--flow", "--no-cache",
+        assert main(["lint", "--code", str(bad), "--flow",
                      "--baseline", str(tmp_path / "absent.json")]) == 1
 
 
@@ -218,7 +219,7 @@ class TestSarifOut:
         bad = tmp_path / "bad.py"
         bad.write_text("import pickle\n", encoding="utf-8")
         sarif = tmp_path / "out.sarif"
-        assert main(["lint", "--code", str(bad), "--no-cache",
+        assert main(["lint", "--code", str(bad),
                      "--sarif-out", str(sarif)]) == 1
         doc = json.loads(sarif.read_text(encoding="utf-8"))
         assert doc["version"] == "2.1.0"
@@ -226,113 +227,4 @@ class TestSarifOut:
         assert [r["ruleId"] for r in results] == ["code.pickle"]
         rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
         assert {"flow.rng.no-param", "shape.critic-io",
-                "flow.conc.global-write"} <= rule_ids
-
-
-#: serve-shaped module with one violation per service-boundary gate:
-#: a client-only op, a terminal-state resurrection, and an unsanitized
-#: spec-to-path flow.  Each must fail 'ma-opt lint' on its own.
-GATE_DECLS = """\
-JOB_STATES = ("queued", "running", "finished")
-TERMINAL_JOB_STATES = ("finished",)
-JOB_TRANSITIONS = (("queued", "running"), ("running", "finished"))
-OPS = ("ping",)
-ERROR_CODES = ()
-
-def _dispatch(self, op, params):
-    if op == "ping":
-        return {}
-    raise ValueError(op)
-
-class Client:
-    def ping(self):
-        return self.request("ping")
-"""
-
-
-class TestServiceBoundaryGate:
-    """The acceptance battery: each seeded violation fails the gate."""
-
-    def _tree(self, tmp_path, extra):
-        serve = tmp_path / "serve"
-        serve.mkdir()
-        (serve / "jobs.py").write_text(GATE_DECLS + extra,
-                                       encoding="utf-8")
-        return serve
-
-    def test_clean_tree_passes(self, tmp_path):
-        serve = self._tree(tmp_path, "")
-        assert main(["lint", "--taint", "--proto", str(serve),
-                     "--no-cache", "--proto-doc",
-                     str(tmp_path / "absent.md")]) == 0
-
-    def test_client_only_op_fails_gate(self, tmp_path, capsys):
-        serve = self._tree(tmp_path, (
-            "\nclass Wide(Client):\n"
-            "    def legacy(self):\n"
-            "        return self.request(\"legacy\")\n"))
-        assert main(["lint", "--taint", "--proto", str(serve),
-                     "--no-cache", "--proto-doc",
-                     str(tmp_path / "absent.md")]) == 1
-        assert "proto.op.client-only" in capsys.readouterr().out
-
-    def test_illegal_transition_fails_gate(self, tmp_path, capsys):
-        serve = self._tree(tmp_path, (
-            "\ndef resurrect(job):\n"
-            "    if job.state == \"finished\":\n"
-            "        job.state = \"queued\"\n"))
-        assert main(["lint", "--taint", "--proto", str(serve),
-                     "--no-cache", "--proto-doc",
-                     str(tmp_path / "absent.md")]) == 1
-        assert "proto.state.terminal" in capsys.readouterr().out
-
-    def test_unsanitized_path_flow_fails_gate(self, tmp_path, capsys):
-        serve = self._tree(tmp_path, (
-            "\nimport pathlib\n"
-            "def run_dir(spec, base_dir):\n"
-            "    return base_dir / spec[\"tenant\"]\n"))
-        assert main(["lint", "--taint", "--proto", str(serve),
-                     "--no-cache", "--proto-doc",
-                     str(tmp_path / "absent.md")]) == 1
-        assert "flow.taint.path" in capsys.readouterr().out
-
-    def test_unit_passes_go_through_the_cache(self, tmp_path, capsys):
-        serve = self._tree(tmp_path, "")
-        cache = tmp_path / "cache.json"
-        args = ["lint", "--taint", "--proto", str(serve),
-                "--cache", str(cache), "--proto-doc",
-                str(tmp_path / "absent.md")]
-        assert main(args) == 0
-        assert "0 hit(s), 2 miss(es)" in capsys.readouterr().out
-        assert main(args) == 0
-        assert "2 hit(s), 0 miss(es)" in capsys.readouterr().out
-
-    def test_cache_invalidates_on_any_unit_file_change(self, tmp_path,
-                                                       capsys):
-        serve = self._tree(tmp_path, "")
-        (serve / "extra.py").write_text("x = 1\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        args = ["lint", "--taint", "--proto", str(serve),
-                "--cache", str(cache), "--proto-doc",
-                str(tmp_path / "absent.md")]
-        assert main(args) == 0
-        capsys.readouterr()
-        (serve / "extra.py").write_text("x = 2\n", encoding="utf-8")
-        assert main(args) == 0
-        assert "0 hit(s), 2 miss(es)" in capsys.readouterr().out
-
-    def test_all_shorthand_runs_every_pass(self, tmp_path, capsys):
-        serve = self._tree(tmp_path, (
-            "\ndef resurrect(job):\n"
-            "    if job.state == \"finished\":\n"
-            "        job.state = \"queued\"\n"))
-        assert main(["lint", "--all", str(serve), "--no-cache",
-                     "--proto-doc", str(tmp_path / "absent.md")]) == 1
-        assert "proto.state.terminal" in capsys.readouterr().out
-
-    def test_select_accepts_new_rule_prefixes(self, tmp_path, capsys):
-        serve = self._tree(tmp_path, "")
-        assert main(["lint", "--taint", "--proto", str(serve),
-                     "--no-cache", "--select", "flow.taint",
-                     "--select", "proto", "--proto-doc",
-                     str(tmp_path / "absent.md")]) == 0
+                "erc.floating-node"} <= rule_ids

@@ -2,19 +2,14 @@
 
 import math
 
-import pytest
-
 from repro.analysis.diagnostics import Severity
 from repro.analysis.erc import (
-    assert_clean,
     gate_errors,
     is_simulatable,
-    lint_circuit,
     lint_deck,
     run_erc,
 )
 from repro.spice import Circuit, NMOS_180
-from repro.spice.exceptions import NetlistError
 
 
 def rules(diags):
@@ -63,6 +58,17 @@ class TestTopologyRules:
         ckt.add_capacitor("C2", "0", "island", 1e-12)
         diags = [d for d in run_erc(ckt) if d.rule == "erc.no-dc-path"]
         assert [d.location for d in diags] == ["island"]
+
+    def test_no_dc_path_flags_every_node_of_a_resistive_island(self):
+        # Two nodes joined by a resistor but reached only through
+        # capacitors: the whole island lacks a DC path, not just one end.
+        ckt = divider()
+        ckt.add_capacitor("C1", "out", "island", 1e-12)
+        ckt.add_resistor("R3", "island", "island2", 1e3)
+        ckt.add_capacitor("C2", "island2", "0", 1e-12)
+        diags = [d for d in run_erc(ckt) if d.rule == "erc.no-dc-path"]
+        assert [d.location for d in diags] == ["island", "island2"]
+        assert all("no DC path" in d.message for d in diags)
 
     def test_mosfet_gate_gives_no_dc_path(self):
         # A MOSFET gate is DC-isolated: a node driven only through gates
@@ -171,12 +177,12 @@ class TestGateAndLegacyApi:
 
     def test_lint_circuit_returns_strings(self):
         ckt = Circuit()
-        assert lint_circuit(ckt) == ["circuit has no elements"]
+        assert [d.message for d in run_erc(ckt)] == \
+            ["circuit has no elements"]
 
     def test_assert_clean_raises_with_findings(self):
-        with pytest.raises(NetlistError, match="no elements"):
-            assert_clean(Circuit())
-        assert_clean(divider())
+        assert rules(gate_errors(Circuit())) == {"erc.empty"}
+        assert gate_errors(divider()) == []
 
 
 class TestPaperCircuitsClean:
@@ -184,21 +190,18 @@ class TestPaperCircuitsClean:
         from repro.circuits.ota import build_ota
         from tests.circuits.test_ota import GOOD
 
-        assert_clean(build_ota(GOOD))
         assert run_erc(build_ota(GOOD)) == []
 
     def test_tia_clean(self):
         from repro.circuits.tia import build_tia
         from tests.circuits.test_tia import GOOD
 
-        assert_clean(build_tia(GOOD))
         assert run_erc(build_tia(GOOD)) == []
 
     def test_ldo_clean(self):
         from repro.circuits.ldo import build_ldo
         from tests.circuits.test_ldo import GOOD
 
-        assert_clean(build_ldo(GOOD))
         assert run_erc(build_ldo(GOOD)) == []
 
     def test_task_lint_design_clean_mid_space(self):
@@ -223,11 +226,3 @@ class TestCircuitPublicApi:
         pairs = {elem.name: nodes for elem, nodes in ckt.connectivity()}
         assert pairs["V1"] == ("in", "0")
         assert pairs["R1"] == ("in", "0")
-
-    def test_spice_lint_shim_reexports(self):
-        from repro.analysis import erc
-        from repro.spice import lint as shim
-
-        assert shim.lint_circuit is erc.lint_circuit
-        assert shim.assert_clean is erc.assert_clean
-        assert shim.run_erc is erc.run_erc

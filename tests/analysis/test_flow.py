@@ -1,10 +1,10 @@
 """Tests for the shared AST dataflow core: scope trees, name
-resolution (including Python's class-scope skip), mutation/read
-tracking, and the best-effort call graph."""
+resolution (including Python's class-scope skip) and mutation/read
+tracking."""
 
 import textwrap
 
-from repro.analysis.flow import CallGraph, build_module, dotted_name
+from repro.analysis.flow import build_module, dotted_name
 
 
 def mod(snippet, path="m.py"):
@@ -123,42 +123,3 @@ class TestMutationsAndCalls:
 
         node = ast.parse("a.b.c", mode="eval").body
         assert dotted_name(node) == "a.b.c"
-
-
-class TestCallGraph:
-    def test_same_module_resolution(self):
-        m = mod("""
-            def helper():
-                pass
-            def caller():
-                helper()
-        """)
-        g = CallGraph([m])
-        assert g.resolve_callee(fn(m, "caller"), "helper") is fn(m, "helper")
-
-    def test_reachability_is_transitive(self):
-        m = mod("""
-            def a():
-                b()
-            def b():
-                c()
-            def c():
-                pass
-        """)
-        g = CallGraph([m])
-        reached = {s.name for s in g.reachable_from([fn(m, "a")])}
-        assert {"a", "b", "c"} <= reached
-
-    def test_cross_module_resolution(self):
-        m1 = mod("def shared_helper():\n    pass\n", path="a.py")
-        m2 = mod("def caller():\n    shared_helper()\n", path="b.py")
-        g = CallGraph([m1, m2])
-        assert g.resolve_callee(fn(m2, "caller"), "shared_helper") \
-            is fn(m1, "shared_helper")
-
-    def test_ambiguous_callee_unresolved(self):
-        m1 = mod("def dup():\n    pass\n", path="a.py")
-        m2 = mod("def dup():\n    pass\n", path="b.py")
-        m3 = mod("def caller():\n    dup()\n", path="c.py")
-        g = CallGraph([m1, m2, m3])
-        assert g.resolve_callee(fn(m3, "caller"), "dup") is None

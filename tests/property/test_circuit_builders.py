@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.erc import run_erc
 from repro.circuits import LDORegulator, ThreeStageTIA, TwoStageOTA
 from repro.circuits.ldo import build_ldo
 from repro.circuits.ota import build_ota
 from repro.circuits.tia import build_tia
-from repro.spice.lint import lint_circuit
 
 OTA = TwoStageOTA()
 TIA = ThreeStageTIA()
@@ -27,7 +27,7 @@ def params_for(task, seed):
 def test_ota_builder_total(seed):
     """Any in-range sizing builds a structurally sound OTA netlist."""
     ckt = build_ota(params_for(OTA, seed))
-    assert lint_circuit(ckt) == []
+    assert run_erc(ckt) == []
     assert ckt.n_nodes == 8
     assert len(ckt.elements) == 14
 
@@ -36,7 +36,7 @@ def test_ota_builder_total(seed):
 @settings(max_examples=30, deadline=None)
 def test_tia_builder_total(seed):
     ckt = build_tia(params_for(TIA, seed))
-    assert lint_circuit(ckt) == []
+    assert run_erc(ckt) == []
     # three NMOS drivers + three PMOS loads + bias pair present
     for name in ("M1", "M2", "M3", "MP1", "MP2", "MP3", "MPB", "MNB"):
         assert name in ckt
@@ -46,7 +46,7 @@ def test_tia_builder_total(seed):
 @settings(max_examples=30, deadline=None)
 def test_ldo_builder_total(seed):
     ckt = build_ldo(params_for(LDO, seed))
-    assert lint_circuit(ckt) == []
+    assert run_erc(ckt) == []
     assert "MP" in ckt and "Vref" in ckt
 
 

@@ -94,7 +94,8 @@ class TestValidateJob:
         diags = validate_job({"task": "sphere", "priority": "urgent"})
         assert "job.priority" in rules(diags)
 
-    @pytest.mark.parametrize("tenant", ["", "   ", 7, None])
+    @pytest.mark.parametrize("tenant", ["", "   ", 7, None, "../x", "a/b",
+                                        "..", ".hidden", "x" * 65])
     def test_bad_tenant(self, tenant):
         diags = validate_job({"task": "sphere", "tenant": tenant})
         assert "job.tenant" in rules(diags)

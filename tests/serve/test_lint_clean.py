@@ -1,20 +1,15 @@
 """The serve subsystem must stay clean under the repo's own analyzers.
 
-This is the same battery the CI lint gate runs (codelint + flow passes +
-lockset analysis) pinned to ``src/repro/serve``, so a regression shows
-up as a focused test failure here before it trips the repo-wide
-baseline gate.
+This is the same battery the CI lint gate runs (codelint + the RNG-flow
+pass) pinned to ``src/repro/serve``, so a regression shows up as a
+focused test failure here before it trips the repo-wide baseline gate.
 """
 
 import pathlib
 
 from repro.analysis.codelint import lint_source
-from repro.analysis.concurrency import check_paths as check_concurrency
 from repro.analysis.flow import iter_python_files
-from repro.analysis.locks import check_paths as check_locks
-from repro.analysis.protoconform import check_paths as check_protoconform
 from repro.analysis.rngflow import check_source as check_rngflow
-from repro.analysis.taint import check_paths as check_taint
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 SERVE = REPO / "src/repro/serve"
@@ -41,28 +36,4 @@ def test_rngflow_clean():
     for path in iter_python_files([SERVE]):
         diags.extend(check_rngflow(path.read_text(encoding="utf-8"),
                                    str(path)))
-    assert not diags, render(diags)
-
-
-def test_concurrency_clean():
-    diags = check_concurrency([SERVE])
-    assert not diags, render(diags)
-
-
-def test_locks_clean():
-    diags = check_locks([SERVE])
-    assert not diags, render(diags)
-
-
-def test_taint_clean():
-    # The trust boundary itself must hold: no client-supplied spec field
-    # reaches a path/exec/budget/format/frame sink unsanitized.
-    diags = check_taint([SERVE])
-    assert not diags, render(diags)
-
-
-def test_protoconform_clean():
-    # The implemented lifecycle, op dispatch and error codes must match
-    # the declared tables and the service doc.
-    diags = check_protoconform([SERVE], doc=REPO / "docs/service.md")
     assert not diags, render(diags)

@@ -106,7 +106,12 @@ class Critic:
 
     def train_step(self, inputs: np.ndarray, raw_targets: np.ndarray) -> float:
         """One MSE step on (pseudo-sample) pairs; returns the loss (Eq. 4)."""
-        targets = self.scaler.transform(np.atleast_2d(raw_targets))
+        return self.train_step_scaled(
+            inputs, self.scaler.transform(np.atleast_2d(raw_targets)))
+
+    def train_step_scaled(self, inputs: np.ndarray,
+                          targets: np.ndarray) -> float:
+        """:meth:`train_step` on targets already z-scored by the scaler."""
         pred = self.net.forward(np.atleast_2d(inputs))
         diff = pred - targets
         loss = float(np.mean(diff**2))
@@ -165,21 +170,23 @@ class CriticEnsemble:
         return np.std(preds, axis=0)
 
     def train_step(self, inputs: np.ndarray, raw_targets: np.ndarray) -> float:
-        losses = [m.train_step(inputs, raw_targets) for m in self.members]
+        return self.train_step_scaled(
+            inputs, self.scaler.transform(np.atleast_2d(raw_targets)))
+
+    def train_step_scaled(self, inputs: np.ndarray,
+                          targets: np.ndarray) -> float:
+        losses = [m.train_step_scaled(inputs, targets) for m in self.members]
         return float(np.mean(losses))
 
-    # -- `net` facade (forward/backward/zero_grad) -----------------------------
+    # -- `net` facade (forward/backward) ---------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.mean([m.net.forward(x) for m in self.members], axis=0)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         share = grad_out / len(self.members)
-        grads = [m.net.backward(share) for m in self.members]
+        grads = [m.net.backward(share, param_grads) for m in self.members]
         return np.sum(grads, axis=0)
-
-    def zero_grad(self) -> None:
-        for m in self.members:
-            m.net.zero_grad()
 
     def parameter_count(self) -> int:
         return sum(p.value.size for m in self.members

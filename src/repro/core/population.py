@@ -17,24 +17,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fom import FigureOfMerit
-
 
 class TotalDesignSet:
-    """X^tot: every simulated design with its metrics, FoM and provenance."""
+    """X^tot: every simulated design with its metrics, FoM and provenance.
+
+    Designs, metrics and FoMs are stored in contiguous arrays that grow by
+    doubling, so the ``designs``/``metrics``/``foms`` copies handed out on
+    every training batch are single slice copies.
+    """
 
     def __init__(self, d: int, n_metrics: int) -> None:
         if d < 1 or n_metrics < 1:
             raise ValueError("need d >= 1 and n_metrics >= 1")
         self.d = d
         self.n_metrics = n_metrics
-        self._x: list[np.ndarray] = []
-        self._f: list[np.ndarray] = []
-        self._fom: list[float] = []
+        self._n = 0
+        self._x = np.empty((0, d))
+        self._f = np.empty((0, n_metrics))
+        self._fom = np.empty(0)
         self._owner: list[int | None] = []
 
     def __len__(self) -> int:
-        return len(self._x)
+        return self._n
 
     def add(self, x: np.ndarray, metrics: np.ndarray, fom: float,
             owner: int | None = None) -> int:
@@ -47,39 +51,46 @@ class TotalDesignSet:
             raise ValueError(
                 f"metrics have shape {metrics.shape}, expected ({self.n_metrics},)"
             )
-        self._x.append(x)
-        self._f.append(metrics)
-        self._fom.append(float(fom))
+        i = self._n
+        if i == len(self._fom):
+            cap = max(16, 2 * i)
+            self._x = _grown(self._x, i, cap)
+            self._f = _grown(self._f, i, cap)
+            self._fom = _grown(self._fom, i, cap)
+        self._x[i] = x
+        self._f[i] = metrics
+        self._fom[i] = float(fom)
         self._owner.append(owner)
-        return len(self._x) - 1
+        self._n = i + 1
+        return i
 
     @property
     def designs(self) -> np.ndarray:
-        """All designs, shape (N, d)."""
-        return np.array(self._x) if self._x else np.empty((0, self.d))
+        """All designs, shape (N, d) (a copy)."""
+        return self._x[:self._n].copy()
 
     @property
     def metrics(self) -> np.ndarray:
-        """All metric vectors, shape (N, m+1)."""
-        return np.array(self._f) if self._f else np.empty((0, self.n_metrics))
+        """All metric vectors, shape (N, m+1) (a copy)."""
+        return self._f[:self._n].copy()
 
     @property
     def foms(self) -> np.ndarray:
-        return np.array(self._fom)
+        return self._fom[:self._n].copy()
 
     @property
     def owners(self) -> list[int | None]:
         return list(self._owner)
 
     def best_index(self) -> int:
-        if not self._x:
+        if not self._n:
             raise ValueError("empty design set")
-        return int(np.argmin(self._fom))
+        return int(np.argmin(self._fom[:self._n]))
 
     def best(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(design, metrics, fom) of the incumbent FoM-best design."""
         i = self.best_index()
-        return self._x[i], self._f[i], self._fom[i]
+        return self._x[i].copy(), self._f[i].copy(), float(self._fom[i])
 
     def metric_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-metric mean and std over X^tot (std floored for stability)."""
@@ -149,8 +160,8 @@ class EliteSet:
         return x.min(axis=0), x.max(axis=0)
 
 
-def rebuild_fom(total: TotalDesignSet, fom: FigureOfMerit) -> None:
-    """Recompute all stored FoM values (after a FoM weight change)."""
-    metrics = total.metrics
-    values = fom(metrics)
-    total._fom = [float(v) for v in np.atleast_1d(values)]
+def _grown(buf: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """``buf``'s first ``n`` rows in a fresh buffer of ``cap`` rows."""
+    out = np.empty((cap, *buf.shape[1:]))
+    out[:n] = buf[:n]
+    return out

@@ -22,6 +22,7 @@ def pseudo_sample_batch(
     batch_size: int,
     rng: np.random.Generator,
     include_identity_fraction: float = 0.1,
+    targets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a random batch of pseudo-samples from X^tot.
 
@@ -31,6 +32,9 @@ def pseudo_sample_batch(
 
     ``include_identity_fraction`` forces that share of pairs to use i == j
     (zero action), anchoring the critic at "no change keeps the metrics".
+
+    ``targets`` replaces ``total.metrics`` as the per-design target rows,
+    e.g. the metric matrix already z-scored once for a whole critic fit.
     """
     n = len(total)
     if n < 1:
@@ -40,7 +44,8 @@ def pseudo_sample_batch(
     if not 0.0 <= include_identity_fraction <= 1.0:
         raise ValueError("include_identity_fraction must be in [0, 1]")
     designs = total.designs
-    metrics = total.metrics
+    if targets is None:
+        targets = total.metrics
     i_idx = rng.integers(0, n, size=batch_size)
     j_idx = rng.integers(0, n, size=batch_size)
     n_identity = int(round(include_identity_fraction * batch_size))
@@ -49,8 +54,7 @@ def pseudo_sample_batch(
     xi = designs[i_idx]
     xj = designs[j_idx]
     inputs = np.concatenate([xi, xj - xi], axis=1)
-    targets = metrics[j_idx]
-    return inputs, targets
+    return inputs, targets[j_idx]
 
 
 def _sample_pairs_without_replacement(n: int, k: int,

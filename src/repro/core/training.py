@@ -8,8 +8,8 @@ Actor: minimize, over a batch of states x_k drawn from X^tot,
 
 (Eq. 5), where viol_k penalizes actions that leave the elite-solution-set
 bounding box (Eq. 6).  Gradients flow through the frozen critic into the
-actor; the critic's accumulated parameter gradients are discarded (its own
-optimizer always zeroes before stepping).
+actor: the critic is back-propagated to its inputs only, so no critic
+parameter gradient is computed.
 """
 
 from __future__ import annotations
@@ -28,17 +28,23 @@ def train_critic(critic: Critic, total: TotalDesignSet, steps: int,
                  telemetry: Telemetry | None = None) -> float:
     """Run ``steps`` critic updates on fresh pseudo-sample batches.
 
-    Returns the mean loss over the last 10 steps (for diagnostics).
+    The scaler is refit on X^tot and its metric matrix z-scored once; each
+    batch then indexes the scaled rows (the transform is elementwise, so
+    this equals scaling every batch).  Returns the mean loss over the last
+    10 steps (for diagnostics).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     obs = telemetry or NULL_TELEMETRY
-    with obs.span("critic-train", steps=steps, n_total=len(total.designs)):
-        critic.fit_scaler(total.metrics)
+    with obs.span("critic-train", steps=steps, n_total=len(total)):
+        metrics = total.metrics
+        critic.fit_scaler(metrics)
+        scaled = critic.scaler.transform(metrics)
         losses = []
         for _ in range(steps):
-            inputs, targets = pseudo_sample_batch(total, batch_size, rng)
-            losses.append(critic.train_step(inputs, targets))
+            inputs, targets = pseudo_sample_batch(total, batch_size, rng,
+                                                  targets=scaled)
+            losses.append(critic.train_step_scaled(inputs, targets))
     tail = losses[-10:]
     loss = float(np.mean(tail))
     obs.observe("critic_loss", loss)
@@ -71,12 +77,17 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
                 actor_index: int | None = None) -> float:
     """Run ``steps`` actor updates (Eq. 5); returns the final loss value.
 
+    The critic stays frozen: each step back-propagates through it to its
+    inputs only (``param_grads=False``), leaving its weights and gradient
+    buffer untouched.
+
     ``train_on`` selects the state distribution:
 
-    * ``"elite"`` — batch states from the elite solution set (the paper uses
-      the elite set to "limit the search space of an actor network");
+    * ``"elite"`` (default) — batch states from the elite solution set (the
+      paper uses the elite set to "limit the search space of an actor
+      network");
     * ``"total"`` — uniform over every simulated design;
-    * ``"mixed"`` (default) — half and half, hedging exploitation focus
+    * ``"mixed"`` — half and half, hedging exploitation focus
       against coverage of the wider landscape.
     """
     if steps < 1:
@@ -92,8 +103,7 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
             designs = total.designs
         else:
             elite_designs = elite.designs()
-            reps = int(np.ceil(
-                len(total.designs) / max(len(elite_designs), 1)))
+            reps = int(np.ceil(len(total) / max(len(elite_designs), 1)))
             designs = np.concatenate(
                 [total.designs, np.tile(elite_designs, (reps, 1))])
         n = len(designs)
@@ -116,8 +126,7 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
             # Backward: dL/d(metrics) -> dL/d(q_scaled) -> critic input grad.
             dmetrics = fom.gradient(metrics) / nb
             dq = dmetrics * critic.scaler.jacobian_from_raw(metrics)
-            critic.net.zero_grad()
-            din = critic.net.backward(dq)
+            din = critic.net.backward(dq, param_grads=False)
             dactions = din[:, actor.d:]
             # Violation-norm: d||w|| / da_j = w_j * lambda * dviol_j / ||w||.
             safe = np.where(norms > 1e-12, norms, 1.0)[:, None]
@@ -127,8 +136,6 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
             actor.net.zero_grad()
             actor.net.backward(dactions * actor.action_scale)
             actor.opt.step()
-            # Discard critic gradients produced by the pass-through.
-            critic.net.zero_grad()
     if actor_index is None:
         obs.observe("actor_loss", loss_val)
     else:

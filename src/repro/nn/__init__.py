@@ -6,6 +6,15 @@ networks with manual reverse-mode differentiation, MSE-style losses, and
 first-order optimizers (SGD with momentum, Adam) — so no PyTorch is
 required.
 
+Each :class:`MLP` keeps all its weights in one flat value buffer and all
+its gradients in one flat grad buffer; every layer's ``Parameter`` is a
+view into them.  ``zero_grad`` is one fill, and an optimizer step is one
+vectorized update over the whole buffer (with its moments in flat buffers
+of the same layout), while ``state_dict`` still reports one array per
+parameter.  ``backward(grad, param_grads=False)`` back-propagates to the
+inputs without touching the gradient buffer — how actors are trained
+through a frozen critic.
+
 Example
 -------
 >>> import numpy as np

@@ -2,7 +2,9 @@
 
 Every layer caches what it needs during :meth:`forward` and consumes the
 cache in :meth:`backward`.  Parameters are exposed as :class:`Parameter`
-objects (value + grad) so optimizers can update them in place.
+objects (value + grad) so optimizers can update them in place;
+:func:`pack_parameters` lays a parameter list out in one flat value buffer
+and one flat grad buffer, so whole-network updates are single array ops.
 """
 
 from __future__ import annotations
@@ -33,15 +35,61 @@ class Parameter:
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
 
 
+def _tiled_range(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The flat slice of one base buffer that ``arrays`` tile in order, or
+    ``None`` when they are not consecutive C-contiguous views of one base."""
+    base = arrays[0].base
+    if base is None or base.ndim != 1:
+        return None
+    addr0 = base.__array_interface__["data"][0]
+    start = (arrays[0].__array_interface__["data"][0] - addr0) // base.itemsize
+    end = start
+    for a in arrays:
+        if (a.base is not base or not a.flags.c_contiguous
+                or a.__array_interface__["data"][0]
+                != addr0 + end * base.itemsize):
+            return None
+        end += a.size
+    return base[start:end]
+
+
+def pack_parameters(params: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(values, grads)`` buffers whose consecutive slices are the
+    parameters' ``value``/``grad`` arrays, in list order.
+
+    Parameters that already tile one buffer (an :class:`~repro.nn.MLP`'s)
+    get views of it back, so every holder updates the same memory.
+    Otherwise their current values and grads are copied into fresh buffers
+    and each ``Parameter`` is rebound to views of them.
+    """
+    values = _tiled_range([p.value for p in params])
+    grads = _tiled_range([p.grad for p in params])
+    if values is not None and grads is not None:
+        return values, grads
+    n = sum(p.value.size for p in params)
+    values, grads = np.empty(n), np.empty(n)
+    off = 0
+    for p in params:
+        k = p.value.size
+        values[off:off + k] = p.value.ravel()
+        grads[off:off + k] = p.grad.ravel()
+        p.value = values[off:off + k].reshape(p.value.shape)
+        p.grad = grads[off:off + k].reshape(p.grad.shape)
+        off += k
+    return values, grads
+
+
 class Module:
     """Base class: a differentiable map with (possibly zero) parameters."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         """Propagate ``dL/d(output)`` to ``dL/d(input)``, accumulating
-        parameter gradients along the way."""
+        parameter gradients along the way unless ``param_grads`` is false
+        (back-propagating through a frozen network to its inputs)."""
         raise NotImplementedError
 
     def parameters(self) -> list[Parameter]:
@@ -83,12 +131,14 @@ class Linear(Module):
         self._x = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         grad_out = np.atleast_2d(grad_out)
-        self.weight.grad += self._x.T @ grad_out
-        self.bias.grad += grad_out.sum(axis=0)
+        if param_grads:
+            self.weight.grad += self._x.T @ grad_out
+            self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value.T
 
     def parameters(self) -> list[Parameter]:
@@ -105,7 +155,8 @@ class Tanh(Module):
         self._y = np.tanh(x)
         return self._y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
         return grad_out * (1.0 - self._y**2)
@@ -121,7 +172,8 @@ class ReLU(Module):
         self._mask = x > 0.0
         return np.where(self._mask, x, 0.0)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_out * self._mask
@@ -140,7 +192,8 @@ class LeakyReLU(Module):
         self._mask = x > 0.0
         return np.where(self._mask, x, self.negative_slope * x)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_out * np.where(self._mask, 1.0, self.negative_slope)
@@ -162,7 +215,8 @@ class Sigmoid(Module):
         self._y = out
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
         return grad_out * self._y * (1.0 - self._y)
@@ -174,7 +228,8 @@ class Identity(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         return grad_out
 
 

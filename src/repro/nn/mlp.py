@@ -1,14 +1,24 @@
 """Multi-layer perceptron assembled from :mod:`repro.nn.layers`.
 
 MA-Opt's actors and critic are both 2-hidden-layer, 100-unit MLPs; this
-class is the shared implementation.
+class is the shared implementation.  Each network keeps all its weights in
+one flat value buffer and all its gradients in one flat grad buffer (the
+layers' parameters are views into them), so zeroing the gradients and an
+optimizer step are each one array operation over the whole network.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Identity, Linear, Module, Parameter, make_activation
+from repro.nn.layers import (
+    Identity,
+    Linear,
+    Module,
+    Parameter,
+    make_activation,
+    pack_parameters,
+)
 
 
 class MLP(Module):
@@ -57,6 +67,7 @@ class MLP(Module):
         # Drop a trailing Identity for speed/clarity.
         if isinstance(self.layers[-1], Identity):
             self.layers.pop()
+        self._grads = pack_parameters(self.parameters())[1]
 
     @property
     def in_features(self) -> int:
@@ -72,11 +83,16 @@ class MLP(Module):
             out = layer.forward(out)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         grad = np.atleast_2d(grad_out)
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            grad = layer.backward(grad, param_grads)
         return grad
+
+    def zero_grad(self) -> None:
+        """Zero every gradient (one fill of the flat grad buffer)."""
+        self._grads.fill(0.0)
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []
@@ -110,7 +126,7 @@ class MLP(Module):
             p.value[...] = w
 
     def copy(self) -> "MLP":
-        """Structural + weight copy (fresh gradient buffers)."""
+        """Structural + weight copy into fresh value and gradient buffers."""
         clone = MLP.__new__(MLP)
         clone.sizes = list(self.sizes)
         clone.layers = []
@@ -123,4 +139,5 @@ class MLP(Module):
                 clone.layers.append(new)
             else:
                 clone.layers.append(type(layer)())
+        clone._grads = pack_parameters(clone.parameters())[1]
         return clone

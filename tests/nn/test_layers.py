@@ -12,7 +12,9 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
     make_activation,
+    pack_parameters,
 )
+from repro.nn.mlp import MLP
 
 
 class TestParameter:
@@ -29,6 +31,46 @@ class TestParameter:
 
     def test_shape_property(self):
         assert Parameter(np.zeros((5, 7))).shape == (5, 7)
+
+
+class TestPackParameters:
+    def test_loose_parameters_are_packed_in_order(self):
+        a, b = Parameter(np.ones((2, 3))), Parameter(np.arange(4.0))
+        b.grad += 2.0
+        values, grads = pack_parameters([a, b])
+        np.testing.assert_array_equal(values, np.r_[np.ones(6), np.arange(4.0)])
+        np.testing.assert_array_equal(grads, np.r_[np.zeros(6), np.full(4, 2.0)])
+        values[:] = 7.0
+        grads[:] = 1.0
+        assert a.value.shape == (2, 3) and np.all(a.value == 7.0)
+        assert np.all(b.grad == 1.0)
+
+    def test_tiled_parameters_keep_their_buffer(self, rng):
+        net = MLP([3, 4, 2], seed=0)
+        params = net.parameters()
+        weights = net.get_weights()
+        values, grads = pack_parameters(params)
+        tail, _ = pack_parameters(params[2:])
+        assert all(np.shares_memory(values, p.value) for p in params)
+        tail[:] = 0.0
+        np.testing.assert_array_equal(params[0].value, weights[0])
+        assert np.all(params[2].value == 0.0)
+        net.forward(rng.normal(size=(5, 3)))
+        net.backward(rng.normal(size=(5, 2)))
+        assert np.any(grads != 0.0)
+        net.zero_grad()
+        assert np.all(grads == 0.0)
+
+    def test_backward_without_param_grads_leaves_grads(self, rng):
+        net = MLP([3, 4, 2], seed=0)
+        x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        net.forward(x)
+        din = net.backward(g)
+        grads = [p.grad.copy() for p in net.parameters()]
+        net.forward(x)
+        np.testing.assert_array_equal(net.backward(g, param_grads=False), din)
+        for p, before in zip(net.parameters(), grads):
+            np.testing.assert_array_equal(p.grad, before)
 
 
 class TestLinear:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP
+from repro.nn import MLP, Adam
 
 
 class TestConstruction:
@@ -85,6 +85,28 @@ class TestWeights:
         for p in clone.parameters():
             p.value += 1.0
         assert not np.allclose(net.forward(x), clone.forward(x))
+        # Neither copy() nor set_weights() shares a value or grad buffer
+        # with the source: training the result leaves the source untouched.
+        net.forward(rng.normal(size=(4, 3)))
+        net.backward(rng.normal(size=(4, 2)))
+        loaded = MLP([3, 5, 2], seed=1)
+        weights = net.get_weights()
+        loaded.set_weights(weights)
+        arrays = [a for p in net.parameters() for a in (p.value, p.grad)]
+        values = [p.value.copy() for p in net.parameters()]
+        grads = [p.grad.copy() for p in net.parameters()]
+        for other in (net.copy(), loaded):
+            for p in other.parameters():
+                for a in (p.value, p.grad):
+                    assert not any(np.shares_memory(a, b)
+                                   for b in arrays + weights)
+            other.forward(rng.normal(size=(4, 3)))
+            other.zero_grad()
+            other.backward(rng.normal(size=(4, 2)))
+            Adam(other.parameters(), lr=0.1).step()
+            for p, value, grad in zip(net.parameters(), values, grads):
+                np.testing.assert_array_equal(p.value, value)
+                np.testing.assert_array_equal(p.grad, grad)
 
 
 class TestTraining:

@@ -23,12 +23,6 @@ machine-checked so they cannot silently regress:
   passes an explicit ``daemon=`` nor has a ``join()`` anywhere in the
   module: an un-owned non-daemon thread blocks interpreter exit, and an
   unjoined one leaks past its owner's lifetime.
-* ``code.socket-lifecycle`` — every socket ctor (``socket.socket`` /
-  ``create_connection`` / ``create_server``) needs a ``with`` block or a
-  ``close()`` on some alias of it in the module (one ``a = b`` hop is
-  followed, so ``self._sock = sock`` counts); missing timeouts are a
-  warning (``create_server`` is exempt — listeners block in ``accept()``
-  by design).
 
 Suppression: append ``# repro: ignore[rule-id, ...]`` (or a blanket
 ``# repro: ignore``) to the offending line.  Rule ids match by prefix,
@@ -61,19 +55,6 @@ CODE_RULES.add("code.bare-except", Severity.ERROR,
 CODE_RULES.add("code.thread-lifecycle", Severity.ERROR,
                "threading.Thread(...) with neither an explicit daemon= "
                "nor a join()/lifecycle owner in the module")
-CODE_RULES.add("code.socket-lifecycle", Severity.ERROR,
-               "socket created without a with/close() owner, or without "
-               "a timeout (warning)")
-
-#: socket constructors checked by ``code.socket-lifecycle``; the value
-#: is the timeout policy: 'kwarg' (must pass timeout= or a second
-#: positional), 'settimeout' (an alias must call .settimeout), or ''
-#: (exempt — listeners block in accept() by design).
-_SOCKET_CTORS = {
-    "socket": "settimeout",
-    "create_connection": "kwarg",
-    "create_server": "",
-}
 
 # numpy.random attributes that are fine to reference: constructors of the
 # explicit-Generator API, not samplers of the implicit global state.
@@ -143,21 +124,12 @@ class _Checker(ast.NodeVisitor):
         self._thread_targets: dict[int, str] = {}
         self._joined: set[str] = set()
         self._daemon_set: set[str] = set()
-        # Socket-lifecycle bookkeeping, same deferred shape: ctor sites,
-        # close()/settimeout() receivers, with-managed nodes/names, and
-        # one-hop 'a = b' alias edges (sock -> self._sock).
-        self._sockets: list[tuple[ast.Call, str, str]] = []
-        self._closed: set[str] = set()
-        self._timeout_set: set[str] = set()
-        self._with_managed: set[int] = set()
-        self._alias_pairs: list[tuple[str, str]] = []
 
     def _emit(self, node: ast.AST, rule: str, message: str,
-              fix: str = "", severity: Severity | None = None) -> None:
+              fix: str = "") -> None:
         lineno = getattr(node, "lineno", 0)
         self.findings.append((lineno, CODE_RULES.diag(
-            rule, message, location=f"{self.path}:{lineno}", fix=fix,
-            severity=severity)))
+            rule, message, location=f"{self.path}:{lineno}", fix=fix)))
 
     # -- imports -------------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -225,38 +197,7 @@ class _Checker(ast.NodeVisitor):
             if receiver:
                 self._joined.add(receiver)
 
-        # socket.socket / socket.create_connection / socket.create_server
-        # (or the bare names via 'from socket import ...')
-        if (parts and parts[-1] in _SOCKET_CTORS
-                and (len(parts) == 1 or parts[0] == "socket")):
-            self._sockets.append(
-                (node, self._thread_targets.get(id(node), ""), parts[-1]))
-        if isinstance(node.func, ast.Attribute):
-            receiver = _dotted(node.func.value)
-            if receiver and node.func.attr in ("close", "shutdown",
-                                               "detach"):
-                self._closed.add(receiver)
-            if receiver and node.func.attr == "settimeout":
-                self._timeout_set.add(receiver)
         self.generic_visit(node)
-
-    # -- with blocks ---------------------------------------------------------
-    def _visit_with_items(self, node) -> None:
-        for item in node.items:
-            # 'with ctor(...) as x:' owns the socket outright; 'with x:'
-            # closes an existing one on exit.
-            if isinstance(item.context_expr, ast.Call):
-                self._with_managed.add(id(item.context_expr))
-            name = _dotted(item.context_expr)
-            if name:
-                self._closed.add(name)
-        self.generic_visit(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with_items(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with_items(node)
 
     # -- assignments ---------------------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -273,25 +214,7 @@ class _Checker(ast.NodeVisitor):
                 receiver = _dotted(target.value)
                 if receiver:
                     self._daemon_set.add(receiver)
-        # 'self._sock = sock' style aliasing: a close()/settimeout() on
-        # either name owns the other (one hop, no transitive closure).
-        if isinstance(node.value, (ast.Name, ast.Attribute)):
-            value_name = _dotted(node.value)
-            if value_name:
-                for target in node.targets:
-                    target_name = _dotted(target)
-                    if target_name:
-                        self._alias_pairs.append((target_name, value_name))
         self.generic_visit(node)
-
-    def _aliases(self, name: str) -> set[str]:
-        out = {name}
-        for a, b in self._alias_pairs:
-            if a == name:
-                out.add(b)
-            elif b == name:
-                out.add(a)
-        return out
 
     def finalize(self) -> None:
         """Emit deferred findings (thread-lifecycle needs the whole
@@ -307,32 +230,6 @@ class _Checker(ast.NodeVisitor):
                        f"is never join()ed",
                        fix="pass daemon=True (and stop it explicitly) or "
                            "join() it on the owner's shutdown path")
-        for node, target, kind in self._sockets:
-            aliases = self._aliases(target) if target else set()
-            managed = id(node) in self._with_managed
-            if not managed and not (aliases & self._closed):
-                who = (f"socket {target!r}" if target
-                       else "anonymous socket")
-                self._emit(node, "code.socket-lifecycle",
-                           f"{who} ({kind}) has no with/close() owner "
-                           f"in this module — it leaks the fd on every "
-                           f"error path",
-                           fix="wrap it in 'with ...' or close() it on "
-                               "the owner's shutdown path")
-            policy = _SOCKET_CTORS[kind]
-            needs_timeout = (
-                (policy == "kwarg"
-                 and len(node.args) < 2
-                 and not any(kw.arg == "timeout" for kw in node.keywords))
-                or (policy == "settimeout"
-                    and not (aliases & self._timeout_set)))
-            if needs_timeout:
-                self._emit(node, "code.socket-lifecycle",
-                           f"{kind}(...) without a timeout blocks "
-                           f"forever on a dead peer",
-                           fix="pass timeout= (create_connection) or "
-                               "call settimeout() on the socket",
-                           severity=Severity.WARNING)
 
     # -- defs ----------------------------------------------------------------
     def _check_defaults(self, node) -> None:

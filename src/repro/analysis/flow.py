@@ -7,8 +7,8 @@ it uses:
 
 * a :class:`Scope` per function (plus one synthetic module scope) with
   its parameters, local bindings (assignment targets with their value
-  expressions, in statement order), ``global``/``nonlocal`` declarations,
-  call sites, attribute/subscript writes and mutating method calls;
+  expressions, in statement order), ``global``/``nonlocal`` declarations
+  and call sites;
 * lexical name resolution (:meth:`Scope.resolve`) walking local →
   enclosing functions → module, honouring ``global``/``nonlocal``.
 
@@ -23,15 +23,6 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass
-
-#: Method names that mutate their receiver in place (used to decide
-#: whether a captured/shared object is written, not just read).
-MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "remove", "pop", "clear", "add",
-    "discard", "update", "setdefault", "popitem", "sort", "reverse",
-    "__setitem__", "fill", "emit", "inc", "observe", "set_gauge",
-})
-
 
 def dotted_name(node: ast.expr) -> str:
     """Best-effort dotted name of a Name/Attribute chain (else '')."""
@@ -65,18 +56,8 @@ class CallSite:
     lineno: int
 
 
-@dataclass
-class Mutation:
-    """An in-place write: ``x[k] = v``, ``x.attr = v``, ``x += v``,
-    ``x.append(v)`` — recorded against the *base* name ``x``."""
-
-    base: str                # base variable name being mutated
-    via: str                 # 'subscript' | 'attribute' | 'augassign' | method
-    lineno: int
-
-
 class Scope:
-    """One function (or the module) with its bindings and uses."""
+    """One function (or the module) with its bindings and call sites."""
 
     def __init__(self, name: str, qualname: str, node: ast.AST | None,
                  parent: "Scope | None", is_module: bool = False) -> None:
@@ -93,9 +74,6 @@ class Scope:
         self.global_decls: set[str] = set()
         self.nonlocal_decls: set[str] = set()
         self.calls: list[CallSite] = []
-        self.mutations: list[Mutation] = []
-        self.reads: set[str] = set()
-        self.decorators: list[str] = []
         self.lineno = getattr(node, "lineno", 0)
 
     # -- structure -----------------------------------------------------------
@@ -154,13 +132,6 @@ class Scope:
             return self.parent.resolve(name)
         return None
 
-    def mutated_names(self) -> set[str]:
-        """Base names this scope writes in place (incl. rebinding)."""
-        out = {m.base for m in self.mutations}
-        out.update(n for n, bs in self.bindings.items()
-                   if any(b.kind == "local" for b in bs))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Scope({self.qualname!r})"
 
@@ -190,15 +161,6 @@ class _ScopeBuilder(ast.NodeVisitor):
                 self._bind_target(elt, stmt, None)
         elif isinstance(target, ast.Starred):
             self._bind_target(target.value, stmt, None)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            base = dotted_name(target.value)
-            root = base.split(".")[0] if base else ""
-            if root:
-                via = ("attribute" if isinstance(target, ast.Attribute)
-                       else "subscript")
-                self.current.mutations.append(Mutation(
-                    base=root, via=via,
-                    lineno=getattr(stmt, "lineno", 0)))
 
     def _function_scope(self, node, qual_suffix: str = "") -> Scope:
         qual = (self.current.qualname + "." if not self.current.is_module
@@ -215,9 +177,6 @@ class _ScopeBuilder(ast.NodeVisitor):
             if a is not None:
                 scope.params.append(a.arg)
                 scope.bind(a.arg, node, None, kind="param")
-        scope.decorators = [dotted_name(d) if not isinstance(d, ast.Call)
-                            else dotted_name(d.func)
-                            for d in node.decorator_list]
         return scope
 
     # -- scope-opening nodes -------------------------------------------------
@@ -268,12 +227,7 @@ class _ScopeBuilder(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.visit(node.value)
-        if isinstance(node.target, ast.Name):
-            self.current.mutations.append(Mutation(
-                base=node.target.id, via="augassign", lineno=node.lineno))
-            self.current.bind(node.target.id, node, None)
-        else:
-            self._bind_target(node.target, node, None)
+        self._bind_target(node.target, node, None)
 
     def visit_For(self, node: ast.For) -> None:
         self.visit(node.iter)
@@ -325,16 +279,7 @@ class _ScopeBuilder(ast.NodeVisitor):
         callee = dotted_name(node.func)
         self.current.calls.append(CallSite(
             callee=callee, node=node, lineno=node.lineno))
-        if callee and "." in callee:
-            base, method = callee.rsplit(".", 1)
-            if method in MUTATING_METHODS:
-                self.current.mutations.append(Mutation(
-                    base=base.split(".")[0], via=method, lineno=node.lineno))
         self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.current.reads.add(node.id)
 
 
 class ModuleModel:

@@ -41,11 +41,6 @@ MODULES = [
     "repro.obs.report",
     "repro.obs.store",
     "repro.obs.tail",
-    "repro.serve",
-    "repro.serve.jobs",
-    "repro.serve.protocol",
-    "repro.serve.server",
-    "repro.serve.client",
     "repro.bench",
     "repro.bench.registry",
     "repro.bench.runner",

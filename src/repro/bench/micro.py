@@ -362,67 +362,3 @@ def _bench_shapes(rng: np.random.Generator):
         check_shapes()
 
     return payload
-
-
-# -- job service --------------------------------------------------------------
-
-@REGISTRY.register(
-    "micro.serve.job-roundtrip", repeats=5, warmup=1,
-    description="20x submit-path document work: canonicalize + validate "
-                "(job.* and cfg.* rules) + hash a job spec, then write "
-                "its record atomically")
-def _bench_serve_job_roundtrip(rng: np.random.Generator):
-    from repro.serve.jobs import (Job, canonical_spec, spec_hash,
-                                  validate_job)
-    from repro.resilience.checkpoint import atomic_write_json
-
-    seeds = rng.integers(0, 1 << 16, size=20)
-    specs = [{"task": "sphere", "seed": int(s),
-              "overrides": {"n_elite": 8}} for s in seeds]
-    tmpdir = tempfile.mkdtemp(prefix="repro-bench-serve-")
-    path = os.path.join(tmpdir, "job-record.json")
-
-    def payload():
-        for spec in specs:
-            canonical = canonical_spec(spec)
-            if validate_job(canonical):
-                raise RuntimeError("bench spec must validate clean")
-            job = Job(job_id=f"job-000001-{spec_hash(canonical)[:8]}",
-                      spec=canonical)
-            atomic_write_json(path, job.record())
-
-    return payload
-
-
-@REGISTRY.register(
-    "micro.serve.dispatch", repeats=5, warmup=1,
-    description="drain a 512-job queue through the scheduling policy "
-                "(priority lanes, FIFO, per-tenant caps) with "
-                "select_next, tracking running counts")
-def _bench_serve_dispatch(rng: np.random.Generator):
-    from repro.serve.jobs import Job, canonical_spec, select_next
-
-    lanes = rng.choice(["high", "normal", "low"], size=512)
-    tenants = rng.choice([f"t{i}" for i in range(8)], size=512)
-    jobs = [Job(job_id=f"job-{i:06d}-deadbeef",
-                spec=canonical_spec({"task": "sphere",
-                                     "priority": str(lanes[i]),
-                                     "tenant": str(tenants[i])}))
-            for i in range(512)]
-
-    def payload():
-        queued = list(jobs)
-        running: dict[str, int] = {}
-        drained = 0
-        while queued:
-            job = select_next(queued, running, tenant_cap=2)
-            if job is None:  # caps saturated: retire the running set
-                running.clear()
-                continue
-            queued.remove(job)
-            running[job.tenant] = running.get(job.tenant, 0) + 1
-            drained += 1
-        if drained != len(jobs):
-            raise RuntimeError("dispatch bench failed to drain")
-
-    return payload

@@ -23,15 +23,6 @@ Commands
 ``tail <run>``        follow a live run's event/metric stream (poll +
                       offset resume; works on finished runs with
                       ``--once``).
-``serve``             run the optimization job service: async job
-                      queue with priority lanes and per-tenant caps on
-                      a local socket; ``--resume`` continues a killed
-                      server's unfinished jobs from checkpoints.
-``submit <task>``     submit a job to a running server (``--wait`` to
-                      block until it finishes).
-``jobs <cmd>``        query the server: ``list``, ``status``,
-                      ``result``, ``cancel``, ``tail`` (follows the
-                      job's run directory live).
 
 Tasks: ``ota``, ``tia``, ``ldo``, ``sphere`` (cheap synthetic).
 """
@@ -242,6 +233,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             res = run_method(args.method, task, args.sims, x, f,
                              seed=args.seed, maopt_overrides=overrides,
                              telemetry=telemetry)
+    except KeyboardInterrupt:
+        if recorder is not None:
+            recorder.finalize(status="interrupted")
+        raise
     except Exception as exc:
         if recorder is not None:
             recorder.mark_failed(repr(exc))
@@ -691,202 +686,6 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_set(pairs) -> dict:
-    """Parse repeated ``--set key=value`` pairs (values parsed as JSON,
-    falling back to strings)."""
-    import json as _json
-
-    overrides: dict = {}
-    for pair in pairs or ():
-        key, sep, raw = pair.partition("=")
-        if not sep or not key.strip():
-            raise SystemExit(f"repro: error: --set expects KEY=VALUE, "
-                             f"got {pair!r}")
-        try:
-            value = _json.loads(raw)
-        except ValueError:
-            value = raw
-        overrides[key.strip()] = value
-    return overrides
-
-
-def _job_line(record: dict) -> str:
-    """One-line rendering of a job record (list/status output)."""
-    spec = record.get("spec", {})
-    summary = record.get("summary", {})
-    line = (f"{record['job_id']}  [{record['state']}]  "
-            f"{spec.get('method')} on {spec.get('task')}  "
-            f"sims={spec.get('n_sims')}  tenant={spec.get('tenant')}  "
-            f"priority={spec.get('priority')}")
-    if summary.get("best_fom") is not None:
-        line += (f"  best_fom={summary['best_fom']:.6g}"
-                 f"  success={summary.get('success')}")
-    if record.get("error"):
-        line += f"  error={record['error']}"
-    return line
-
-
-def _print_serve_error(exc) -> None:
-    print(f"repro: error: {exc}", file=sys.stderr)
-    for diag in exc.diagnostics:
-        print(f"  {diag.get('severity')}: {diag.get('rule')}: "
-              f"{diag.get('message')}", file=sys.stderr)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-    import time as _time
-
-    from repro.core.config import ServeConfig
-    from repro.serve import JobManager, JobServer
-
-    config = ServeConfig(max_workers=args.workers,
-                         tenant_cap=args.tenant_cap,
-                         checkpoint_every=args.checkpoint_every)
-    manager = JobManager(args.root, config)
-    if args.resume:
-        requeued = manager.resume()
-        print(f"resumed {len(requeued)} unfinished job(s)"
-              + (": " + ", ".join(requeued) if requeued else ""))
-    manager.start()
-    server = JobServer(manager, host=args.host, port=args.port).start()
-    print(f"ma-opt serve: listening on {server.host}:{server.port}  "
-          f"(root={args.root}, workers={config.max_workers}, "
-          f"tenant_cap={config.tenant_cap})")
-    print(f"submit with: ma-opt submit <task> --root {args.root}",
-          flush=True)
-    deadline = (None if args.max_seconds is None
-                else _time.monotonic() + args.max_seconds)
-
-    def _on_sigterm(signum, frame):
-        # Same clean-shutdown path as Ctrl-C, for supervisors and CI
-        # (background shells start children with SIGINT ignored).
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    try:
-        while deadline is None or _time.monotonic() < deadline:
-            _time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.close()
-        manager.close(drain=args.drain)
-    counts = manager.counts()
-    tally = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"ma-opt serve: stopped ({tally or 'no jobs'})")
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.serve import JobClient, ServeError
-
-    spec = {
-        "task": args.task,
-        "method": args.method,
-        "fidelity": args.fidelity,
-        "n_sims": args.sims,
-        "n_init": args.init,
-        "seed": args.seed,
-        "priority": args.priority,
-        "tenant": args.tenant,
-        "timeout_s": args.timeout,
-        "overrides": _parse_set(args.set),
-    }
-    try:
-        with JobClient.connect(args.root) as client:
-            job = client.submit(spec)
-            print(_job_line(job))
-            for diag in job.get("warnings", ()):
-                print(f"  warning: {diag.get('rule')}: "
-                      f"{diag.get('message')}")
-            print(f"follow with: ma-opt jobs tail {job['job_id']} "
-                  f"--root {args.root}")
-            if not args.wait:
-                return 0
-            record = client.wait(job["job_id"])
-    except ServeError as exc:
-        _print_serve_error(exc)
-        return 2
-    print(_job_line(record))
-    return 0 if record["state"] == "finished" else 1
-
-
-def cmd_jobs_list(args: argparse.Namespace) -> int:
-    from repro.serve import JobClient, ServeError
-
-    try:
-        with JobClient.connect(args.root) as client:
-            records = client.list_jobs(tenant=args.tenant,
-                                       state=args.state)
-    except ServeError as exc:
-        _print_serve_error(exc)
-        return 2
-    for record in records:
-        print(_job_line(record))
-    if not records:
-        print("no jobs")
-    return 0
-
-
-def _cmd_jobs_simple(args: argparse.Namespace, op: str) -> int:
-    import json as _json
-
-    from repro.serve import JobClient, ServeError
-
-    try:
-        with JobClient.connect(args.root) as client:
-            record = getattr(client, op)(args.job_id)
-    except ServeError as exc:
-        _print_serve_error(exc)
-        return 2
-    if getattr(args, "json", False):
-        print(_json.dumps(record, indent=2, sort_keys=True))
-    else:
-        print(_job_line(record))
-    return 0
-
-
-def cmd_jobs_status(args: argparse.Namespace) -> int:
-    return _cmd_jobs_simple(args, "status")
-
-
-def cmd_jobs_result(args: argparse.Namespace) -> int:
-    return _cmd_jobs_simple(args, "result")
-
-
-def cmd_jobs_cancel(args: argparse.Namespace) -> int:
-    return _cmd_jobs_simple(args, "cancel")
-
-
-def cmd_jobs_tail(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.obs.tail import tail_run
-    from repro.serve import JobClient, ServeError
-
-    try:
-        with JobClient.connect(args.root) as client:
-            info = client.tail_info(args.job_id)
-            while info["run_dir"] is None and info["state"] == "queued":
-                _time.sleep(args.poll)  # queued: no attempt to tail yet
-                info = client.tail_info(args.job_id)
-    except ServeError as exc:
-        _print_serve_error(exc)
-        return 2
-    if info["run_dir"] is None:
-        print(f"repro: error: job {args.job_id} is {info['state']} and "
-              f"never started a run", file=sys.stderr)
-        return 1
-    print(f"tailing {info['run_id']} ({info['run_dir']})")
-    try:
-        tail_run(info["run_dir"], poll_s=args.poll, once=args.once)
-    except KeyboardInterrupt:
-        return 130
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MA-Opt reproduction CLI")
@@ -1125,99 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flag a stall after S seconds without new data")
     p.set_defaults(func=cmd_tail)
 
-    p = sub.add_parser(
-        "serve", help="run the optimization job service on a local socket")
-    p.add_argument("--root", default="serve", metavar="DIR",
-                   help="service state directory: job records, run "
-                        "store, checkpoints, endpoint file "
-                        "(default: serve)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent optimization jobs (default: 2)")
-    p.add_argument("--tenant-cap", type=int, default=2, metavar="N",
-                   help="max running jobs per tenant (default: 2)")
-    p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                   help="MA-family checkpoint cadence in rounds "
-                        "(default: 1)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default: 0 = OS-assigned, published "
-                        "to <root>/server.json)")
-    p.add_argument("--resume", action="store_true",
-                   help="re-queue unfinished jobs from a previous "
-                        "server on this root")
-    p.add_argument("--drain", action="store_true",
-                   help="on shutdown, wait for the queue to empty "
-                        "instead of interrupting running jobs")
-    p.add_argument("--max-seconds", type=float, default=None, metavar="S",
-                   help="exit after S seconds (smoke/CI runs; default: "
-                        "serve until interrupted)")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="submit an optimization job to a running server")
-    p.add_argument("task")
-    p.add_argument("--method", default="MA-Opt")
-    p.add_argument("--sims", type=int, default=60)
-    p.add_argument("--init", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--priority", choices=("high", "normal", "low"),
-                   default="normal")
-    p.add_argument("--tenant", default="default",
-                   help="tenant name for the per-tenant concurrency cap")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="wall-clock timeout for the job in seconds")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="MAOptConfig override (repeatable; values "
-                        "parsed as JSON)")
-    p.add_argument("--root", default="serve", metavar="DIR",
-                   help="service root holding server.json "
-                        "(default: serve)")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job finishes; exit 1 unless "
-                        "it finished cleanly")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser("jobs", help="query and control jobs on a "
-                                    "running server")
-    jsub = p.add_subparsers(dest="jobs_command", required=True)
-
-    j = jsub.add_parser("list", help="one line per job")
-    j.add_argument("--root", default="serve", metavar="DIR")
-    j.add_argument("--tenant", default=None)
-    j.add_argument("--state", default=None,
-                   choices=("queued", "running", "finished", "failed",
-                            "cancelled", "interrupted"))
-    j.set_defaults(func=cmd_jobs_list)
-
-    j = jsub.add_parser("status", help="current record of one job")
-    j.add_argument("job_id")
-    j.add_argument("--root", default="serve", metavar="DIR")
-    j.add_argument("--json", action="store_true",
-                   help="print the full job record as JSON")
-    j.set_defaults(func=cmd_jobs_status)
-
-    j = jsub.add_parser("result", help="record of a finished job "
-                                       "(errors while unfinished)")
-    j.add_argument("job_id")
-    j.add_argument("--root", default="serve", metavar="DIR")
-    j.add_argument("--json", action="store_true",
-                   help="print the full job record as JSON")
-    j.set_defaults(func=cmd_jobs_result)
-
-    j = jsub.add_parser("cancel", help="cancel a queued or running job")
-    j.add_argument("job_id")
-    j.add_argument("--root", default="serve", metavar="DIR")
-    j.add_argument("--json", action="store_true",
-                   help="print the full job record as JSON")
-    j.set_defaults(func=cmd_jobs_cancel)
-
-    j = jsub.add_parser("tail", help="follow a job's live run stream")
-    j.add_argument("job_id")
-    j.add_argument("--root", default="serve", metavar="DIR")
-    j.add_argument("--poll", type=float, default=0.5, metavar="S")
-    j.add_argument("--once", action="store_true",
-                   help="render the current state once and exit")
-    j.set_defaults(func=cmd_jobs_tail)
     return parser
 
 

@@ -72,42 +72,6 @@ class ResilienceConfig:
             raise ValueError("checkpoint_every must be >= 0")
 
 
-#: Priority lanes of the job service scheduler, highest first.  Within a
-#: lane jobs run in submission (FIFO) order.
-PRIORITY_LANES = ("high", "normal", "low")
-
-
-@dataclass
-class ServeConfig:
-    """Scheduler limits for the optimization job service (:mod:`repro.serve`).
-
-    Consumed by :class:`~repro.serve.jobs.JobManager`: ``max_workers``
-    bounds how many jobs run concurrently (each job owns its own
-    :class:`~repro.core.parallel.SimulationExecutor`, so this also bounds
-    process-pool fan-out), ``tenant_cap`` keeps one tenant from starving
-    the others, and ``checkpoint_every`` sets the per-job checkpoint
-    cadence that makes ``ma-opt serve --resume`` lossless.
-    """
-
-    max_workers: int = 2       # jobs running concurrently
-    tenant_cap: int = 2        # running jobs per tenant (<= max_workers)
-    checkpoint_every: int = 1  # rounds between job checkpoints (MA family)
-    poll_s: float = 0.05       # scheduler wake-up cadence when idle
-    drain_timeout_s: float = 30.0  # max wait for in-flight jobs on stop()
-
-    def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if self.tenant_cap < 1:
-            raise ValueError("tenant_cap must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.poll_s <= 0:
-            raise ValueError("poll_s must be positive")
-        if self.drain_timeout_s <= 0:
-            raise ValueError("drain_timeout_s must be positive")
-
-
 @dataclass
 class MAOptConfig:
     """Hyper-parameters for :class:`repro.core.ma_opt.MAOptimizer`.

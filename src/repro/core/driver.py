@@ -3,8 +3,7 @@
 :class:`Driver` owns everything a budgeted run does besides choosing
 designs: the run ID, ``run_start``/``run_end`` events and ``run`` span;
 initialization from a sampled or shared initial set; the ``t_wall`` clock
-and its resume offset; the budget loop with ``should_stop`` and the
-checkpoint cadence; evaluation records with their ``evaluation`` event
+and its resume offset; the budget loop with its checkpoint cadence; evaluation records with their ``evaluation`` event
 and ``on_evaluation`` hook; the :class:`OptimizationResult`; and the
 common checkpoint header and ``records/*`` arrays.  Every simulation goes
 through one :class:`~repro.core.parallel.SimulationExecutor`, so all
@@ -167,8 +166,7 @@ class Driver:
     def _drive(self, name: str, n_sims: int, n_init: int,
                x_init: np.ndarray | None, f_init: np.ndarray | None,
                checkpoint_path: str | None = None,
-               checkpoint_every: int = 0,
-               should_stop: Any = None) -> OptimizationResult:
+               checkpoint_every: int = 0) -> OptimizationResult:
         """Run rounds until ``n_sims`` post-init simulations are spent
         (see :meth:`repro.core.ma_opt.MAOptimizer.run`)."""
         start = time.perf_counter()
@@ -181,7 +179,6 @@ class Driver:
         self.run_log.emit("run_start", method=name, task=self.task.name,
                           n_sims=n_sims, run_id=run_id)
         self._check_budget(n_sims, n_init)
-        stop_reason: str | None = None
         with self.obs.span("run", method=name, task=self.task.name,
                            run_id=run_id):
             with self._executor:
@@ -189,14 +186,6 @@ class Driver:
                     self.initialize(n_init=n_init, x_init=x_init,
                                     f_init=f_init)
                 while len(self._records) < n_sims:
-                    if should_stop is not None:
-                        stop_reason = should_stop() or None
-                        if stop_reason:
-                            self.run_log.emit("run_stopped",
-                                              reason=stop_reason,
-                                              round=self._round,
-                                              n_sims=len(self._records))
-                            break
                     self.step(budget=n_sims - len(self._records))
                     if (checkpoint_path and checkpoint_every
                             and self._round % checkpoint_every == 0):
@@ -204,8 +193,6 @@ class Driver:
             if checkpoint_path:
                 self.save_checkpoint(checkpoint_path)
         meta = {**self._result_meta(), "run_id": run_id}
-        if stop_reason:
-            meta["stopped"] = stop_reason
         result = OptimizationResult(
             task_name=self.task.name, method=name,
             records=list(self._records),
@@ -213,18 +200,10 @@ class Driver:
             wall_time_s=time.perf_counter() - start,
             meta=meta,
         )
-        end_info = dict(method=name, n_sims=len(self._records),
-                        best_fom=result.best_fom, success=result.success,
-                        wall_time_s=result.wall_time_s, run_id=run_id)
-        if stop_reason:
-            end_info["stopped"] = stop_reason
-        self.run_log.emit("run_end", **end_info)
-        # A stopped run is not a finished run: recorders must not seal the
-        # record as "finished" when the service cancelled or interrupted it.
-        if stop_reason:
-            self._observers.emit("on_run_stopped", self, result, stop_reason)
-        else:
-            self._observers.emit("on_run_end", self, result)
+        self.run_log.emit("run_end", method=name, n_sims=len(self._records),
+                          best_fom=result.best_fom, success=result.success,
+                          wall_time_s=result.wall_time_s, run_id=run_id)
+        self._observers.emit("on_run_end", self, result)
         return result
 
     # -- checkpoint / resume -------------------------------------------------

@@ -235,8 +235,7 @@ class MAOptimizer(Driver):
             f_init: np.ndarray | None = None,
             method_name: str | None = None,
             checkpoint_path: str | None = None,
-            checkpoint_every: int | None = None,
-            should_stop: Any = None) -> OptimizationResult:
+            checkpoint_every: int | None = None) -> OptimizationResult:
         """Alg. 3: run until ``n_sims`` post-init simulations are spent.
 
         When a checkpoint path is configured (either here or on
@@ -244,16 +243,6 @@ class MAOptimizer(Driver):
         ``checkpoint_every`` rounds plus once at the end, so a killed run
         resumes bit-exactly via :meth:`restore`.  A restored optimizer
         continues toward ``n_sims`` from the records it already holds.
-
-        ``should_stop`` is the cooperative-cancellation hook used by the
-        job service (:mod:`repro.serve`): a zero-argument callable polled
-        between rounds.  When it returns a truthy reason string the run
-        stops early — a final checkpoint is still written, the ``run_end``
-        event carries ``stopped=<reason>``, and the result's
-        ``meta["stopped"]`` records why.  Observers see ``on_run_stopped``
-        instead of ``on_run_end`` so run-store recorders can seal the
-        record with the right status (cancelled/interrupted) instead of
-        "finished".
         """
         res_cfg = self.config.resilience
         ckpt_path = checkpoint_path or (
@@ -264,8 +253,7 @@ class MAOptimizer(Driver):
             ckpt_every = res_cfg.checkpoint_every if res_cfg is not None else 0
         return self._drive(method_name or self.method_name, n_sims, n_init,
                            x_init, f_init, checkpoint_path=ckpt_path,
-                           checkpoint_every=ckpt_every,
-                           should_stop=should_stop)
+                           checkpoint_every=ckpt_every)
 
     def _check_budget(self, n_sims: int, n_init: int) -> None:
         # Budget-aware config checks: logged, never raised — a deliberate

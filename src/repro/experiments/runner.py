@@ -156,6 +156,10 @@ def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
                                  seed=run_seed * 1000 + 7,
                                  maopt_overrides=maopt_overrides,
                                  telemetry=cell_telemetry)
+            except KeyboardInterrupt:
+                if recorder is not None:
+                    recorder.finalize(status="interrupted")
+                raise
             except Exception as exc:
                 if recorder is not None:
                     recorder.mark_failed(repr(exc))

@@ -31,9 +31,6 @@ class ObserverProtocol(Protocol):
 
     def on_run_end(self, optimizer: Any, result: Any) -> None: ...
 
-    def on_run_stopped(self, optimizer: Any, result: Any,
-                       reason: str) -> None: ...
-
     def on_checkpoint(self, optimizer: Any, path: Any) -> None: ...
 
     def on_heartbeat(self, source: str, info: dict) -> None: ...
@@ -54,12 +51,6 @@ class BaseObserver:
         pass
 
     def on_run_end(self, optimizer: Any, result: Any) -> None:
-        pass
-
-    def on_run_stopped(self, optimizer: Any, result: Any,
-                       reason: str) -> None:
-        # Fired instead of on_run_end when a ``should_stop`` hook ended
-        # the run early (job-service cancel/shutdown/timeout).
         pass
 
     def on_checkpoint(self, optimizer: Any, path: Any) -> None:

@@ -57,10 +57,10 @@ METRICS_STREAM = "metrics.jsonl"
 METRICS_FINAL = "metrics.json"
 TRACE = "trace.jsonl"
 
-#: Manifest statuses.  ``cancelled`` and ``interrupted`` come from the job
-#: service: a cancelled job's run was stopped on purpose; an interrupted
-#: run was checkpointed and parked by a server shutdown (``ma-opt serve
-#: --resume`` continues it in a fresh attempt directory).
+#: Manifest statuses.  ``interrupted`` seals a run stopped by Ctrl-C
+#: (``KeyboardInterrupt``) in ``ma-opt optimize``/``compare``.
+#: ``cancelled`` has no writer any more; it stays valid so run
+#: directories written by earlier builds still load.
 STATUSES = ("running", "finished", "failed", "cancelled", "interrupted")
 TERMINAL_STATUSES = ("finished", "failed", "cancelled", "interrupted")
 
@@ -229,20 +229,6 @@ class RunRecorder(BaseObserver):
 
     def on_run_end(self, optimizer: Any, result: Any) -> None:
         self.finalize(result)
-
-    #: Stop reason -> manifest status for runs ended via ``should_stop``.
-    _STOP_STATUS = {"cancelled": "cancelled", "shutdown": "interrupted",
-                    "timeout": "failed"}
-
-    def on_run_stopped(self, optimizer: Any, result: Any,
-                       reason: str) -> None:
-        """Seal a cooperatively-stopped run with the status its reason
-        implies (job-service cancel/shutdown/timeout semantics)."""
-        status = self._STOP_STATUS.get(reason, "interrupted")
-        if status == "failed":
-            self._manifest["error"] = f"stopped: {reason}"
-        self._manifest["stopped"] = reason
-        self.finalize(result, status=status)
 
     # -- completion ----------------------------------------------------------
     def finalize(self, result: Any = None, status: str = "finished") -> None:

@@ -33,9 +33,8 @@ def manifest_status(run_dir: str | pathlib.Path) -> str | None:
     """The run's manifest ``status``, or None when unreadable/absent.
 
     Lets the tail loop notice runs that ended *without* a ``run_end``
-    event — failed, cancelled, or interrupted (job-service) runs seal
-    their manifest but never emit the finish event the event-stream fold
-    waits for.
+    event — failed or interrupted (Ctrl-C) runs seal their manifest but
+    never emit the finish event the event-stream fold waits for.
     """
     path = pathlib.Path(run_dir) / MANIFEST
     try:
@@ -224,7 +223,7 @@ def tail_run(run_dir: str | pathlib.Path,
         if not fresh and state.status != "finished":
             # No run_end event and nothing new on disk: the manifest is
             # the authority on runs that ended abnormally (failed /
-            # cancelled / interrupted) — they seal their status without
+            # interrupted) — they seal their status without
             # ever emitting the finish event this fold waits for.
             sealed = manifest_status(run_dir)
             if sealed in TERMINAL_STATUSES:

@@ -32,11 +32,10 @@ def atomic_write_json(path: str | pathlib.Path, doc: dict,
                       default=None) -> pathlib.Path:
     """Write ``doc`` as deterministic JSON via tmp-file + :func:`os.replace`.
 
-    The durability primitive shared by every on-disk record in the repo
-    (run-store manifests, job-service records, server endpoint files): a
-    crash mid-write can never leave a torn document where a good one used
-    to be, and concurrent readers always see either the old or the new
-    version.  ``default`` is forwarded to :func:`json.dumps` for values
+    The durability primitive for the repo's JSON records (run-store
+    manifests): a crash mid-write can never leave a torn document where
+    a good one used to be, and concurrent readers always see either the
+    old or the new version.  ``default`` is forwarded to :func:`json.dumps` for values
     that need coercion (numpy scalars and the like).
     """
     path = pathlib.Path(path)

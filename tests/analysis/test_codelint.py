@@ -159,84 +159,6 @@ class TestSyntaxAndPaths:
         assert lint_paths([src]) == []
 
 
-class TestSocketLifecycle:
-    def test_unowned_socket_fires(self):
-        diags = lint("""
-            import socket
-
-            def fetch(host):
-                s = socket.create_connection((host, 80), timeout=5)
-                s.sendall(b"hi")
-                return s.recv(16)
-        """)
-        assert rules(diags) == {"code.socket-lifecycle"}
-        assert diags[0].severity == Severity.ERROR
-
-    def test_with_block_owns(self):
-        assert lint("""
-            import socket
-
-            def fetch(host):
-                with socket.create_connection((host, 80), timeout=5) as s:
-                    return s.recv(16)
-        """) == []
-
-    def test_close_on_alias_owns(self):
-        # The server idiom: ctor into a local, stashed on self, closed
-        # through the attribute — one alias hop must connect them.
-        assert lint("""
-            import socket
-
-            class Server:
-                def start(self):
-                    sock = socket.create_server(("127.0.0.1", 0))
-                    self._sock = sock
-
-                def close(self):
-                    self._sock.close()
-        """) == []
-
-    def test_missing_timeout_is_a_warning(self):
-        diags = lint("""
-            import socket
-
-            def fetch(host):
-                with socket.create_connection((host, 80)) as s:
-                    return s.recv(16)
-        """)
-        assert rules(diags) == {"code.socket-lifecycle"}
-        assert all(d.severity == Severity.WARNING for d in diags)
-
-    def test_settimeout_satisfies_raw_socket(self):
-        assert lint("""
-            import socket
-
-            def probe(host):
-                s = socket.socket()
-                s.settimeout(3.0)
-                s.connect((host, 80))
-                s.close()
-        """) == []
-
-    def test_create_server_is_timeout_exempt(self):
-        assert lint("""
-            import socket
-
-            def listen():
-                sock = socket.create_server(("127.0.0.1", 0))
-                sock.close()
-        """) == []
-
-    def test_suppression(self):
-        assert lint("""
-            import socket
-
-            def leak(host):
-                s = socket.create_connection((host, 80), timeout=5)  # repro: ignore[code.socket-lifecycle]
-                return s
-        """) == []
-
-
 class TestCatalog:
     def test_every_rule_has_description(self):
         for rule in CODE_RULES:

@@ -10,8 +10,6 @@ the paper's comparison tables run every method on one evaluation path.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 import numpy as np
 
 from repro.core.driver import Driver
@@ -26,7 +24,8 @@ class BaselineOptimizer(Driver):
 
     Subclasses implement :meth:`_propose` (the next design to simulate)
     and may override :meth:`_observe` to update internal state.  Each
-    simulation is a round of size one for observer purposes.
+    simulation is a round of size one, with its own ``round_start`` and
+    ``round_end`` events.
 
     Checkpoint/resume: :meth:`save_checkpoint` snapshots the driver state
     plus the FoM history, and :meth:`restore` rebuilds it, after which
@@ -41,9 +40,8 @@ class BaselineOptimizer(Driver):
     method_name = "baseline"
 
     def __init__(self, task: SizingTask, seed: int | None = None,
-                 telemetry: Telemetry | None = None,
-                 observers: Iterable[Any] = ()) -> None:
-        super().__init__(task, telemetry, observers)
+                 telemetry: Telemetry | None = None) -> None:
+        super().__init__(task, telemetry)
         self.rng = np.random.default_rng(seed)
         self._executor = SimulationExecutor(task, telemetry=self.obs)
         self.x_hist: list[np.ndarray] = []
@@ -67,17 +65,16 @@ class BaselineOptimizer(Driver):
 
     def _step(self, budget: int | None) -> list[EvaluationRecord]:
         self._start_clock()
-        self._observers.emit("on_round_start", self, self._round,
-                             self.method_name)
+        self.run_log.emit("round_start", round=self._round,
+                          kind=self.method_name)
         with self.obs.span("propose"):
             x = np.clip(self._propose(), 0.0, 1.0)
         metrics = self._executor.evaluate_batch(
             x[None], kind=self.method_name)[0]
         rec = self._record(x, metrics, kind=self.method_name, owner=None)
         self._observe(x, rec.fom, metrics)
-        self._observers.emit(
-            "on_round_end", self, self._round,
-            {"round": self._round, "kind": self.method_name, "fom": rec.fom})
+        self.run_log.emit("round_end", round=self._round,
+                          kind=self.method_name, fom=rec.fom)
         return [rec]
 
     def run(self, n_sims: int, n_init: int = 100,

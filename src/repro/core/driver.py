@@ -3,9 +3,11 @@
 :class:`Driver` owns everything a budgeted run does besides choosing
 designs: the run ID, ``run_start``/``run_end`` events and ``run`` span;
 initialization from a sampled or shared initial set; the ``t_wall`` clock
-and its resume offset; the budget loop with its checkpoint cadence; evaluation records with their ``evaluation`` event
-and ``on_evaluation`` hook; the :class:`OptimizationResult`; and the
-common checkpoint header and ``records/*`` arrays.  Every simulation goes
+and its resume offset; the budget loop with its checkpoint cadence;
+evaluation records with their ``evaluation`` event; the
+:class:`OptimizationResult`; and the common checkpoint header and
+``records/*`` arrays.  The run log (:attr:`Driver.run_log`) is the one
+channel every event of the run goes through.  Every simulation goes
 through one :class:`~repro.core.parallel.SimulationExecutor`, so all
 methods share the ERC gate, the failure policy and the telemetry.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from typing import Any, Iterable, TypeVar
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from repro.core.fom import FigureOfMerit
 from repro.core.parallel import SimulationExecutor
 from repro.core.problem import SizingTask
 from repro.core.result import EvaluationRecord, OptimizationResult
-from repro.obs import NULL_TELEMETRY, RunLogger, Telemetry
+from repro.obs import NULL_TELEMETRY, RunLogger, Telemetry, new_run_id
 
 _D = TypeVar("_D", bound="Driver")
 
@@ -44,17 +46,22 @@ class Driver:
     rng: np.random.Generator
     _executor: SimulationExecutor
 
-    def __init__(self, task: SizingTask, telemetry: Telemetry | None = None,
-                 observers: Iterable[Any] = ()) -> None:
+    def __init__(self, task: SizingTask,
+                 telemetry: Telemetry | None = None) -> None:
         self.task = task
         self.fom = FigureOfMerit(task)
-        self.obs = telemetry or NULL_TELEMETRY
-        self._observers = self.obs.observers.extended(observers)
-        # The run log always exists (in-memory); a telemetry-supplied
-        # RunLogger additionally gets JSONL/logging.  (`is None` check: an
-        # empty RunLogger is falsy via __len__.)
-        self.run_log = (self.obs.run_logger
-                        if self.obs.run_logger is not None else RunLogger())
+        obs = telemetry or NULL_TELEMETRY
+        # The run log always exists: without a telemetry-supplied logger
+        # the driver keeps one in memory, in its own bundle so that the
+        # executor's events land there too.  (`is None` check: an empty
+        # RunLogger is falsy via __len__.)
+        if obs.run_logger is None:
+            self.run_log = RunLogger()
+            obs = Telemetry(tracer=obs.tracer, metrics=obs.metrics,
+                            run_logger=self.run_log, run_id=obs.run_id)
+        else:
+            self.run_log = obs.run_logger
+        self.obs = obs
         self._round = 0
         self._records: list[EvaluationRecord] = []
         self._init_best_fom = np.inf
@@ -97,10 +104,9 @@ class Driver:
 
     @classmethod
     def _from_header(cls: type[_D], header: dict, task: SizingTask,
-                     telemetry: Telemetry | None,
-                     observers: Iterable[Any], **kwargs: Any) -> _D:
+                     telemetry: Telemetry | None, **kwargs: Any) -> _D:
         """A fresh instance configured as the checkpointed one was."""
-        return cls(task, telemetry=telemetry, observers=observers, **kwargs)
+        return cls(task, telemetry=telemetry, **kwargs)
 
     # -- initialization ------------------------------------------------------
     def initialize(self, n_init: int = 100,
@@ -152,7 +158,6 @@ class Driver:
         self.run_log.emit("evaluation", index=rec.index, kind=kind,
                           owner=owner, fom=g, feasible=bool(rec.feasible),
                           t_wall=rec.t_wall)
-        self._observers.emit("on_evaluation", self, rec)
         return rec
 
     def step(self, budget: int | None = None) -> list[EvaluationRecord]:
@@ -170,12 +175,7 @@ class Driver:
         """Run rounds until ``n_sims`` post-init simulations are spent
         (see :meth:`repro.core.ma_opt.MAOptimizer.run`)."""
         start = time.perf_counter()
-        run_id = self.obs.run_id
-        if run_id is None:
-            from repro.obs.store import new_run_id
-            run_id = new_run_id()
-            if self.obs is not NULL_TELEMETRY:  # the shared default is
-                self.obs.run_id = run_id        # immutable by contract
+        run_id = self.obs.run_id or new_run_id()
         self.run_log.emit("run_start", method=name, task=self.task.name,
                           n_sims=n_sims, run_id=run_id)
         self._check_budget(n_sims, n_init)
@@ -203,7 +203,6 @@ class Driver:
         self.run_log.emit("run_end", method=name, n_sims=len(self._records),
                           best_fom=result.best_fom, success=result.success,
                           wall_time_s=result.wall_time_s, run_id=run_id)
-        self._observers.emit("on_run_end", self, result)
         return result
 
     # -- checkpoint / resume -------------------------------------------------
@@ -243,18 +242,16 @@ class Driver:
         self.run_log.emit("checkpoint_saved", path=str(final),
                           round=self._round, n_records=len(recs))
         self.obs.inc("checkpoints_total")
-        self._observers.emit("on_checkpoint", self, final)
         return final
 
     @classmethod
     def restore(cls: type[_D], path: str | pathlib.Path, task: SizingTask,
                 telemetry: Telemetry | None = None,
-                observers: Iterable[Any] = (),
                 **kwargs: Any) -> _D:
         """Rebuild an optimizer from a :meth:`save_checkpoint` snapshot.
 
         ``task`` must be the one the checkpoint was taken on; telemetry
-        and observers are wired fresh.  ``kwargs`` go to the constructor
+        is wired fresh.  ``kwargs`` go to the constructor
         (baseline hyper-parameters are not checkpointed).  Continuing with
         ``run`` replays the records an uninterrupted run would produce.
         """
@@ -271,7 +268,7 @@ class Driver:
                 f"checkpoint was taken on task {header['task']!r} "
                 f"(d={header['d']}, m={header['m']}); got {task.name!r} "
                 f"(d={task.d}, m={task.m})")
-        opt = cls._from_header(header, task, telemetry, observers, **kwargs)
+        opt = cls._from_header(header, task, telemetry, **kwargs)
         if opt.method_name != header["method"]:
             raise ValueError(
                 f"checkpoint is for method {header['method']!r}, "

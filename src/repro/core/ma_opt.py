@@ -26,7 +26,7 @@ list is now a read-only view over the ``round_end`` events.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -49,9 +49,8 @@ class MAOptimizer(Driver):
     checkpoint_kind = "maopt"
 
     def __init__(self, task: SizingTask, config: MAOptConfig | None = None,
-                 telemetry: Telemetry | None = None,
-                 observers: Iterable[Any] = ()) -> None:
-        super().__init__(task, telemetry, observers)
+                 telemetry: Telemetry | None = None) -> None:
+        super().__init__(task, telemetry)
         self.config = config or MAOptConfig()
         # Config cross-validation (repro.analysis.configlint): errors that
         # are knowable without the simulation budget raise here, before any
@@ -141,7 +140,6 @@ class MAOptimizer(Driver):
         n_propose = cfg.n_actors if budget is None else min(cfg.n_actors, budget)
         self.run_log.emit("round_start", round=self._round, kind="actor",
                           n_propose=n_propose)
-        self._observers.emit("on_round_start", self, self._round, "actor")
         with self.obs.span("round", index=self._round, kind="actor"):
             critic_steps = cfg.critic_steps * (
                 n_propose if cfg.scale_training_with_actors else 1)
@@ -188,7 +186,6 @@ class MAOptimizer(Driver):
         self.obs.set_gauge("elite_box_width", info["elite_box_width"])
         self.obs.set_gauge("best_fom", info["best_fom"])
         self.run_log.emit("round_end", **info)
-        self._observers.emit("on_round_end", self, self._round, info)
         return records
 
     def near_sampling_round(self) -> EvaluationRecord:
@@ -196,7 +193,6 @@ class MAOptimizer(Driver):
         incumbent best design."""
         self._start_clock()
         self.run_log.emit("round_start", round=self._round, kind="ns")
-        self._observers.emit("on_round_start", self, self._round, "ns")
         with self.obs.span("round", index=self._round, kind="ns"):
             x_opt, _ = self.global_elite.best()
             candidate = near_sampling_proposal(
@@ -215,7 +211,6 @@ class MAOptimizer(Driver):
         }
         self.obs.set_gauge("best_fom", info["best_fom"])
         self.run_log.emit("round_end", **info)
-        self._observers.emit("on_round_end", self, self._round, info)
         return record
 
     def _step(self, budget: int | None) -> list[EvaluationRecord]:
@@ -299,11 +294,10 @@ class MAOptimizer(Driver):
 
     @classmethod
     def _from_header(cls, header: dict, task: SizingTask,
-                     telemetry: Telemetry | None,
-                     observers: Iterable[Any], **kwargs: Any
+                     telemetry: Telemetry | None, **kwargs: Any
                      ) -> "MAOptimizer":
         return cls(task, MAOptConfig.from_dict(header["config"]),
-                   telemetry=telemetry, observers=observers, **kwargs)
+                   telemetry=telemetry, **kwargs)
 
     def _load_state(self, header: dict, arrays: dict[str, np.ndarray]
                     ) -> None:

@@ -118,11 +118,11 @@ def _evaluate_one(u: np.ndarray, start_attempt: int = 0) -> SimOutcome:
 class _Heartbeat:
     """Daemon thread beating while a pooled batch is in flight.
 
-    Each beat refreshes the ``pool_workers_busy`` gauge, emits a
+    Each beat refreshes the ``pool_workers_busy`` gauge and emits a
     ``heartbeat`` run event (elapsed seconds, batch size, worker count,
-    beat number) and fires the ``on_heartbeat`` observer hook — so a tail
-    client watching the event stream can tell a slow batch from a wedged
-    pool even though the dispatching thread is blocked in the pool call.
+    beat number), so a tail client watching the event stream can tell a
+    slow batch from a wedged pool even though the dispatching thread is
+    blocked in the pool call.
     """
 
     def __init__(self, obs: Telemetry, interval_s: float,
@@ -132,13 +132,8 @@ class _Heartbeat:
         self.n = n
         self.n_workers = n_workers
         self._stop = threading.Event()
-        # Under the job service many optimizations beat concurrently in
-        # one process; the run id in the thread name keeps `py-spy`/faulthandler
-        # dumps attributable to a job.
-        name = ("sim-heartbeat" if obs.run_id is None
-                else f"sim-heartbeat-{obs.run_id}")
         self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True)
+            target=self._run, name="sim-heartbeat", daemon=True)
         self._t0 = time.perf_counter()
         self._thread.start()
 
@@ -147,13 +142,12 @@ class _Heartbeat:
         while not self._stop.wait(self.interval_s):
             beats += 1
             elapsed = time.perf_counter() - self._t0
-            info = {"elapsed_s": round(elapsed, 3), "n": self.n,
-                    "workers": self.n_workers, "beats": beats}
             self.obs.set_gauge("pool_workers_busy",
                                min(self.n_workers, self.n))
             if self.obs.run_logger is not None:
-                self.obs.run_logger.emit("heartbeat", **info)
-            self.obs.observers.emit("on_heartbeat", "pool", info)
+                self.obs.run_logger.emit(
+                    "heartbeat", elapsed_s=round(elapsed, 3), n=self.n,
+                    workers=self.n_workers, beats=beats)
 
     def stop(self) -> None:
         self._stop.set()

@@ -1,13 +1,11 @@
 """``repro.obs`` — dependency-free telemetry for the optimizer stack.
 
-Four channels, bundled by :class:`Telemetry`:
+Three channels, bundled by :class:`Telemetry`:
 
 * **tracing** (:mod:`repro.obs.trace`): nested timed spans + JSONL export;
 * **metrics** (:mod:`repro.obs.metrics`): counters/gauges/histograms;
 * **run events** (:mod:`repro.obs.events`): one structured JSONL event per
-  evaluation/round, with stdlib-``logging`` mirroring;
-* **hooks** (:mod:`repro.obs.hooks`): observer callbacks fired by the
-  optimizers.
+  evaluation/round, with stdlib-``logging`` mirroring.
 
 :mod:`repro.obs.report` turns a trace into a per-phase wall-time
 breakdown table; :mod:`repro.obs.store` gives every run a durable on-disk
@@ -17,7 +15,6 @@ for the full reference.
 """
 
 from repro.obs.events import RunEvent, RunLogger, configure_logging
-from repro.obs.hooks import BaseObserver, ObserverList, ObserverProtocol
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
@@ -30,12 +27,9 @@ from repro.obs.store import RunRecord, RunRecorder, RunStore, new_run_id
 from repro.obs.trace import NOOP_SPAN, Span, Tracer
 
 __all__ = [
-    "BaseObserver",
     "MetricsRegistry",
     "NOOP_SPAN",
     "NULL_TELEMETRY",
-    "ObserverList",
-    "ObserverProtocol",
     "RunEvent",
     "RunLogger",
     "RunRecord",

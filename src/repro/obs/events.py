@@ -9,16 +9,21 @@ Event vocabulary emitted by the optimizers:
 =================== ====================================================
 kind                 payload
 =================== ====================================================
-run_start            method, task, n_sims
+run_start            method, task, n_sims, run_id
 evaluation           kind (init/actor/ns/...), fom, feasible, owner,
                      index, t_wall
 round_start          round, kind
 round_end            round, kind, plus per-round diagnostics
                      (critic_loss, ...)
-run_end              method, n_sims, best_fom, wall_time_s, success
+run_end              method, n_sims, best_fom, wall_time_s, success,
+                     run_id
 sim_failed           kind, design_index, retries, reason
                      (exception/nonfinite/timeout), error — a design was
                      quarantined by the failure policy
+lint_rejected        kind, design_index, rules, first — the ERC gate
+                     rejected a design before simulation
+config_warning       rule, message, fix (severity when budget-aware) — a
+                     config cross-validation warning
 checkpoint_saved     path, round or n_records — an optimizer snapshot
                      was written atomically
 checkpoint_restored  path, round or n_records — an optimizer was rebuilt

@@ -24,7 +24,7 @@ Usage::
     store = RunStore("runs")
     rec = store.create_run(method="ma-opt", task="ota-two-stage")
     MAOptimizer(task, config, telemetry=rec.telemetry).run(n_sims=200)
-    # rec finalizes itself via the on_run_end observer hook
+    # rec finalizes itself when the run_end event is written
 
     for record in store.list_runs():
         print(record.run_id, record.manifest["status"])
@@ -38,10 +38,9 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Iterable
+from typing import Any
 
-from repro.obs.events import RunLogger
-from repro.obs.hooks import BaseObserver
+from repro.obs.events import RunEvent, RunLogger
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer, _json_default
@@ -164,13 +163,33 @@ class RunRecord:
         }
 
 
-class RunRecorder(BaseObserver):
+class _RecorderLogger(RunLogger):
+    """The recorder's event stream: records each event, then reacts to it.
+
+    Round ends and heartbeats append a metric snapshot; ``run_end``
+    finalizes the record from the event's payload.
+    """
+
+    def __init__(self, recorder: "RunRecorder", path: str) -> None:
+        super().__init__(path=path)
+        self._recorder = recorder
+
+    def emit(self, kind: str, /, **payload: Any) -> RunEvent:
+        event = super().emit(kind, **payload)
+        if kind in ("round_end", "heartbeat"):
+            self._recorder.snapshot_metrics()
+        elif kind == "run_end":
+            self._recorder.finalize(payload)
+        return event
+
+
+class RunRecorder:
     """Writes one run's record while it happens.
 
     Exposes a ready-made :attr:`telemetry` bundle (tracer + metrics +
-    events streamed into the run directory, with itself attached as an
-    observer).  Rounds and heartbeats append metric snapshots; the
-    ``on_run_end`` hook finalizes the record, so the normal optimizer
+    events streamed into the run directory).  The recorder follows its
+    own event stream: rounds and heartbeats append metric snapshots and
+    the ``run_end`` event finalizes the record, so the normal optimizer
     lifecycle needs no explicit calls.  A run abandoned mid-flight keeps
     ``status="running"`` — visibly stale rather than silently absent.
     """
@@ -187,10 +206,7 @@ class RunRecorder(BaseObserver):
         tracer = base.tracer if base is not None and base.tracer else Tracer()
         metrics = (base.metrics if base is not None and base.metrics
                    else MetricsRegistry())
-        run_logger = RunLogger(path=str(self.path / EVENTS))
-        observers: list[Any] = [self]
-        if base is not None:
-            observers.extend(base.observers)
+        run_logger = _RecorderLogger(self, str(self.path / EVENTS))
         # The recorder keeps non-optional handles to its own channels:
         # the bundle's attributes are typed optional, but the record on
         # disk is always written from the real objects built here.
@@ -198,8 +214,7 @@ class RunRecorder(BaseObserver):
         self._metrics = metrics
         self._run_logger = run_logger
         self.telemetry = Telemetry(tracer=tracer, metrics=metrics,
-                                   run_logger=run_logger,
-                                   observers=observers, run_id=run_id)
+                                   run_logger=run_logger, run_id=run_id)
         self._manifest: dict = {
             "schema": SCHEMA_NAME,
             "schema_version": SCHEMA_VERSION,
@@ -220,19 +235,14 @@ class RunRecorder(BaseObserver):
         with open(self.path / METRICS_STREAM, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(snap, default=_json_default) + "\n")
 
-    def on_round_end(self, optimizer: Any, round_index: int,
-                     info: dict) -> None:
-        self.snapshot_metrics()
-
-    def on_heartbeat(self, source: str, info: dict) -> None:
-        self.snapshot_metrics()
-
-    def on_run_end(self, optimizer: Any, result: Any) -> None:
-        self.finalize(result)
-
     # -- completion ----------------------------------------------------------
-    def finalize(self, result: Any = None, status: str = "finished") -> None:
-        """Export trace + final metrics and seal the manifest (idempotent)."""
+    def finalize(self, summary: dict | None = None,
+                 status: str = "finished") -> None:
+        """Export trace + final metrics and seal the manifest (idempotent).
+
+        ``summary`` is a ``run_end`` event payload; its ``n_sims``,
+        ``best_fom``, ``success`` and ``wall_time_s`` go into the manifest.
+        """
         if self._finalized:
             return
         self._finalized = True
@@ -242,11 +252,11 @@ class RunRecorder(BaseObserver):
         self._manifest["status"] = status
         self._manifest["n_spans"] = n_spans
         self._manifest["n_events"] = len(self._run_logger)
-        if result is not None:
-            self._manifest["n_sims"] = len(getattr(result, "records", ()))
-            self._manifest["best_fom"] = float(result.best_fom)
-            self._manifest["success"] = bool(result.success)
-            self._manifest["wall_time_s"] = float(result.wall_time_s)
+        if summary is not None:
+            self._manifest["n_sims"] = int(summary["n_sims"])
+            self._manifest["best_fom"] = float(summary["best_fom"])
+            self._manifest["success"] = bool(summary["success"])
+            self._manifest["wall_time_s"] = float(summary["wall_time_s"])
         _write_json_atomic(self.path / MANIFEST, self._manifest)
 
     def mark_failed(self, error: str) -> None:
@@ -272,8 +282,7 @@ class RunStore:
         """Allocate a run ID + directory and return its live recorder.
 
         ``base`` donates already-built telemetry channels (tracer/metrics
-        from CLI flags, extra observers); events always stream into the
-        run directory.
+        from CLI flags); events always stream into the run directory.
         """
         run_id = run_id or new_run_id()
         return RunRecorder(self.root / run_id, run_id,

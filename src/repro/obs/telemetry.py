@@ -1,8 +1,8 @@
 """The :class:`Telemetry` bundle threaded through the optimizer stack.
 
-One object groups the four observability channels — tracer, metrics
-registry, run-event logger, observers — so instrumented code takes a
-single optional ``telemetry`` argument.  Every channel is optional;
+One object groups the three observability channels — tracer, metrics
+registry, run-event logger — so instrumented code takes a single
+optional ``telemetry`` argument.  Every channel is optional;
 :data:`NULL_TELEMETRY` (all channels off) is the shared default, and its
 helpers reduce to one ``None`` check per call site, so uninstrumented
 runs pay effectively nothing.
@@ -23,32 +23,29 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.events import RunLogger
-from repro.obs.hooks import ObserverList
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, Span, Tracer
 
 
 class Telemetry:
-    """Optional tracer + metrics + run logger + observers, as one handle.
+    """Optional tracer + metrics + run logger, as one handle.
 
     ``run_id`` identifies the run this bundle records (set by the run
-    store's recorder; optimizers fall back to generating their own).
+    store's recorder; otherwise each optimizer run generates its own).
     """
 
-    __slots__ = ("tracer", "metrics", "run_logger", "observers", "run_id")
+    __slots__ = ("tracer", "metrics", "run_logger", "run_id")
 
     def __init__(self, tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  run_logger: RunLogger | None = None,
-                 observers: Iterable[Any] = (),
                  run_id: str | None = None) -> None:
         self.tracer = tracer
         self.metrics = metrics
         self.run_logger = run_logger
-        self.observers = ObserverList(observers)
         self.run_id = run_id
 
     # -- tracing -------------------------------------------------------------
@@ -70,12 +67,6 @@ class Telemetry:
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         if self.metrics is not None:
             self.metrics.set_gauge(name, value, **labels)
-
-    @property
-    def enabled(self) -> bool:
-        """True when any channel is attached."""
-        return (self.tracer is not None or self.metrics is not None
-                or self.run_logger is not None or bool(self.observers))
 
     @property
     def wants_worker_capture(self) -> bool:

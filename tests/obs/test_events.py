@@ -1,13 +1,30 @@
 """Unit + integration tests for the run-event stream."""
 
+import ast
+import io
 import json
 import logging
+import pathlib
 import threading
 
-from repro.core.config import MAOptConfig
+import numpy as np
+
+import repro
+from repro.baselines import RandomSearch
+from repro.core.config import MAOptConfig, ResilienceConfig
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
-from repro.obs import RunLogger, Telemetry, configure_logging
+from repro.obs import (
+    MetricsRegistry,
+    RunLogger,
+    RunStore,
+    Telemetry,
+    Tracer,
+    configure_logging,
+)
+from repro.obs import events as events_module
+from repro.obs.tail import tail_run
+from repro.resilience.faults import FaultyTask
 
 FAST = dict(critic_steps=10, actor_steps=5, batch_size=8, n_elite=5,
             hidden=(8, 8))
@@ -129,6 +146,31 @@ class TestOptimizerEvents:
         assert opt.diagnostics == [dict(e.payload)
                                    for e in log.events("round_end")]
 
+    def test_default_run_log_carries_rounds_and_result(self):
+        # No telemetry: the driver's own run log is the event channel.
+        opt = MAOptimizer(ConstrainedSphere(d=4, seed=0),
+                          MAOptConfig(seed=0, **FAST))
+        result = opt.run(n_sims=6, n_init=8)
+        log = opt.run_log
+        evals = log.events("evaluation")
+        assert sum(e.payload["kind"] != "init" for e in evals) == 6
+        assert len(log.events("round_start")) == len(log.events("round_end"))
+        assert len(log.events("round_start")) >= 1
+        (end,) = log.events("run_end")
+        assert end.payload["n_sims"] == result.n_sims
+        assert end.payload["best_fom"] == result.best_fom
+        assert end.payload["success"] == result.success
+        assert end.payload["run_id"] == result.meta["run_id"]
+
+    def test_first_round_end_payload_is_first_diagnostic(self):
+        opt = MAOptimizer(ConstrainedSphere(d=4, seed=0),
+                          MAOptConfig(seed=0, **FAST))
+        opt.initialize(n_init=8)
+        opt.step()
+        (end,) = opt.run_log.events("round_end")
+        assert end.payload["round"] == 1
+        assert dict(end.payload) == opt.diagnostics[0]
+
     def test_events_jsonl_from_full_run(self, tmp_path):
         path = tmp_path / "run_events.jsonl"
         task = ConstrainedSphere(d=4, seed=0)
@@ -139,3 +181,97 @@ class TestOptimizerEvents:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         n_evals = sum(r["event"] == "evaluation" for r in rows)
         assert n_evals >= res.n_sims  # >= 1 JSONL event per simulation
+
+
+class TestBaselineEvents:
+    def test_one_round_per_simulation(self):
+        opt = RandomSearch(ConstrainedSphere(d=4, seed=0), seed=0)
+        opt.run(n_sims=5, n_init=6)
+        log = opt.run_log
+        assert RandomSearch.method_name == "Random"
+        for kind in ("round_start", "round_end"):
+            rounds = log.events(kind)
+            assert len(rounds) == 5
+            assert [e.payload["round"] for e in rounds] == [1, 2, 3, 4, 5]
+            assert all(e.payload["kind"] == "Random" for e in rounds)
+        ends = log.events("round_end")
+        evals = [e for e in log.events("evaluation")
+                 if e.payload["kind"] == "Random"]
+        assert [e.payload["fom"] for e in ends] == \
+            [e.payload["fom"] for e in evals]
+        assert log.events("run_end")
+
+    def test_stored_run_tails_its_rounds(self, tmp_path):
+        task = ConstrainedSphere(d=4, seed=0)
+        rec = RunStore(tmp_path).create_run(method="Random", task=task.name)
+        RandomSearch(task, seed=0, telemetry=rec.telemetry).run(
+            n_sims=5, n_init=6)
+        state = tail_run(rec.path, once=True, out=io.StringIO())
+        assert state.status == "finished"
+        assert state.rounds == 5
+        # one metric snapshot per round end
+        assert len(rec.record().metric_snapshots()) == 5
+
+
+class TestExecutorEventsReachRunLog:
+    def _run(self, telemetry):
+        inner = ConstrainedSphere(d=4, seed=0)
+        task = FaultyTask(inner, error_rate=0.1, nan_rate=0.1, seed=5)
+        cfg = MAOptConfig(seed=0, resilience=ResilienceConfig(max_retries=2),
+                          **FAST)
+        opt = MAOptimizer(task, cfg, telemetry=telemetry)
+        x_init = inner.space.sample(np.random.default_rng(123), 10)
+        opt.run(n_sims=15, x_init=x_init)
+        return opt
+
+    def test_sim_failed_without_a_telemetry_logger(self):
+        reg = MetricsRegistry()
+        metered = self._run(Telemetry(metrics=reg))
+        n_failed = sum(value for key, value
+                       in reg.snapshot()["counters"].items()
+                       if key.startswith("sim_failures_total"))
+        assert n_failed > 0
+        assert len(metered.run_log.events("sim_failed")) == n_failed
+        # default telemetry: the same seeded run, no bundle at all
+        assert len(self._run(None).run_log.events("sim_failed")) == n_failed
+
+
+class TestRunIds:
+    def test_shared_bundle_runs_get_distinct_ids(self):
+        tracer = Tracer()
+        shared = Telemetry(tracer=tracer)
+        ids = [RandomSearch(ConstrainedSphere(d=4, seed=0), seed=s,
+                            telemetry=shared).run(n_sims=2, n_init=3)
+               .meta["run_id"] for s in range(2)]
+        assert len(set(ids)) == 2
+        assert [span.attrs["run_id"] for span in tracer.find("run")] == ids
+        assert shared.run_id is None  # the caller's bundle is not written
+
+
+def _documented_kinds() -> set[str]:
+    """Event kinds in the first column of the events module's table."""
+    lines = events_module.__doc__.splitlines()
+    rules = [i for i, ln in enumerate(lines) if ln.startswith("====")]
+    rows = lines[rules[1] + 1:rules[2]]
+    return {ln.split()[0] for ln in rows if ln[:1].strip()}
+
+
+def _emitted_kinds() -> set[str]:
+    """String literals passed first to any ``.emit(`` call in the package."""
+    kinds = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                kinds.add(node.args[0].value)
+    return kinds
+
+
+class TestEventVocabulary:
+    def test_every_emitted_kind_is_documented(self):
+        emitted = _emitted_kinds()
+        assert {"run_start", "evaluation", "sim_failed"} <= emitted
+        assert emitted - _documented_kinds() == set()

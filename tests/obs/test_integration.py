@@ -37,7 +37,6 @@ class TestTelemetryDefaults:
         opt = MAOptimizer(task, MAOptConfig(seed=0, **FAST))
         assert opt.obs.tracer is None
         assert opt.obs.metrics is None
-        assert not opt.obs.enabled
         res = opt.run(n_sims=4, n_init=6)
         # events still collected internally (diagnostics view needs them)
         assert len(opt.diagnostics) >= 1

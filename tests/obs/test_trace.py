@@ -141,12 +141,10 @@ class TestNoopPath:
     def test_null_telemetry_span_is_noop(self):
         tel = Telemetry()
         assert tel.span("anything", k=1) is NOOP_SPAN
-        assert not tel.enabled
 
     def test_telemetry_with_tracer_records(self):
         tracer = Tracer()
         tel = Telemetry(tracer=tracer)
-        assert tel.enabled
         with tel.span("x"):
             pass
         assert tracer.find("x")

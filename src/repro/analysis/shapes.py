@@ -489,7 +489,7 @@ CONTRACT_FILES = {
     "experiments": "experiments/config.py",
 }
 #: Construction-site sweep: modules that build critics/actors.
-CONSTRUCTION_GLOBS = ("core/*.py", "bench/*.py", "baselines/*.py")
+CONSTRUCTION_GLOBS = ("core/*.py", "baselines/*.py")
 
 
 def check_shapes(src_root: str | pathlib.Path | None = None

@@ -41,11 +41,6 @@ MODULES = [
     "repro.obs.report",
     "repro.obs.store",
     "repro.obs.tail",
-    "repro.bench",
-    "repro.bench.registry",
-    "repro.bench.runner",
-    "repro.bench.compare",
-    "repro.bench.trajectory",
     "repro.resilience",
     "repro.resilience.policy",
     "repro.resilience.faults",

@@ -14,9 +14,6 @@ Commands
                       AST lint (``--flow`` adds RNG provenance),
                       ``--shapes`` paper dimension contracts (``--all``
                       for both).  Exit 1 on error-severity findings.
-``bench <cmd>``       performance benchmarking: ``run`` the micro/macro
-                      suites, ``compare`` two result files (exit 1 on
-                      regression), ``list`` the registry.
 ``runs <cmd>``        query the durable run store (``--store`` on
                       optimize/compare): ``list``, ``show``, ``diff``,
                       ``export`` (json/prom/sarif).
@@ -264,7 +261,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments import comparison_table, fom_curves, run_comparison
     from repro.experiments.figures import render_ascii
 
-    task = _make_task(args.task, args.fidelity)
+    task = _make_task(args.task, args.fidelity, args.corner)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     telemetry = _build_telemetry(args)
     run_store = None
@@ -298,21 +295,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_netlist(args: argparse.Namespace) -> int:
-    task = _make_task(args.task, args.fidelity)
-    builders = {}
-    try:
-        from repro.circuits.ldo import build_ldo
-        from repro.circuits.ota import build_ota
-        from repro.circuits.tia import build_tia
-
-        builders = {"ota": build_ota, "tia": build_tia, "ldo": build_ldo}
-    except ImportError:  # pragma: no cover
-        pass
-    if args.task not in builders:
+    task = _make_task(args.task, args.fidelity, args.corner)
+    build_netlist = getattr(task, "build_netlist", None)
+    if build_netlist is None:
         raise SystemExit(f"no netlist builder for task {args.task!r}")
-    u = np.full(task.d, args.point)
-    params = task.space.denormalize(u)
-    print(builders[args.task](params).netlist_text())
+    params = task.space.denormalize(np.full(task.d, args.point))
+    print(build_netlist(params).netlist_text())
     return 0
 
 
@@ -588,104 +576,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return exit_code(everything)
 
 
-def _parse_threshold(value: str) -> float:
-    """Percent -> fraction, rejecting negatives (for --threshold)."""
-    try:
-        pct = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if pct < 0:
-        raise argparse.ArgumentTypeError("threshold must be >= 0")
-    return pct / 100.0
-
-
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.bench import (append_entry, builtin_registry, render_result,
-                             run_benchmarks, save_result)
-
-    telemetry = _build_telemetry(args)
-    try:
-        doc = run_benchmarks(
-            builtin_registry(), filters=args.filter, seed=args.seed,
-            repeats=args.repeats, warmup=args.warmup, telemetry=telemetry,
-            profile=args.profile, profile_top=args.profile_top,
-            progress=None if args.format == "json" else print)
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    _finish_telemetry(args, telemetry)
-    if args.out:
-        save_result(doc, args.out)
-        if args.format != "json":
-            print(f"wrote {args.out}")
-    if args.trajectory:
-        append_entry(args.trajectory, doc)
-        if args.format != "json":
-            print(f"appended to {args.trajectory}")
-    if args.format == "json":
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_result(doc))
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.bench import (DEFAULT_THRESHOLD, compare_results, exit_code,
-                             load_result, render_rows)
-
-    per_bench: dict[str, float] = {}
-    for spec in args.threshold_for:
-        name, sep, pct = spec.partition("=")
-        if not sep or not name:
-            print(f"repro: error: --threshold-for wants NAME=PERCENT, "
-                  f"got {spec!r}", file=sys.stderr)
-            return 2
-        try:
-            per_bench[name] = _parse_threshold(pct)
-        except argparse.ArgumentTypeError as exc:
-            print(f"repro: error: --threshold-for {name}: {exc}",
-                  file=sys.stderr)
-            return 2
-    try:
-        baseline = load_result(args.baseline)
-        current = load_result(args.current)
-    except (OSError, ValueError) as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    threshold = (DEFAULT_THRESHOLD if args.threshold is None
-                 else args.threshold)
-    rows = compare_results(baseline, current, threshold=threshold,
-                           per_bench=per_bench)
-    if args.format == "json":
-        for row in rows:
-            print(_json.dumps(row, sort_keys=True))
-    else:
-        print(render_rows(rows))
-    return exit_code(rows, warn_only=args.warn_only)
-
-
-def cmd_bench_list(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.bench import builtin_registry
-
-    benches = builtin_registry().select(args.filter)
-    if args.format == "json":
-        for b in benches:
-            print(_json.dumps({"name": b.name, "tier": b.tier,
-                               "repeats": b.repeats, "warmup": b.warmup,
-                               "description": b.description},
-                              sort_keys=True))
-    else:
-        for b in benches:
-            print(f"{b.name:<28} [{b.tier}] {b.description}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MA-Opt reproduction CLI")
@@ -814,64 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PREFIX",
                    help="drop rules matching this id prefix (repeatable)")
     p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "bench", help="performance benchmarks: run/compare/list")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bsub.add_parser("run", help="run benchmarks and write a result file")
-    b.add_argument("--filter", action="append", default=[],
-                   metavar="PREFIX",
-                   help="keep benchmarks matching this dotted-name prefix "
-                        "(repeatable, e.g. 'micro' or 'micro.mna')")
-    b.add_argument("--repeats", type=int, default=None,
-                   help="override each benchmark's timed repeat count")
-    b.add_argument("--warmup", type=int, default=None,
-                   help="override each benchmark's warmup call count")
-    b.add_argument("--seed", type=int, default=0,
-                   help="base seed for benchmark input generation")
-    b.add_argument("--out", metavar="PATH",
-                   default="benchmarks/results/perf/latest.json",
-                   help="result file to write (empty string to skip)")
-    b.add_argument("--trajectory", metavar="PATH",
-                   default="BENCH_core.json",
-                   help="trajectory file to append a condensed entry to")
-    b.add_argument("--no-trajectory", dest="trajectory",
-                   action="store_const", const=None,
-                   help="do not append to the trajectory file")
-    b.add_argument("--profile", action="store_true",
-                   help="collect cProfile hotspots per benchmark "
-                        "(separate pass; timings stay unprofiled)")
-    b.add_argument("--profile-top", type=int, default=10,
-                   help="hotspot rows to keep with --profile")
-    b.add_argument("--format", choices=("text", "json"), default="text",
-                   help="text tables or the raw result document as JSON")
-    _add_obs_flags(b)
-    b.set_defaults(func=cmd_bench_run)
-
-    b = bsub.add_parser(
-        "compare", help="diff two result files; exit 1 on regression")
-    b.add_argument("baseline", help="baseline result JSON")
-    b.add_argument("current", help="current result JSON")
-    b.add_argument("--threshold", type=_parse_threshold,
-                   default=None, metavar="PERCENT",
-                   help="allowed slowdown in percent (default 35)")
-    b.add_argument("--threshold-for", action="append", default=[],
-                   metavar="NAME=PERCENT",
-                   help="per-benchmark threshold override (repeatable)")
-    b.add_argument("--warn-only", action="store_true",
-                   help="report regressions but exit 0 anyway")
-    b.add_argument("--format", choices=("text", "json"), default="text",
-                   help="text table or one JSON object per row")
-    b.set_defaults(func=cmd_bench_compare)
-
-    b = bsub.add_parser("list", help="list registered benchmarks")
-    b.add_argument("--filter", action="append", default=[],
-                   metavar="PREFIX",
-                   help="keep benchmarks matching this dotted-name prefix")
-    b.add_argument("--format", choices=("text", "json"), default="text",
-                   help="aligned text or one JSON object per benchmark")
-    b.set_defaults(func=cmd_bench_list)
 
     p = sub.add_parser(
         "runs", help="query the durable run store (--store on "

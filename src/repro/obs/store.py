@@ -15,9 +15,8 @@ append-only directory under the store root::
 ``events.jsonl`` and ``metrics.jsonl`` are written while the run is in
 flight, which is what ``ma-opt tail`` follows; ``trace.jsonl`` and the
 manifest summary land when the run finalizes.  The manifest is a
-versioned document (``repro.obs/run``, mirroring the
-``repro.bench/result`` convention) so future readers can detect stale
-layouts instead of misparsing them.
+versioned document (``repro.obs/run``) so future readers can detect
+stale layouts instead of misparsing them.
 
 Usage::
 

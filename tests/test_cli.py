@@ -57,3 +57,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Algorithm" in out
         assert "Random" in out and "DE" in out
+
+    def test_compare_honours_global_corner(self, monkeypatch):
+        import repro.experiments
+
+        class Captured(Exception):
+            pass
+
+        def fake_run_comparison(task, *args, **kwargs):
+            raise Captured(task)
+
+        monkeypatch.setattr(repro.experiments, "run_comparison",
+                            fake_run_comparison)
+        with pytest.raises(Captured) as caught:
+            main(["--corner", "ss", "compare", "ota", "--runs", "1",
+                  "--quiet"])
+        task = caught.value.args[0]
+        assert task.corner == "ss"
+
+    def test_netlist_honours_global_corner(self, capsys):
+        assert main(["--corner", "ff", "netlist", "tia"]) == 0
+        out = capsys.readouterr().out
+        assert "nmos180_f" in out and "pmos180_f" in out

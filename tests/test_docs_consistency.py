@@ -1,5 +1,6 @@
 """Documentation consistency: the README's claims match the repository."""
 
+import argparse
 import pathlib
 import re
 
@@ -54,3 +55,31 @@ class TestCliDocs:
                      ["compare", "ota", "--runs", "2"]):
             parsed = parser.parse_args(args)
             assert parsed.command == args[0]
+
+    def test_documented_verbs_are_registered(self):
+        """Every ``python -m repro <verb>`` / ``ma-opt <verb>`` in the
+        README and docs names a subcommand the parser still registers."""
+        from repro.cli import build_parser
+
+        def verbs(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    return action.choices
+            return {}
+
+        commands = verbs(build_parser())
+        pattern = re.compile(r"(?:\bpython3? -m repro|\bma-opt)"
+                             r"(?: --[\w-]+ \S+)* ([a-z][\w-]*)"
+                             r"(?: ([a-z][\w-]*))?")
+        docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+        seen = set()
+        for doc in docs:
+            for match in pattern.finditer(doc.read_text()):
+                verb, sub_verb = match.groups()
+                where = f"{doc.name}: {match.group(0)!r}"
+                assert verb in commands, where
+                nested = verbs(commands[verb])
+                if nested:
+                    assert sub_verb in nested, where
+                seen.add(verb)
+        assert {"optimize", "compare", "lint", "runs"} <= seen

@@ -32,7 +32,6 @@ _PUBLIC = {
     "ThreeStageTIA": ("repro.circuits", "ThreeStageTIA"),
     "LDORegulator": ("repro.circuits", "LDORegulator"),
     "ResilienceConfig": ("repro.core.config", "ResilienceConfig"),
-    "FaultyTask": ("repro.resilience", "FaultyTask"),
 }
 
 __all__ = [*_PUBLIC, "__version__"]

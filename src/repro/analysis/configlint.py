@@ -63,9 +63,6 @@ CFG_RULES.add("cfg.space-bounds", Severity.ERROR,
 CFG_RULES.add("cfg.checkpoint-path", Severity.ERROR,
               "checkpoint cadence/path plumbing is inconsistent or the "
               "directory is not writable")
-CFG_RULES.add("cfg.retry-budget", Severity.WARNING,
-              "retry budget large enough to mask a systemically broken "
-              "simulator")
 
 
 def _check_space(space) -> list[Diagnostic]:
@@ -117,14 +114,6 @@ def _check_resilience(res) -> list[Diagnostic]:
                 f"checkpoint directory {str(parent)!r} is not writable",
                 location="resilience.checkpoint_path",
                 fix="point checkpoint_path at a writable directory"))
-    if res.max_retries > 10:
-        diags.append(CFG_RULES.diag(
-            "cfg.retry-budget",
-            f"max_retries={res.max_retries} retries per simulation; a "
-            f"systemic failure burns {res.max_retries + 1}x wall time "
-            f"before quarantining anything",
-            location="resilience.max_retries",
-            fix="keep the retry budget small; quarantine handles the rest"))
     return diags
 
 

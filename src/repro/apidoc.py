@@ -43,7 +43,6 @@ MODULES = [
     "repro.obs.tail",
     "repro.resilience",
     "repro.resilience.policy",
-    "repro.resilience.faults",
     "repro.resilience.checkpoint",
     "repro.circuits",
     "repro.baselines",

@@ -140,40 +140,26 @@ _MA_METHODS = ("DNN-Opt", "MA-Opt1", "MA-Opt2", "MA-Opt")
 
 
 def _build_resilience(args: argparse.Namespace):
-    """ResilienceConfig from the --max-retries/--sim-timeout/--checkpoint*
-    flags; None (the executor's default policy) when none of them is set."""
-    if not (args.max_retries or args.sim_timeout is not None
+    """ResilienceConfig from the --sim-timeout/--checkpoint* flags; None
+    (the executor's default policy) when none of them is set."""
+    if not (args.sim_timeout is not None
             or args.checkpoint or args.checkpoint_every):
         return None
     from repro.core.config import ResilienceConfig
 
     return ResilienceConfig(
-        max_retries=args.max_retries,
         sim_timeout_s=args.sim_timeout,
         checkpoint_every=args.checkpoint_every or 0,
         checkpoint_path=args.checkpoint,
     )
 
 
-def _wrap_faults(task, args: argparse.Namespace):
-    """Wrap the task in a seeded FaultyTask when --inject-faults is set."""
-    if not args.inject_faults:
-        return task
-    from repro.resilience import FaultyTask
-
-    rate = args.inject_faults
-    if not 0.0 < rate <= 1.0:
-        raise SystemExit("repro: error: --inject-faults must be in (0, 1]")
-    return FaultyTask(task, error_rate=rate / 2, nan_rate=rate / 2,
-                      seed=args.seed)
-
-
 def _reject_ma_only_flags(args: argparse.Namespace) -> None:
-    """Baselines take no retry, timeout, checkpoint or resume settings."""
+    """Baselines take no timeout, checkpoint or resume settings."""
     if args.method in _MA_METHODS:
         return
     given = [flag for flag, value in (
-        ("--resume", args.resume), ("--max-retries", args.max_retries),
+        ("--resume", args.resume),
         ("--sim-timeout", args.sim_timeout is not None),
         ("--checkpoint", args.checkpoint),
         ("--checkpoint-every", args.checkpoint_every is not None)) if value]
@@ -187,8 +173,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.experiments import make_initial_set, run_method
 
     _reject_ma_only_flags(args)
-    task = _wrap_faults(_make_task(args.task, args.fidelity, args.corner),
-                        args)
+    task = _make_task(args.task, args.fidelity, args.corner)
     resilience = _build_resilience(args)
     telemetry = _build_telemetry(args)
     recorder = None
@@ -225,8 +210,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             print(f"{args.method} on {task.name!r}: "
                   f"{args.init} init + {args.sims} sims (seed {args.seed})")
             x, f = make_initial_set(task, args.init, seed=args.seed,
-                                    telemetry=telemetry,
-                                    resilience=resilience)
+                                    telemetry=telemetry)
             res = run_method(args.method, task, args.sims, x, f,
                              seed=args.seed, maopt_overrides=overrides,
                              telemetry=telemetry)
@@ -597,16 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", help="archive the run to this .npz file")
-    p.add_argument("--max-retries", type=int, default=0, metavar="N",
-                   help="retry each failed simulation up to N times "
-                        "before quarantining the design (MA-Opt family)")
     p.add_argument("--sim-timeout", type=float, default=None, metavar="S",
                    help="per-simulation watchdog timeout in seconds "
                         "(pool path only; MA-Opt family)")
-    p.add_argument("--inject-faults", type=float, default=0.0, metavar="P",
-                   help="fault-injection drill: wrap the task so each "
-                        "attempt fails with probability P (half "
-                        "exceptions, half NaN metrics)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="write optimizer checkpoints to this .npz path "
                         "(MA-Opt family)")

@@ -30,42 +30,27 @@ class VariantPreset(enum.Enum):
 
 @dataclass
 class ResilienceConfig:
-    """Failure policy + checkpoint cadence for long optimization runs.
+    """Pool watchdog + checkpoint cadence for long optimization runs.
 
-    Consumed by :class:`~repro.core.parallel.SimulationExecutor` (retry /
-    timeout / quarantine) and :class:`~repro.core.ma_opt.MAOptimizer`
-    (checkpoint cadence); see ``docs/resilience.md`` for the full
-    semantics.  The default instance retries nothing but still quarantines
-    failed and non-finite simulations instead of aborting the run.
+    Consumed by :class:`~repro.core.parallel.SimulationExecutor` (pool
+    watchdog) and the optimizers' run loops (checkpoint cadence); see
+    ``docs/resilience.md`` for the full semantics.  The failure rule itself
+    takes no settings: each design is simulated once and a failed or
+    non-finite simulation is quarantined instead of aborting the run.
     """
 
-    # retry policy (per simulation)
-    max_retries: int = 0
-    backoff_base_s: float = 0.0   # delay before retry k is base * factor**k
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5   # deterministic jitter, fraction of delay
-
-    # pool-path watchdog: per-simulation-attempt seconds.  A timed-out (or
-    # crashed) worker costs one attempt; the pool is rebuilt and only the
-    # unaccounted designs are re-dispatched.  ``None`` disables the
-    # watchdog (and with it hang/crash recovery).
+    # pool-path watchdog: seconds a design may take.  A design whose result
+    # misses the deadline (a hung or crashed worker) is quarantined with
+    # reason "timeout"; the pool is rebuilt and only the designs whose
+    # results were lost are re-dispatched.  ``None`` disables the watchdog
+    # (and with it hang/crash recovery).
     sim_timeout_s: float | None = None
-
-    # graceful degradation
-    quarantine_failures: bool = True   # False -> re-raise after retries
-    quarantine_nonfinite: bool = True  # NaN/Inf metrics count as failures
 
     # checkpoint cadence (consumed by the optimizers' run() loops)
     checkpoint_every: int = 0          # rounds between snapshots; 0 = off
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_jitter < 0:
-            raise ValueError("backoff parameters must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.sim_timeout_s is not None and self.sim_timeout_s <= 0:
             raise ValueError("sim_timeout_s must be positive (or None)")
         if self.checkpoint_every < 0:
@@ -137,8 +122,9 @@ class MAOptConfig:
     heartbeat_s: float = 0.0
     seed: int | None = None
 
-    # failure policy + checkpoint cadence; None keeps the legacy behavior
-    # (no retries, no quarantine layer, no checkpoints).
+    # pool watchdog + checkpoint cadence; None is the default
+    # ResilienceConfig (no watchdog, no checkpoints).  Failed simulations
+    # are quarantined either way.
     resilience: ResilienceConfig | None = None
 
     extras: dict = field(default_factory=dict)

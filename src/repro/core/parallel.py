@@ -11,8 +11,7 @@ through — MA-Opt's rounds, every baseline's proposals and the shared
 initial set alike.  Each batch opens a ``simulate`` span, each simulation
 is timed individually — in the worker process for the pool path, so
 queueing and pickling overhead are excluded — and the timings feed the
-``sim_latency_s`` histogram, the ``sims_total{kind=...}`` counter, and the
-executor's :attr:`~SimulationExecutor.batch_timings` log.
+``sim_latency_s`` histogram and the ``sims_total{kind=...}`` counter.
 
 **ERC gate** (:mod:`repro.analysis.erc`): tasks exposing ``lint_design``
 (the circuit tasks) have every design electrically rule-checked before it
@@ -21,27 +20,26 @@ simulator: they are charged the task's penalty metrics, counted under
 ``lint_rejections_total{kind=...}``, and logged as ``lint_rejected`` run
 events.
 
-**Failure policy** (:mod:`repro.resilience.policy`): every simulation runs
-under :func:`~repro.resilience.policy.evaluate_design`, the
-retry/backoff/quarantine loop — identically in the caller (serial path)
-and inside each worker (pool path), so retry accounting matches
-bit-for-bit.  ``resilience=None`` means the default
-:class:`~repro.core.config.ResilienceConfig`: no retries, quarantine on.
-Only simulator errors (:class:`~repro.spice.exceptions.SpiceError`) are
-retried and quarantined; any other exception is a bug and propagates.
-When ``sim_timeout_s`` is set, the pool path additionally runs a watchdog:
-a hung or crashed worker costs the affected design one attempt, the pool
-is rebuilt, and only the designs whose results were lost are
-re-dispatched.  Quarantined designs surface as ``sim_failed`` run events
-plus ``sim_retries_total`` / ``sim_failures_total`` counters, and their
-per-design outcomes stay readable on
+**Failure rule** (:mod:`repro.resilience.policy`): every design is
+simulated once under :func:`~repro.resilience.policy.evaluate_design` —
+identically in the caller (serial path) and inside each worker (pool
+path).  A simulator error (:class:`~repro.spice.exceptions.SpiceError`) or
+a non-finite metric vector quarantines the design to the task's penalty
+metrics; any other exception is a bug and propagates.  When the
+:class:`~repro.core.config.ResilienceConfig` sets ``sim_timeout_s``, the
+pool path additionally runs a watchdog: a design whose result misses the
+deadline (a hung or crashed worker) is quarantined with reason
+``"timeout"``, the pool is rebuilt, and only the designs whose results
+were lost are re-dispatched.  Quarantined designs surface as
+``sim_failed`` run events plus the ``sim_failures_total`` counter, and
+their per-design outcomes stay readable on
 :attr:`~SimulationExecutor.last_outcomes`.
 
 **Worker telemetry** (:mod:`repro.obs.telemetry`): when the attached
 telemetry has a tracer or metrics registry, each pool worker is
 initialized with its own :class:`~repro.obs.telemetry.WorkerTelemetry`.
-Spans (``worker-evaluate``, per-retry ``sim-attempt``) and counters
-recorded inside the worker ship back with each task result as a picklable
+Spans (``worker-evaluate``) and counters recorded inside the worker ship
+back with each task result as a picklable
 :class:`~repro.obs.telemetry.WorkerCapture` and are grafted into the
 parent tracer under the owning ``simulate`` span with ``pid``/``seq``
 attributes — pooled simulation is no longer a tracing black box.  With
@@ -50,8 +48,7 @@ events while a pooled batch is in flight, so stalls and crashed workers
 are visible before the batch returns.
 
 The task object must be picklable for the parallel path — all tasks in
-:mod:`repro.circuits` and :mod:`repro.core.synthetic` are (including the
-:class:`~repro.resilience.faults.FaultyTask` wrapper).
+:mod:`repro.circuits` and :mod:`repro.core.synthetic` are.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ import math
 import multiprocessing as mp
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,41 +71,36 @@ from repro.resilience.policy import (
 )
 
 # Module-level slots for pool workers (set by the initializer so the task
-# and policy are shipped once per worker instead of once per design).
+# is shipped once per worker instead of once per design).
 _WORKER_TASK: SizingTask | None = None
-_WORKER_POLICY: ResilienceConfig | None = None
 _WORKER_TELEMETRY: WorkerTelemetry | None = None
 
 
-# Watchdog slack added on top of the computed retry budget: covers pool
+# Watchdog slack added on top of the per-design timeout: covers pool
 # spin-up (spawn context) and pickling, so healthy-but-queued designs are
 # never misdiagnosed as hung.  The deadline is deliberately conservative —
 # it exists to catch *hangs and crashes*, not to race close finishes.
 _WATCHDOG_SLACK_S = 5.0
 
 
-def _init_worker(task: SizingTask, policy: ResilienceConfig,
-                 capture: bool = False) -> None:
+def _init_worker(task: SizingTask, capture: bool = False) -> None:
     # These globals are the *per-worker* slots this initializer exists to
     # fill — each spawn worker populates its own copy, and nothing in the
     # parent ever reads them.
-    global _WORKER_TASK, _WORKER_POLICY, _WORKER_TELEMETRY
+    global _WORKER_TASK, _WORKER_TELEMETRY
     _WORKER_TASK = task
-    _WORKER_POLICY = policy
     _WORKER_TELEMETRY = WorkerTelemetry() if capture else None
 
 
-def _evaluate_one(u: np.ndarray, start_attempt: int = 0) -> SimOutcome:
-    """Worker-side retry loop; mirrors the serial path exactly."""
-    if _WORKER_TASK is None or _WORKER_POLICY is None:  # pragma: no cover
+def _evaluate_one(u: np.ndarray) -> SimOutcome:
+    """Worker-side evaluation; mirrors the serial path exactly."""
+    if _WORKER_TASK is None:  # pragma: no cover
         raise RuntimeError("worker not initialized")
     wt = _WORKER_TELEMETRY  # per-worker recorder; shipped back, never shared
     if wt is None:
-        return evaluate_design(_WORKER_TASK, u, _WORKER_POLICY,
-                               start_attempt=start_attempt)
+        return evaluate_design(_WORKER_TASK, u)
     with wt.span("worker-evaluate"):
-        out = evaluate_design(_WORKER_TASK, u, _WORKER_POLICY,
-                              start_attempt=start_attempt, obs=wt)
+        out = evaluate_design(_WORKER_TASK, u)
     wt.inc("worker_sims_total")
     out.capture = wt.drain()
     return out
@@ -154,17 +145,6 @@ class _Heartbeat:
         self._thread.join(timeout=self.interval_s + 1.0)
 
 
-@dataclass
-class BatchTiming:
-    """Timing record for one :meth:`SimulationExecutor.evaluate_batch`."""
-
-    n: int                    # designs in the batch
-    kind: str                 # provenance label (init/actor/ns/...)
-    wall_s: float             # end-to-end batch wall time in the caller
-    sim_s: tuple[float, ...]  # per-simulation seconds (worker-side for pools)
-    parallel: bool            # True when the pool path ran
-
-
 class SimulationExecutor:
     """Evaluates design batches, serially or over a process pool.
 
@@ -191,7 +171,6 @@ class SimulationExecutor:
         # Ship WorkerTelemetry into pool workers only when someone is
         # listening parent-side (tracer or metrics attached).
         self._capture = self.obs.wants_worker_capture
-        self.batch_timings: list[BatchTiming] = []
         #: Per-design outcomes of the most recent simulated batch.
         self.last_outcomes: list[SimOutcome] = []
         #: Per-design ERC findings of the most recent gated batch
@@ -206,7 +185,7 @@ class SimulationExecutor:
             self._pool = ctx.Pool(
                 processes=self.n_workers,
                 initializer=_init_worker,
-                initargs=(self.task, self.policy, self._capture),
+                initargs=(self.task, self._capture),
             )
         return self._pool
 
@@ -224,7 +203,7 @@ class SimulationExecutor:
         """Metric vectors for a batch of normalized designs, shape (n, m+1).
 
         ``kind`` labels the batch's provenance (``init``/``actor``/``ns``)
-        in metrics and timing records.  An empty batch returns an empty
+        in spans, metrics and run events.  An empty batch returns an empty
         ``(0, m+1)`` array without touching the task or the pool.
         """
         designs = np.asarray(designs, dtype=float)
@@ -244,7 +223,6 @@ class SimulationExecutor:
                         kind: str) -> np.ndarray:
         """The post-gate simulation path (spans, timings, counters)."""
         use_pool = self.n_workers > 0 and len(designs) > 1
-        t_batch = time.perf_counter()
         with self.obs.span("simulate", n=len(designs), kind=kind,
                            parallel=use_pool) as sim_span:
             heartbeat = (_Heartbeat(self.obs, self.heartbeat_s,
@@ -252,8 +230,7 @@ class SimulationExecutor:
                          if use_pool and self.heartbeat_s > 0 else None)
             try:
                 outcomes = (self._pool_outcomes(designs) if use_pool else
-                            [evaluate_design(self.task, u, self.policy,
-                                             obs=self.obs)
+                            [evaluate_design(self.task, u)
                              for u in designs])
             finally:
                 if heartbeat is not None:
@@ -265,22 +242,15 @@ class SimulationExecutor:
                 # metrics still merge, spans are dropped).
                 if out.capture is not None:
                     absorb_capture(self.obs, out.capture, sim_span)
-                if out.retries:
-                    self.obs.inc("sim_retries_total", out.retries, kind=kind)
                 if out.failed:
                     self.obs.inc("sim_failures_total", kind=kind)
                     if self.obs.run_logger is not None:
                         self.obs.run_logger.emit(
                             "sim_failed", kind=kind, design_index=i,
-                            retries=out.retries, reason=out.reason,
-                            error=out.error)
-        durations = [out.seconds for out in outcomes]
-        self.batch_timings.append(BatchTiming(
-            n=len(designs), kind=kind, wall_s=time.perf_counter() - t_batch,
-            sim_s=tuple(durations), parallel=use_pool))
+                            reason=out.reason, error=out.error)
         self.obs.inc("sims_total", len(designs), kind=kind)
-        for dt in durations:
-            self.obs.observe("sim_latency_s", dt, kind=kind)
+        for out in outcomes:
+            self.obs.observe("sim_latency_s", out.seconds, kind=kind)
         return np.stack([out.metrics for out in outcomes])
 
     def _lint_rejections(self, designs: np.ndarray,
@@ -316,72 +286,51 @@ class SimulationExecutor:
                         first=errors[0].message)
         return rejected
 
-    def _attempt_budget_s(self) -> float:
-        """Worst-case worker-side seconds for one design's full retry loop."""
-        policy = self.policy
-        attempts = policy.max_retries + 1
-        budget = (policy.sim_timeout_s or 0.0) * attempts
-        if policy.backoff_base_s > 0:
-            budget += sum(
-                policy.backoff_base_s * policy.backoff_factor ** k
-                * (1.0 + policy.backoff_jitter)
-                for k in range(policy.max_retries))
-        return budget
-
     def _pool_outcomes(self, designs: np.ndarray) -> list[SimOutcome]:
         """Dispatch with watchdog + crash recovery.
 
-        Without ``sim_timeout_s`` this is a plain (blocking) pool map of
-        the worker-side retry loop.  With it, each dispatch is awaited
-        under a deadline; on a timeout the hung design is charged one
-        attempt, the pool is rebuilt (a crashed worker manifests as the
-        same stuck result), and every design whose result died with the
-        pool is re-dispatched — completed outcomes are kept.
+        Without ``sim_timeout_s`` this is a plain (blocking) pool map.  With
+        it, each dispatch is awaited under a deadline; a design whose
+        result misses it is quarantined with reason ``"timeout"``, the pool
+        is rebuilt (a crashed worker manifests as the same stuck result),
+        and every design whose result died with the pool is re-dispatched —
+        completed outcomes are kept.  Each wedged wave quarantines at least
+        one design, so the loop terminates.
         """
-        policy = self.policy
+        timeout_s = self.policy.sim_timeout_s
         n = len(designs)
         self.obs.set_gauge("pool_workers_busy", min(self.n_workers, n))
         try:
-            if policy.sim_timeout_s is None:
-                pool = self._ensure_pool()
-                return pool.starmap(_evaluate_one,
-                                    [(u, 0) for u in designs])
+            if timeout_s is None:
+                return self._ensure_pool().map(_evaluate_one, designs)
             outcomes: list[SimOutcome | None] = [None] * n
-            # (index, start_attempt, timeouts_charged) still to run.
-            pending: list[tuple[int, int]] = [(i, 0) for i in range(n)]
+            pending = list(range(n))
             while pending:
                 pool = self._ensure_pool()
-                # Generous per-result deadline: full retry budget for every
-                # design that may be queued ahead, plus pool-spinup slack.
+                # Generous per-result deadline: the timeout of every design
+                # that may be queued ahead, plus pool-spinup slack.
                 waves = math.ceil(len(pending) / max(1, self.n_workers))
-                deadline = (self._attempt_budget_s() * waves
-                            + _WATCHDOG_SLACK_S)
-                handles = [(i, sa, pool.apply_async(
-                    _evaluate_one, (designs[i], sa)))
-                    for i, sa in pending]
+                deadline = timeout_s * waves + _WATCHDOG_SLACK_S
+                handles = [(i, pool.apply_async(_evaluate_one, (designs[i],)))
+                           for i in pending]
                 pending = []
                 wedged = False
-                for i, sa, handle in handles:
+                for i, handle in handles:
                     if wedged:
                         # The pool died mid-batch; this result may be lost.
                         if handle.ready():
-                            outcomes[i] = handle.get().merged_retries(sa)
+                            outcomes[i] = handle.get()
                         else:
-                            pending.append((i, sa))
+                            pending.append(i)
                         continue
                     try:
-                        outcomes[i] = handle.get(deadline).merged_retries(sa)
+                        outcomes[i] = handle.get(deadline)
                     except mp.TimeoutError:
                         wedged = True
-                        if sa < policy.max_retries:
-                            # The timed-out attempt is charged as a retry.
-                            pending.append((i, sa + 1))
-                        else:
-                            outcomes[i] = SimOutcome(
-                                penalty_metrics(self.task),
-                                seconds=deadline, retries=sa, failed=True,
-                                reason="timeout",
-                                error=f"no result within {deadline:.1f}s")
+                        outcomes[i] = SimOutcome(
+                            penalty_metrics(self.task), seconds=deadline,
+                            failed=True, reason="timeout",
+                            error=f"no result within {deadline:.1f}s")
                 if wedged:
                     self._rebuild_pool()
             return [out for out in outcomes if out is not None]

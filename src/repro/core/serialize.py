@@ -16,8 +16,8 @@ import numpy as np
 from repro.core.result import EvaluationRecord, OptimizationResult
 
 # Version 2 stores ``kinds`` as a fixed-width unicode array so archives
-# load with ``allow_pickle=False``; version-1 archives (object-dtype kinds)
-# are still readable but need the pickle-permitting legacy path.
+# load with ``allow_pickle=False``.  Version-1 archives (object-dtype kinds)
+# would need unpickling and are refused like any unsupported version.
 _FORMAT_VERSION = 2
 
 
@@ -93,24 +93,16 @@ def load_comparison(directory: str | pathlib.Path
 def load_result(path: str | pathlib.Path) -> OptimizationResult:
     """Load a result previously written by :func:`save_result`.
 
-    Archives are read with ``allow_pickle=False``; only a version-1
-    archive (whose ``kinds`` array is object-dtype) is re-opened with
-    pickle enabled, and only after its header has been verified.
+    Archives are read with ``allow_pickle=False``, so a crafted file cannot
+    execute code; any version but the current one raises ``ValueError``.
     """
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
         version = header.get("version")
-        if version not in (1, _FORMAT_VERSION):
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported result format version {version}")
-        if version == 1:
-            # v1 archives stored object-dtype kinds; only this legacy
-            # branch may unpickle.
-            with np.load(path,  # repro: ignore[code.pickle]
-                         allow_pickle=True) as legacy:
-                kinds = [str(k) for k in legacy["kinds"]]
-        else:
-            kinds = [str(k) for k in data["kinds"]]
+        kinds = [str(k) for k in data["kinds"]]
         records = []
         owners = data["owners"]
         for i in range(len(data["foms"])):

@@ -46,23 +46,19 @@ _BASELINES = {
 
 def make_initial_set(task: SizingTask, n_init: int,
                      seed: int | None = None,
-                     telemetry=None,
-                     resilience=None,
-                     n_workers: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                     telemetry=None) -> tuple[np.ndarray, np.ndarray]:
     """Sample and simulate the shared initial set X^init.
 
-    The simulations run through a scoped
+    The simulations run serially through a scoped
     :class:`~repro.core.parallel.SimulationExecutor`, so they are counted
-    by ``telemetry`` and, when a
-    :class:`~repro.core.config.ResilienceConfig` is given, covered by the
-    same retry/quarantine policy as the optimization loop.
+    by ``telemetry`` and covered by the same failure rule (quarantine to
+    penalty metrics) as the optimization loop.
     """
     from repro.core.parallel import SimulationExecutor
 
     rng = np.random.default_rng(seed)
     x_init = task.space.sample(rng, n_init)
-    with SimulationExecutor(task, n_workers=n_workers, telemetry=telemetry,
-                            resilience=resilience) as executor:
+    with SimulationExecutor(task, telemetry=telemetry) as executor:
         f_init = executor.evaluate_batch(x_init, kind="init")
     return x_init, f_init
 

@@ -17,9 +17,9 @@ round_end            round, kind, plus per-round diagnostics
                      (critic_loss, ...)
 run_end              method, n_sims, best_fom, wall_time_s, success,
                      run_id
-sim_failed           kind, design_index, retries, reason
+sim_failed           kind, design_index, reason
                      (exception/nonfinite/timeout), error — a design was
-                     quarantined by the failure policy
+                     quarantined by the failure rule
 lint_rejected        kind, design_index, rules, first — the ERC gate
                      rejected a design before simulation
 config_warning       rule, message, fix (severity when budget-aware) — a

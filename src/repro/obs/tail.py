@@ -81,7 +81,6 @@ class TailState:
     best_fom: float | None = None
     failures: int = 0
     lint_rejections: int = 0
-    retries: float = 0.0
     last_heartbeat: dict | None = None
     workers_busy: float | None = None
     sim_p50: float | None = None
@@ -137,9 +136,6 @@ class TailState:
             if key.startswith("sim_latency_s") and stats.get("count"):
                 self.sim_p50 = stats.get("p50")
                 self.sim_p95 = stats.get("p95")
-        for key, value in snap.get("counters", {}).items():
-            if key.startswith("sim_retries_total"):
-                self.retries = max(self.retries, float(value))
 
 
 def _fmt(value: Any, spec: str = "") -> str:
@@ -159,7 +155,7 @@ def render(state: TailState, stalled_s: float | None = None) -> str:
         f"method={state.method}  task={state.task}",
         f"  sims {progress}  rounds {state.rounds}  "
         f"best_fom {_fmt(state.best_fom, '.6g')}",
-        f"  failures {state.failures}  retries {state.retries:g}  "
+        f"  failures {state.failures}  "
         f"lint_rejected {state.lint_rejections}",
         f"  sim latency p50 {_fmt(state.sim_p50, '.4g')}s  "
         f"p95 {_fmt(state.sim_p95, '.4g')}s  "

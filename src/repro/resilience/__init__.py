@@ -1,18 +1,12 @@
 """``repro.resilience`` — fault tolerance for long optimization runs.
 
-The paper's evaluation is 10 runs x 200 commercial-simulator calls per
-method; at that scale simulations die (license drops, non-convergent
-operating points, hung processes) and runs get killed.  This package makes
+The paper's evaluation is 10 runs x 200 simulator calls per method; at
+that scale some simulations fail and runs get killed.  This package makes
 the optimizer stack survive both:
 
-* **failure policy** (:mod:`repro.resilience.policy`): configurable
-  retries with exponential backoff + deterministic jitter, NaN/Inf
-  quarantine, and graceful degradation — a dead simulation becomes an
+* **failure rule** (:mod:`repro.resilience.policy`): each design is
+  simulated once; a simulator error or a NaN/Inf metric vector becomes an
   infeasible penalty record instead of aborting the run;
-* **fault injection** (:mod:`repro.resilience.faults`): a seed-driven
-  :class:`FaultyTask` wrapper that injects exceptions, NaN metrics and
-  slow evaluations deterministically, so every degradation path is
-  testable without a real flaky simulator;
 * **checkpoint/resume** (:mod:`repro.resilience.checkpoint` +
   :mod:`repro.resilience.state`): versioned, atomic snapshots of full
   optimizer state (dataset, weights, Adam moments, RNG) behind
@@ -20,8 +14,9 @@ the optimizer stack survive both:
   bit-exact resume of a killed run.
 
 Knobs live on :class:`~repro.core.config.ResilienceConfig`; the executor
-(:class:`~repro.core.parallel.SimulationExecutor`) enforces the policy on
-both the serial and process-pool paths.  See ``docs/resilience.md``.
+(:class:`~repro.core.parallel.SimulationExecutor`) applies the failure
+rule on both the serial and process-pool paths.  See
+``docs/resilience.md``.
 """
 
 from repro.core.config import ResilienceConfig
@@ -31,27 +26,19 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.resilience.faults import FaultyTask
 from repro.resilience.policy import (
-    InjectedFault,
     NonFiniteMetrics,
     SimOutcome,
-    SimulationFailure,
-    backoff_delay,
     evaluate_design,
     penalty_metrics,
 )
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "FaultyTask",
     "atomic_write_json",
-    "InjectedFault",
     "NonFiniteMetrics",
     "ResilienceConfig",
     "SimOutcome",
-    "SimulationFailure",
-    "backoff_delay",
     "evaluate_design",
     "load_checkpoint",
     "penalty_metrics",

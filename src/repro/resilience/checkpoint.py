@@ -23,7 +23,10 @@ import numpy as np
 __all__ = ["CHECKPOINT_VERSION", "atomic_write_json", "load_checkpoint",
            "save_checkpoint"]
 
-CHECKPOINT_VERSION = 1
+# Version 2: the config's ``resilience`` block holds only the watchdog
+# timeout and the checkpoint cadence; version 1 also held failure-policy
+# settings that no longer exist, so its headers are refused.
+CHECKPOINT_VERSION = 2
 
 _HEADER_KEY = "__header__"
 

@@ -129,10 +129,6 @@ class TestResilienceRules:
             checkpoint_path=str(tmp_path / "ckpt.npz")))
         assert check_config(cfg) == []
 
-    def test_huge_retry_budget_is_warning(self):
-        cfg = MAOptConfig(resilience=ResilienceConfig(max_retries=50))
-        assert rules(check_config(cfg)) == {"cfg.retry-budget"}
-
 
 class TestValidateConfig:
     def test_raises_on_error(self):

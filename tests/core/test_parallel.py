@@ -33,11 +33,16 @@ class TestSerial:
 
     def test_empty_batch(self):
         task = ConstrainedSphere(d=4, seed=0)
-        ex = SimulationExecutor(task, n_workers=0)
+        reg, tracer = MetricsRegistry(), Tracer()
+        ex = SimulationExecutor(task, n_workers=0,
+                                telemetry=Telemetry(tracer=tracer,
+                                                    metrics=reg))
         for empty in ([], np.empty((0, task.d))):
             out = ex.evaluate_batch(empty)
             assert out.shape == (0, task.m + 1)
-        assert ex.batch_timings == []  # nothing was simulated
+        # nothing was simulated
+        assert tracer.find("simulate") == []
+        assert reg.snapshot()["counters"] == {}
 
     def test_context_manager_closes_pool(self):
         task = ConstrainedSphere(d=4, seed=0)
@@ -49,17 +54,21 @@ class TestSerial:
 class TestTelemetry:
     def test_batch_timing_recorded(self, rng):
         task = ConstrainedSphere(d=4, seed=0)
-        ex = SimulationExecutor(task, n_workers=0)
+        reg, tracer = MetricsRegistry(), Tracer()
+        ex = SimulationExecutor(task, n_workers=0,
+                                telemetry=Telemetry(tracer=tracer,
+                                                    metrics=reg))
         us = task.space.sample(rng, 5)
         ex.evaluate_batch(us, kind="actor")
         ex.evaluate_batch(us[0], kind="ns")
-        assert len(ex.batch_timings) == 2
-        first, second = ex.batch_timings
-        assert first.n == 5 and first.kind == "actor" and not first.parallel
-        assert len(first.sim_s) == 5
-        assert all(dt >= 0 for dt in first.sim_s)
-        assert first.wall_s >= sum(first.sim_s) * 0.5  # same clock, sane scale
-        assert second.n == 1 and second.kind == "ns"
+        first, second = tracer.find("simulate")
+        assert first.attrs == {"n": 5, "kind": "actor", "parallel": False}
+        assert second.attrs == {"n": 1, "kind": "ns", "parallel": False}
+        stats = reg.histogram_stats("sim_latency_s", kind="actor")
+        assert stats["count"] == 5 and stats["min"] >= 0
+        # same clock, sane scale: the batch span covers its simulations
+        assert first.duration_s >= stats["sum"] * 0.5
+        assert reg.histogram_stats("sim_latency_s", kind="ns")["count"] == 1
 
     def test_metrics_and_spans(self, rng):
         task = ConstrainedSphere(d=4, seed=0)
@@ -96,9 +105,10 @@ class TestParallel:
         SimulationExecutor(task, n_workers=0,
                            telemetry=Telemetry(metrics=reg_s)
                            ).evaluate_batch(us, kind="actor")
-        reg_p = MetricsRegistry()
+        reg_p, tracer = MetricsRegistry(), Tracer()
         ex = SimulationExecutor(task, n_workers=2,
-                                telemetry=Telemetry(metrics=reg_p))
+                                telemetry=Telemetry(tracer=tracer,
+                                                    metrics=reg_p))
         try:
             ex.evaluate_batch(us, kind="actor")
         finally:
@@ -109,8 +119,8 @@ class TestParallel:
         assert (reg_p.histogram_stats("sim_latency_s", kind="actor")["count"]
                 == reg_s.histogram_stats("sim_latency_s",
                                          kind="actor")["count"] == 6)
-        timing = ex.batch_timings[-1]
-        assert timing.parallel and timing.n == 6 and len(timing.sim_s) == 6
+        span = tracer.find("simulate")[-1]
+        assert span.attrs["parallel"] and span.attrs["n"] == 6
 
     def test_pool_close_idempotent(self, rng):
         task = ConstrainedSphere(d=4, seed=0)

@@ -106,7 +106,7 @@ class TestPickleFreeFormat:
                 assert data[key].dtype != object
                 data[key]  # force decompression of every array
 
-    def test_version_1_archives_still_load(self, result, tmp_path):
+    def test_version_1_archives_are_rejected(self, result, tmp_path):
         import json
 
         path = tmp_path / "run.npz"
@@ -120,11 +120,9 @@ class TestPickleFreeFormat:
         arrays["kinds"] = np.array([str(k) for k in arrays["kinds"]],
                                    dtype=object)
         np.savez_compressed(path, **arrays)
-        loaded = load_result(path)
-        assert [r.kind for r in loaded.records] == [r.kind
-                                                    for r in result.records]
-        np.testing.assert_allclose(loaded.best_fom_trace(),
-                                   result.best_fom_trace())
+        with pytest.raises(ValueError, match="unsupported result format "
+                                             "version 1"):
+            load_result(path)
 
     def test_empty_result_round_trips(self, tmp_path):
         from repro.core.result import OptimizationResult

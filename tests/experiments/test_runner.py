@@ -70,18 +70,23 @@ class TestRunComparison:
 
 
 class TestInitialSetTelemetry:
-    def test_counted_and_policy_covered(self, task):
-        from repro.core.config import ResilienceConfig
+    def test_counted_and_policy_covered(self):
         from repro.obs import MetricsRegistry, Telemetry
-        from repro.resilience.faults import FaultyTask
+        from repro.resilience.policy import penalty_metrics
+        from tests.resilience.stubs import NaNSphere, failure_reason
 
         reg = MetricsRegistry()
-        faulty = FaultyTask(task, error_rate=0.3, seed=0)
-        x, f = make_initial_set(faulty, 10, seed=0,
-                                telemetry=Telemetry(metrics=reg),
-                                resilience=ResilienceConfig(max_retries=3))
+        task = NaNSphere(d=5, seed=4)
+        x, f = make_initial_set(task, 10, seed=0,
+                                telemetry=Telemetry(metrics=reg))
         assert x.shape == (10, 5) and np.all(np.isfinite(f))
         assert reg.counter_value("sims_total", kind="init") == 10
+        failed = [i for i, u in enumerate(x) if failure_reason(u)]
+        assert failed
+        assert reg.counter_value("sim_failures_total",
+                                 kind="init") == len(failed)
+        for i in failed:
+            np.testing.assert_array_equal(f[i], penalty_metrics(task))
 
 
 class TestResumableComparison:

@@ -11,7 +11,7 @@ import numpy as np
 
 import repro
 from repro.baselines import RandomSearch
-from repro.core.config import MAOptConfig, ResilienceConfig
+from repro.core.config import MAOptConfig
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
 from repro.obs import (
@@ -24,7 +24,7 @@ from repro.obs import (
 )
 from repro.obs import events as events_module
 from repro.obs.tail import tail_run
-from repro.resilience.faults import FaultyTask
+from tests.resilience.stubs import NaNSphere
 
 FAST = dict(critic_steps=10, actor_steps=5, batch_size=8, n_elite=5,
             hidden=(8, 8))
@@ -215,12 +215,10 @@ class TestBaselineEvents:
 
 class TestExecutorEventsReachRunLog:
     def _run(self, telemetry):
-        inner = ConstrainedSphere(d=4, seed=0)
-        task = FaultyTask(inner, error_rate=0.1, nan_rate=0.1, seed=5)
-        cfg = MAOptConfig(seed=0, resilience=ResilienceConfig(max_retries=2),
-                          **FAST)
+        task = NaNSphere(d=4, seed=0)
+        cfg = MAOptConfig(seed=0, **FAST)
         opt = MAOptimizer(task, cfg, telemetry=telemetry)
-        x_init = inner.space.sample(np.random.default_rng(123), 10)
+        x_init = task.space.sample(np.random.default_rng(123), 10)
         opt.run(n_sims=15, x_init=x_init)
         return opt
 

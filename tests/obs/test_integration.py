@@ -16,9 +16,10 @@ FAST = dict(critic_steps=10, actor_steps=5, batch_size=8, n_elite=5,
 class TestNearSamplingRouting:
     def test_ns_simulation_flows_through_executor(self):
         task = ConstrainedSphere(d=4, seed=0)
-        reg = MetricsRegistry()
+        reg, tracer = MetricsRegistry(), Tracer()
         cfg = MAOptConfig(seed=0, t_ns=1, ns_samples=50, **FAST)
-        opt = MAOptimizer(task, cfg, telemetry=Telemetry(metrics=reg))
+        opt = MAOptimizer(task, cfg,
+                          telemetry=Telemetry(tracer=tracer, metrics=reg))
         opt.initialize(n_init=30)
         if not opt._specs_met():
             pytest.skip("init infeasible for this seed")
@@ -26,7 +27,7 @@ class TestNearSamplingRouting:
         assert record.kind == "ns"
         # the simulation went through the instrumented choke point
         assert reg.counter_value("sims_total", kind="ns") == 1
-        assert opt._executor.batch_timings[-1].kind == "ns"
+        assert tracer.find("simulate")[-1].attrs["kind"] == "ns"
         # and produced the same metrics as a direct evaluation
         np.testing.assert_allclose(record.metrics, task.evaluate(record.x))
 

@@ -81,11 +81,9 @@ class TestTailState:
             "gauges": {"pool_workers_busy": 3.0},
             "histograms": {'sim_latency_s{kind="actor"}':
                            {"count": 4, "p50": 0.1, "p95": 0.2}},
-            "counters": {'sim_retries_total{kind="actor"}': 2.0},
         })
         assert state.workers_busy == 3.0
         assert state.sim_p50 == 0.1 and state.sim_p95 == 0.2
-        assert state.retries == 2.0
 
     def test_render(self):
         state = TailState(run_id="r1", method="MA-Opt", task="sphere4",

@@ -122,7 +122,7 @@ class TestBusyGaugeGuard:
                                 telemetry=Telemetry(metrics=reg))
 
         class ExplodingPool:
-            def starmap(self, fn, items):
+            def map(self, fn, items):
                 raise RuntimeError("worker died")
 
         ex._ensure_pool = lambda: ExplodingPool()
@@ -160,24 +160,3 @@ class TestPooledCapture:
         finally:
             ex.close()
         assert out.shape == (4, task.m + 1)
-
-    def test_resilient_pool_captures_attempt_spans(self, rng):
-        from repro.core.config import ResilienceConfig
-
-        task = ConstrainedSphere(d=4, seed=0)
-        tracer = Tracer()
-        ex = SimulationExecutor(
-            task, n_workers=2, telemetry=Telemetry(tracer=tracer),
-            resilience=ResilienceConfig(max_retries=1))
-        try:
-            ex.evaluate_batch(task.space.sample(rng, 4), kind="actor")
-        finally:
-            ex.close()
-        workers = tracer.find("worker-evaluate")
-        assert len(workers) == 4
-        # Every pooled design runs the policy's retry loop in the worker.
-        assert all([c.name for c in w.children] == ["sim-attempt"]
-                   for w in workers)
-        attempts = tracer.find("sim-attempt")
-        assert len(attempts) == 4  # healthy sims: exactly one attempt each
-        assert all(a.attrs["attempt"] == 0 for a in attempts)

@@ -67,6 +67,17 @@ class TestSafety:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_version_1_header_rejected(self, tmp_path):
+        # A version-1 header's resilience block holds settings this build
+        # no longer has; it must be refused by version, not by a TypeError
+        # from the config constructor.
+        path = tmp_path / "ck.npz"
+        header = json.dumps({"checkpoint_version": 1, "config": {}})
+        np.savez_compressed(path, __header__=np.array(header))
+        with pytest.raises(ValueError,
+                           match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "ck.npz"
         np.savez_compressed(path, x=np.zeros(2))

@@ -1,30 +1,27 @@
-"""Serial vs pool parity: the failure policy must not depend on the path."""
+"""Serial vs pool parity: the failure rule must not depend on the path."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import ResilienceConfig
 from repro.core.parallel import SimulationExecutor
-from repro.core.synthetic import ConstrainedSphere
 from repro.obs import MetricsRegistry, Telemetry
-from repro.resilience.faults import FaultyTask
+from tests.resilience.stubs import NaNSphere, failure_reason
 
 
-def faulty_setup():
-    inner = ConstrainedSphere(d=4, seed=0)
-    # seed=1 yields both retried-then-recovered and quarantined designs
-    # for this design batch, so the parity check covers every path.
-    task = FaultyTask(inner, error_rate=0.25, nan_rate=0.15, seed=1)
-    policy = ResilienceConfig(max_retries=2)
-    designs = inner.space.sample(np.random.default_rng(9), 8)
-    return task, policy, designs
+def failing_setup():
+    task = NaNSphere(d=4, seed=0)
+    designs = task.space.sample(np.random.default_rng(9), 8)
+    # The batch holds healthy, diverging and NaN designs, so the parity
+    # check covers every outcome.
+    assert {failure_reason(u) for u in designs} == {
+        None, "exception", "nonfinite"}
+    return task, designs
 
 
-def run_path(task, policy, designs, n_workers):
+def run_path(task, designs, n_workers):
     reg = MetricsRegistry()
     with SimulationExecutor(task, n_workers=n_workers,
-                            telemetry=Telemetry(metrics=reg),
-                            resilience=policy) as ex:
+                            telemetry=Telemetry(metrics=reg)) as ex:
         metrics = ex.evaluate_batch(designs, kind="actor")
         outcomes = list(ex.last_outcomes)
     return metrics, outcomes, reg
@@ -32,31 +29,24 @@ def run_path(task, policy, designs, n_workers):
 
 class TestSerialGroundTruth:
     def test_matches_planned_outcomes(self):
-        task, policy, designs = faulty_setup()
-        metrics, outcomes, reg = run_path(task, policy, designs, n_workers=0)
-        for u, out in zip(designs, outcomes):
-            retries, failed = task.planned_outcome(u, policy.max_retries)
-            assert out.retries == retries
-            assert out.failed == failed
-        exp_retries = sum(o.retries for o in outcomes)
-        exp_failures = sum(o.failed for o in outcomes)
-        assert exp_retries > 0 and exp_failures > 0  # the drill has teeth
-        assert reg.counter_value("sim_retries_total",
-                                 kind="actor") == exp_retries
-        assert reg.counter_value("sim_failures_total",
-                                 kind="actor") == exp_failures
+        task, designs = failing_setup()
+        metrics, outcomes, reg = run_path(task, designs, n_workers=0)
+        reasons = [failure_reason(u) for u in designs]
+        assert [o.reason for o in outcomes] == reasons
+        assert [o.failed for o in outcomes] == [r is not None
+                                                for r in reasons]
+        assert reg.counter_value("sim_failures_total", kind="actor") == sum(
+            r is not None for r in reasons)
 
 
 @pytest.mark.slow
 class TestPoolParity:
-    def test_identical_records_and_retries(self):
-        task, policy, designs = faulty_setup()
-        m_serial, o_serial, reg_s = run_path(task, policy, designs, 0)
-        m_pool, o_pool, reg_p = run_path(task, policy, designs, 2)
+    def test_identical_records_and_reasons(self):
+        task, designs = failing_setup()
+        m_serial, o_serial, reg_s = run_path(task, designs, 0)
+        m_pool, o_pool, reg_p = run_path(task, designs, 2)
         np.testing.assert_array_equal(m_serial, m_pool)
-        assert [o.retries for o in o_serial] == [o.retries for o in o_pool]
         assert [o.failed for o in o_serial] == [o.failed for o in o_pool]
         assert [o.reason for o in o_serial] == [o.reason for o in o_pool]
-        for name in ("sim_retries_total", "sim_failures_total"):
-            assert (reg_s.counter_value(name, kind="actor")
-                    == reg_p.counter_value(name, kind="actor"))
+        assert (reg_s.counter_value("sim_failures_total", kind="actor")
+                == reg_p.counter_value("sim_failures_total", kind="actor"))

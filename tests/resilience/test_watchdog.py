@@ -1,4 +1,4 @@
-"""Pool watchdog: hung workers are recovered and charged as attempts."""
+"""Pool watchdog: a hung worker's design is quarantined, the rest finish."""
 
 import time
 
@@ -8,10 +8,9 @@ import pytest
 import repro.core.parallel as parallel_mod
 from repro.core.config import ResilienceConfig
 from repro.core.parallel import SimulationExecutor
-from repro.core.synthetic import ConstrainedSphere
 from repro.obs import MetricsRegistry, Telemetry
-from repro.resilience.faults import FaultyTask
 from repro.resilience.policy import penalty_metrics
+from tests.resilience.stubs import HangingSphere
 
 
 @pytest.mark.slow
@@ -20,16 +19,10 @@ class TestWatchdog:
         # Shrink the spin-up slack so the test doesn't wait the full
         # production-grade deadline for a deliberately hung worker.
         monkeypatch.setattr(parallel_mod, "_WATCHDOG_SLACK_S", 3.0)
-        inner = ConstrainedSphere(d=5, seed=2)
-        designs = inner.space.sample(np.random.default_rng(0), 4)
-        # seed=2: exactly one design draws "slow" on both attempts, so it
-        # hangs past the deadline twice and exhausts its retry budget.
-        task = FaultyTask(inner, slow_rate=0.2, slow_s=60.0, seed=2)
-        hung = [i for i, u in enumerate(designs)
-                if task.fault_draws(u, 0)["slow"]
-                and task.fault_draws(u, 1)["slow"]]
-        assert len(hung) == 1
-        policy = ResilienceConfig(max_retries=1, sim_timeout_s=0.2)
+        task = HangingSphere(d=5, seed=2)
+        designs = np.full((4, task.d), 0.4)
+        designs[:, 0] = [0.2, 0.95, 0.6, 0.8]  # design 1 hangs for 60 s
+        policy = ResilienceConfig(sim_timeout_s=0.2)
         reg = MetricsRegistry()
         t0 = time.perf_counter()
         with SimulationExecutor(task, n_workers=2,
@@ -39,15 +32,16 @@ class TestWatchdog:
             outcomes = list(ex.last_outcomes)
         # The batch finished in bounded time despite the 60s sleeper.
         assert time.perf_counter() - t0 < 30.0
-        assert metrics.shape == (4, inner.m + 1)
-        out = outcomes[hung[0]]
+        assert metrics.shape == (4, task.m + 1)
+        out = outcomes[1]
         assert out.failed and out.reason == "timeout"
-        assert out.retries == 1  # the timed-out attempt was charged
-        np.testing.assert_array_equal(out.metrics, penalty_metrics(inner))
-        # Healthy designs were re-dispatched and completed normally.
-        for i, o in enumerate(outcomes):
-            if i != hung[0]:
-                assert not o.failed
-        # Each timeout tears the wedged pool down (once per attempt).
-        assert reg.counter_value("pool_rebuilds_total") == 2
+        np.testing.assert_array_equal(out.metrics, penalty_metrics(task))
+        # The other designs completed normally (re-dispatched if their
+        # results died with the pool).
+        for i in (0, 2, 3):
+            assert not outcomes[i].failed
+            np.testing.assert_array_equal(metrics[i],
+                                          task.evaluate(designs[i]))
+        # One timeout, one torn-down pool, one quarantine.
+        assert reg.counter_value("pool_rebuilds_total") == 1
         assert reg.counter_value("sim_failures_total", kind="actor") == 1

@@ -96,17 +96,14 @@ class TestSaveFlag:
 
 
 class TestResilienceFlags:
-    def test_fault_injected_run_with_checkpoint_and_resume(self, tmp_path,
-                                                           capsys):
+    def test_run_with_checkpoint_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "ck.npz"
         rc = main(["optimize", "sphere", "--method", "MA-Opt1",
                    "--sims", "8", "--init", "8",
-                   "--max-retries", "2", "--inject-faults", "0.2",
                    "--checkpoint", str(ckpt), "--checkpoint-every", "2"])
         assert rc == 0 and ckpt.exists()
         rc = main(["optimize", "sphere", "--method", "MA-Opt1",
                    "--sims", "12", "--init", "8",
-                   "--max-retries", "2", "--inject-faults", "0.2",
                    "--resume", str(ckpt)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -118,30 +115,13 @@ class TestResilienceFlags:
                   "--resume", str(tmp_path / "ck.npz")])
 
     @pytest.mark.parametrize("flags", [
-        ["--max-retries", "2"], ["--sim-timeout", "5"],
+        ["--resume", "ck.npz"], ["--sim-timeout", "5"],
         ["--checkpoint", "ck.npz"], ["--checkpoint-every", "2"]])
     def test_ma_only_flags_reject_baselines(self, flags):
         with pytest.raises(SystemExit, match="MA-Opt family") as exc:
             main(["optimize", "sphere", "--method", "BO",
                   "--sims", "4", "--init", "4", *flags])
         assert flags[0] in str(exc.value)
-
-    def test_fault_injected_baseline_completes(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        rc = main(["optimize", "sphere", "--method", "Random",
-                   "--sims", "10", "--init", "8", "--inject-faults", "0.4",
-                   "--events-out", str(events)])
-        assert rc == 0
-        lines = [json.loads(line) for line in events.read_text().splitlines()
-                 if line.strip()]
-        kinds = [e.get("kind") for e in lines if e["event"] == "evaluation"]
-        assert kinds.count("Random") == 10
-        assert any(e["event"] == "sim_failed" for e in lines)
-
-    def test_bad_fault_rate_rejected(self):
-        with pytest.raises(SystemExit, match="inject-faults"):
-            main(["optimize", "sphere", "--inject-faults", "1.5",
-                  "--sims", "4", "--init", "4"])
 
     def test_compare_checkpoint_dir(self, tmp_path, capsys):
         cmd = ["compare", "sphere", "--methods", "Random",

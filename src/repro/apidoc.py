@@ -11,6 +11,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pathlib
@@ -129,10 +130,14 @@ def build_api_docs(output: str | pathlib.Path | None = None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output = argv[0] if argv else "docs/api.md"
-    build_api_docs(output)
-    print(f"wrote {output}")
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.apidoc",
+        description="Write the markdown API reference of the package.")
+    parser.add_argument("output", nargs="?", default="docs/api.md",
+                        help="file to write (default: docs/api.md)")
+    args = parser.parse_args(argv)
+    build_api_docs(args.output)
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -13,7 +13,7 @@ and the shared initial set, and return an
 :class:`~repro.core.result.OptimizationResult`.
 """
 
-from repro.baselines.bayesopt import BayesOpt
+from repro.baselines.bayesopt import BayesOpt, expected_improvement
 from repro.baselines.de import DifferentialEvolution
 from repro.baselines.gp import GaussianProcess
 from repro.baselines.ppo import PPOSizer
@@ -23,6 +23,7 @@ from repro.baselines.random_search import RandomSearch
 __all__ = [
     "GaussianProcess",
     "BayesOpt",
+    "expected_improvement",
     "RandomSearch",
     "ParticleSwarm",
     "DifferentialEvolution",

@@ -10,11 +10,27 @@ per-iteration cost that the paper's runtime columns expose.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.baselines.base import BaselineOptimizer
 from repro.baselines.gp import GaussianProcess
 from repro.core.problem import SizingTask
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def expected_improvement(mean: np.ndarray, std: np.ndarray, y_best: float,
+                         xi: float) -> np.ndarray:
+    """Expected improvement over ``y_best`` for minimization.
+
+    The standard normal cdf and pdf are the expressions
+    ``scipy.stats.norm.cdf``/``.pdf`` evaluate (``ndtr`` and
+    ``exp(-z**2/2)/sqrt(2*pi)``), so the result is bit-identical to them
+    without importing ``scipy.stats``.
+    """
+    imp = y_best - mean - xi
+    z = imp / std
+    return imp * ndtr(z) + std * (np.exp(-z**2 / 2.0) / _SQRT_2PI)
 
 
 class BayesOpt(BaselineOptimizer):
@@ -76,9 +92,5 @@ class BayesOpt(BaselineOptimizer):
         self._iteration += 1
         cands = self._candidates()
         mean, std = gp.predict(cands)
-        y_best = float(np.min(y))
-        # Expected improvement for minimization.
-        imp = y_best - mean - self.xi
-        z = imp / std
-        ei = imp * norm.cdf(z) + std * norm.pdf(z)
+        ei = expected_improvement(mean, std, float(np.min(y)), self.xi)
         return cands[int(np.argmax(ei))]

@@ -11,13 +11,6 @@ import pathlib
 
 import numpy as np
 
-from repro.baselines import (
-    BayesOpt,
-    DifferentialEvolution,
-    ParticleSwarm,
-    PPOSizer,
-    RandomSearch,
-)
 from repro.core.config import MAOptConfig, VariantPreset
 from repro.core.ma_opt import MAOptimizer
 from repro.core.problem import SizingTask
@@ -35,12 +28,15 @@ _PRESETS = {
     "MA-Opt": VariantPreset.MA_OPT,
 }
 
+#: Baseline method -> class name in :mod:`repro.baselines`.  The package is
+#: imported on first use, so processes that run no baseline never load
+#: BO's scipy stack.
 _BASELINES = {
-    "BO": BayesOpt,
-    "Random": RandomSearch,
-    "PSO": ParticleSwarm,
-    "DE": DifferentialEvolution,
-    "PPO": PPOSizer,
+    "BO": "BayesOpt",
+    "Random": "RandomSearch",
+    "PSO": "ParticleSwarm",
+    "DE": "DifferentialEvolution",
+    "PPO": "PPOSizer",
 }
 
 
@@ -81,7 +77,10 @@ def run_method(method: str, task: SizingTask, n_sims: int,
         return opt.run(n_sims=n_sims, x_init=x_init, f_init=f_init,
                        method_name=method)
     if method in _BASELINES:
-        opt = _BASELINES[method](task, seed=seed, telemetry=telemetry)
+        import repro.baselines
+
+        cls = getattr(repro.baselines, _BASELINES[method])
+        opt = cls(task, seed=seed, telemetry=telemetry)
         return opt.run(n_sims=n_sims, x_init=x_init, f_init=f_init)
     raise ValueError(f"unknown method {method!r}; options: {METHOD_NAMES}")
 

@@ -1,10 +1,10 @@
 """Wall-time breakdown reports from trace files.
 
-Answers "where does the run spend its time": aggregates *leaf* spans (the
-instrumented phases — critic-train, actor-train, propose, simulate,
-near-sampling, ...) by name, plus an ``(other)`` row for time inside the
-root spans not covered by any leaf, so the percentages sum to ~100% of
-the traced run time.
+Answers "where does the run spend its time": aggregates *leaf* spans
+(spans without children, roots included: the instrumented phases —
+critic-train, actor-train, propose, simulate, near-sampling, ...) by name,
+plus an ``(other)`` row for time inside the root spans not covered by any
+leaf, so the percentages sum to ~100% of the traced run time.
 
 Usage::
 
@@ -47,11 +47,10 @@ def breakdown(rows: Sequence[dict]) -> list[dict]:
         return []
     roots = [r for r in rows if r.get("parent_id") is None]
     total = sum(r["duration_s"] for r in roots)
+    # A leaf is any span without children, roots included: the initial
+    # set's ``simulate`` span is a childless root outside the ``run`` span.
     parent_ids = {r["parent_id"] for r in rows if r.get("parent_id") is not None}
-    leaves = [r for r in rows
-              if r["id"] not in parent_ids and r.get("parent_id") is not None]
-    if not leaves:  # degenerate trace: roots only
-        leaves = roots
+    leaves = [r for r in rows if r["id"] not in parent_ids]
 
     phases: dict[str, dict] = {}
     for row in leaves:
@@ -68,14 +67,12 @@ def breakdown(rows: Sequence[dict]) -> list[dict]:
     } for name, agg in phases.items()]
     out.sort(key=lambda r: -r["total_s"])
 
-    covered = sum(r["total_s"] for r in out)
-    if leaves is not roots:
-        other = max(0.0, total - covered)
-        out.append({
-            "phase": "(other)", "calls": len(roots), "total_s": other,
-            "mean_s": other / max(len(roots), 1),
-            "pct": 100.0 * other / total if total > 0 else 0.0,
-        })
+    other = max(0.0, total - sum(r["total_s"] for r in out))
+    out.append({
+        "phase": "(other)", "calls": len(roots), "total_s": other,
+        "mean_s": other / max(len(roots), 1),
+        "pct": 100.0 * other / total if total > 0 else 0.0,
+    })
     out.append({
         "phase": "total", "calls": len(roots), "total_s": total,
         "mean_s": total / max(len(roots), 1),

@@ -64,6 +64,33 @@ class TestBreakdown:
         assert rows[-1]["phase"] == "total"
         assert rows[0]["phase"] == "run"
 
+    def test_childless_root_is_a_leaf(self):
+        # The initial set's ``simulate`` span is a root without children,
+        # next to the ``run`` root that holds the optimization loop.
+        def span(sid, parent, name, duration):
+            return {"id": sid, "parent_id": parent, "name": name,
+                    "duration_s": duration}
+
+        rows = breakdown([
+            span(0, None, "run", 10.0),
+            span(1, 0, "round", 6.0),
+            span(2, 1, "critic-train", 2.0),
+            span(3, 1, "simulate", 3.0),
+            span(4, 0, "simulate", 1.0),
+            span(5, None, "simulate", 10.0),
+        ])
+        by_phase = {r["phase"]: r for r in rows}
+        assert by_phase["simulate"]["calls"] == 3
+        assert by_phase["simulate"]["total_s"] == pytest.approx(14.0)
+        assert by_phase["simulate"]["pct"] == pytest.approx(70.0)
+        assert by_phase["critic-train"]["total_s"] == pytest.approx(2.0)
+        # Only the time under ``run`` that no leaf covers: 10 - 2 - 3 - 1.
+        assert by_phase["(other)"]["total_s"] == pytest.approx(4.0)
+        assert by_phase["total"]["total_s"] == pytest.approx(20.0)
+        assert sum(r["pct"] for r in rows if r["phase"] != "total") == \
+            pytest.approx(100.0)
+        assert "round" not in by_phase and "run" not in by_phase
+
 
 class TestCli:
     def test_main_on_exported_trace(self, tmp_path, capsys):

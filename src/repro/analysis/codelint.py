@@ -37,6 +37,7 @@ import pathlib
 import re
 
 from repro.analysis.diagnostics import Diagnostic, RuleSet, Severity
+from repro.analysis.flow import dotted_name
 
 CODE_RULES = RuleSet()
 CODE_RULES.add("code.global-rng", Severity.ERROR,
@@ -99,18 +100,6 @@ def _suppressed(diag: Diagnostic, lineno: int,
                for p in prefixes)
 
 
-def _dotted(node: ast.expr) -> str:
-    """Best-effort dotted name of an attribute/name chain (else '')."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 class _Checker(ast.NodeVisitor):
     """Single-pass visitor collecting findings for one module."""
 
@@ -151,7 +140,7 @@ class _Checker(ast.NodeVisitor):
 
     # -- calls ---------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         parts = dotted.split(".") if dotted else []
 
         # numpy.random.<sampler>(...) via any alias spelled *.random.<name>
@@ -193,7 +182,7 @@ class _Checker(ast.NodeVisitor):
                 (node, self._thread_targets.get(id(node), ""), has_daemon))
         if (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "join"):
-            receiver = _dotted(node.func.value)
+            receiver = dotted_name(node.func.value)
             if receiver:
                 self._joined.add(receiver)
 
@@ -205,13 +194,13 @@ class _Checker(ast.NodeVisitor):
         # it, and honor 'name.daemon = ...' as an explicit daemon mark.
         if isinstance(node.value, ast.Call):
             for target in node.targets:
-                name = _dotted(target)
+                name = dotted_name(target)
                 if name:
                     self._thread_targets[id(node.value)] = name
                     break
         for target in node.targets:
             if isinstance(target, ast.Attribute) and target.attr == "daemon":
-                receiver = _dotted(target.value)
+                receiver = dotted_name(target.value)
                 if receiver:
                     self._daemon_set.add(receiver)
         self.generic_visit(node)

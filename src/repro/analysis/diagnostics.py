@@ -3,12 +3,11 @@
 A :class:`Diagnostic` is one finding: a rule id (hierarchical, e.g.
 ``erc.no-ground`` / ``cfg.elite-vs-budget`` / ``code.bare-except``), a
 :class:`Severity`, a location string, a human message and an optional
-suggested fix.  The three analyzers (ERC, config cross-validation,
-codelint) all emit this type, so the CLI, the pre-simulation gate and CI
-share one rendering / filtering / exit-code convention:
+suggested fix.  Every analyzer (ERC, config cross-validation, codelint,
+RNG provenance) emits this type, so the CLI, the pre-simulation gate and
+CI share one rendering / filtering / exit-code convention:
 
 * ``render_text`` — one ``severity rule location: message`` line each;
-* ``render_jsonl`` — one JSON object per line (machine consumers);
 * ``filter_diagnostics`` — ``--select`` / ``--ignore`` by rule-id prefix;
 * ``exit_code`` — 0 clean, 1 when any error-severity finding remains.
 """
@@ -16,7 +15,6 @@ share one rendering / filtering / exit-code convention:
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import asdict, dataclass, field
 
 
@@ -167,8 +165,3 @@ def render_text(diagnostics, summary: bool = True) -> str:
                          f"{n_err} error(s), {n_warn} warning(s)")
     return "\n".join(lines)
 
-
-def render_jsonl(diagnostics) -> str:
-    """One JSON object per finding, newline-separated."""
-    return "\n".join(json.dumps(d.to_dict(), sort_keys=True)
-                     for d in diagnostics)

@@ -6,16 +6,15 @@ at a time; the flow pass (:mod:`repro.analysis.rngflow`) needs to answer
 it uses:
 
 * a :class:`Scope` per function (plus one synthetic module scope) with
-  its parameters, local bindings (assignment targets with their value
-  expressions, in statement order), ``global``/``nonlocal`` declarations
-  and call sites;
+  its parameters, the names it binds, ``global``/``nonlocal``
+  declarations and call sites (in source order);
 * lexical name resolution (:meth:`Scope.resolve`) walking local →
   enclosing functions → module, honouring ``global``/``nonlocal``.
 
-It is a CFG-lite: statements inside one scope are kept in source order
-(enough for straight-line binding resolution), but branches are not
-split into basic blocks — the passes built on top are heuristic linters,
-not verifiers, and favour zero false positives over completeness.
+Inside one scope the model is flow-insensitive: a name is bound or not,
+and branches are not split into basic blocks — the pass built on top is
+a heuristic linter, not a verifier, and favours zero false positives
+over completeness.
 """
 
 from __future__ import annotations
@@ -37,17 +36,6 @@ def dotted_name(node: ast.expr) -> str:
 
 
 @dataclass
-class Binding:
-    """One assignment of a name inside a scope."""
-
-    name: str
-    node: ast.AST            # the whole statement (Assign/For/With/...)
-    value: ast.expr | None   # RHS expression when there is a single one
-    lineno: int
-    kind: str = "local"      # local | param | def | import | global-decl
-
-
-@dataclass
 class CallSite:
     """One call expression inside a scope."""
 
@@ -57,7 +45,7 @@ class CallSite:
 
 
 class Scope:
-    """One function (or the module) with its bindings and call sites."""
+    """One function (or the module) with its bound names and call sites."""
 
     def __init__(self, name: str, qualname: str, node: ast.AST | None,
                  parent: "Scope | None", is_module: bool = False) -> None:
@@ -70,7 +58,7 @@ class Scope:
         self.children: list[Scope] = []
         self.params: list[str] = []
         self.param_annotations: dict[str, str] = {}
-        self.bindings: dict[str, list[Binding]] = {}
+        self.bound: set[str] = set()
         self.global_decls: set[str] = set()
         self.nonlocal_decls: set[str] = set()
         self.calls: list[CallSite] = []
@@ -80,33 +68,12 @@ class Scope:
     def add_child(self, child: "Scope") -> None:
         self.children.append(child)
 
-    def walk(self):
-        """This scope and every nested scope, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
     # -- bindings ------------------------------------------------------------
-    def bind(self, name: str, node: ast.AST, value: ast.expr | None,
-             kind: str = "local") -> None:
-        self.bindings.setdefault(name, []).append(Binding(
-            name=name, node=node, value=value,
-            lineno=getattr(node, "lineno", 0), kind=kind))
+    def bind(self, name: str) -> None:
+        self.bound.add(name)
 
     def binds(self, name: str) -> bool:
-        return name in self.bindings
-
-    def last_value(self, name: str,
-                   before_line: int | None = None) -> ast.expr | None:
-        """The most recent RHS bound to ``name`` (optionally before a
-        line), or None when unbound / bound without a usable RHS."""
-        best: Binding | None = None
-        for b in self.bindings.get(name, ()):
-            if before_line is not None and b.lineno > before_line:
-                continue
-            if best is None or b.lineno >= best.lineno:
-                best = b
-        return best.value if best is not None else None
+        return name in self.bound
 
     # -- resolution ----------------------------------------------------------
     def resolve(self, name: str) -> "Scope | None":
@@ -116,7 +83,7 @@ class Scope:
             scope: Scope | None = self
             while scope is not None and not scope.is_module:
                 scope = scope.parent
-            return scope if scope is not None and scope.binds(name) else scope
+            return scope
         if name in self.nonlocal_decls:
             scope = self.parent
             while scope is not None and not scope.is_module:
@@ -152,15 +119,14 @@ class _ScopeBuilder(ast.NodeVisitor):
             self.visit(stmt)
         self.current = parent
 
-    def _bind_target(self, target: ast.expr, stmt: ast.AST,
-                     value: ast.expr | None) -> None:
+    def _bind_target(self, target: ast.expr) -> None:
         if isinstance(target, ast.Name):
-            self.current.bind(target.id, stmt, value)
+            self.current.bind(target.id)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._bind_target(elt, stmt, None)
+                self._bind_target(elt)
         elif isinstance(target, ast.Starred):
-            self._bind_target(target.value, stmt, None)
+            self._bind_target(target.value)
 
     def _function_scope(self, node, qual_suffix: str = "") -> Scope:
         qual = (self.current.qualname + "." if not self.current.is_module
@@ -170,24 +136,24 @@ class _ScopeBuilder(ast.NodeVisitor):
         for a in (list(args.posonlyargs) + list(args.args)
                   + list(args.kwonlyargs)):
             scope.params.append(a.arg)
-            scope.bind(a.arg, node, None, kind="param")
+            scope.bind(a.arg)
             if a.annotation is not None:
                 scope.param_annotations[a.arg] = dotted_name(a.annotation)
         for a in (args.vararg, args.kwarg):
             if a is not None:
                 scope.params.append(a.arg)
-                scope.bind(a.arg, node, None, kind="param")
+                scope.bind(a.arg)
         return scope
 
     # -- scope-opening nodes -------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.current.bind(node.name, node, None, kind="def")
+        self.current.bind(node.name)
         for d in node.decorator_list:
             self.visit(d)
         self._enter(self._function_scope(node), node.body)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.current.bind(node.name, node, None, kind="def")
+        self.current.bind(node.name)
         for d in node.decorator_list:
             self.visit(d)
         self._enter(self._function_scope(node), node.body)
@@ -199,14 +165,14 @@ class _ScopeBuilder(ast.NodeVisitor):
         for a in (list(node.args.posonlyargs) + list(node.args.args)
                   + list(node.args.kwonlyargs)):
             scope.params.append(a.arg)
-            scope.bind(a.arg, node, None, kind="param")
+            scope.bind(a.arg)
         self._enter(scope, [ast.Expr(value=node.body)])
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         # Class bodies are not closure scopes; methods nest in the module
         # (or enclosing function) for name resolution, which matches how
         # Python resolves free variables inside methods.
-        self.current.bind(node.name, node, None, kind="def")
+        self.current.bind(node.name)
         qual = (self.current.qualname + "." if not self.current.is_module
                 else "") + node.name
         scope = Scope(node.name, qual, node, self.current)
@@ -216,22 +182,21 @@ class _ScopeBuilder(ast.NodeVisitor):
     # -- bindings ------------------------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         self.visit(node.value)
-        value = node.value if len(node.targets) == 1 else None
         for target in node.targets:
-            self._bind_target(target, node, value)
+            self._bind_target(target)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self.visit(node.value)
-        self._bind_target(node.target, node, node.value)
+        self._bind_target(node.target)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.visit(node.value)
-        self._bind_target(node.target, node, None)
+        self._bind_target(node.target)
 
     def visit_For(self, node: ast.For) -> None:
         self.visit(node.iter)
-        self._bind_target(node.target, node, None)
+        self._bind_target(node.target)
         for stmt in node.body + node.orelse:
             self.visit(stmt)
 
@@ -242,7 +207,7 @@ class _ScopeBuilder(ast.NodeVisitor):
         for item in node.items:
             self.visit(item.context_expr)
             if item.optional_vars is not None:
-                self._bind_target(item.optional_vars, node, item.context_expr)
+                self._bind_target(item.optional_vars)
         for stmt in node.body:
             self.visit(stmt)
 
@@ -252,13 +217,13 @@ class _ScopeBuilder(ast.NodeVisitor):
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            self.current.bind(name, node, None, kind="import")
+            self.current.bind(name)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
             name = alias.asname or alias.name
             if name != "*":
-                self.current.bind(name, node, None, kind="import")
+                self.current.bind(name)
 
     def visit_Global(self, node: ast.Global) -> None:
         self.current.global_decls.update(node.names)
@@ -269,7 +234,7 @@ class _ScopeBuilder(ast.NodeVisitor):
     def visit_comprehension(self, node: ast.comprehension) -> None:
         # Comprehension targets bind into the enclosing function scope in
         # this model (close enough for linting; Python scopes them apart).
-        self._bind_target(node.target, node.target, None)
+        self._bind_target(node.target)
         self.visit(node.iter)
         for cond in node.ifs:
             self.visit(cond)
@@ -296,17 +261,6 @@ class ModuleModel:
         builder = _ScopeBuilder(self)
         for stmt in self.tree.body:
             builder.visit(stmt)
-
-    def functions(self) -> list[Scope]:
-        """Every function/lambda scope (classes and module excluded)."""
-        return [s for s in self.scopes
-                if not s.is_module and not s.is_class]
-
-    def function(self, qualname: str) -> Scope | None:
-        for s in self.scopes:
-            if s.qualname == qualname:
-                return s
-        return None
 
 
 def build_module(source: str, path: str = "<string>") -> ModuleModel:

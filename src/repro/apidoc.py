@@ -35,9 +35,6 @@ MODULES = [
     "repro.analysis.codelint",
     "repro.analysis.flow",
     "repro.analysis.rngflow",
-    "repro.analysis.shapes",
-    "repro.analysis.baseline",
-    "repro.analysis.sarif",
     "repro.obs",
     "repro.obs.report",
     "repro.obs.store",

@@ -11,12 +11,11 @@ Commands
 ``netlist <task>``    print the netlist of a design (mid-space by default).
 ``lint <targets>``    static analysis: ERC over task netlists or deck
                       files, ``--config`` cross-validation, ``--code``
-                      AST lint (``--flow`` adds RNG provenance),
-                      ``--shapes`` paper dimension contracts (``--all``
-                      for both).  Exit 1 on error-severity findings.
+                      AST lint (``--flow`` adds RNG provenance).  Exit 1
+                      on error-severity findings.
 ``runs <cmd>``        query the durable run store (``--store`` on
                       optimize/compare): ``list``, ``show``, ``diff``,
-                      ``export`` (json/prom/sarif).
+                      ``export`` (one JSON bundle per run).
 ``tail <run>``        follow a live run's event/metric stream (poll +
                       offset resume; works on finished runs with
                       ``--once``).
@@ -278,7 +277,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_point(point: float) -> None:
+    """``--point`` is a normalized coordinate: finite and in [0, 1]."""
+    if not 0.0 <= point <= 1.0:  # also rejects nan
+        print(f"repro: error: --point must be a normalized coordinate in "
+              f"[0, 1], got {point!r}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_netlist(args: argparse.Namespace) -> int:
+    _check_point(args.point)
     task = _make_task(args.task, args.fidelity, args.corner)
     build_netlist = getattr(task, "build_netlist", None)
     if build_netlist is None:
@@ -372,14 +380,17 @@ def cmd_runs_export(args: argparse.Namespace) -> int:
 
     try:
         record = RunStore(args.store).load(args.run)
-        text = export_run(record, args.format)
+        text = export_run(record)
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"repro: error: {exc.args[0]}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.format} export of {record.run_id} "
-              f"to {args.output}")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"repro: error: cannot write {args.output}: "
+                             f"{exc.strerror or exc}")
+        print(f"wrote export of {record.run_id} to {args.output}")
     else:
         print(text, end="")
     return 0
@@ -398,20 +409,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         return 130
     return 0
-
-
-def _shapes_root(code_paths: list[str]):
-    """The ``repro`` package dir to run shape contracts over: the first
-    ``--code`` path that contains ``core/networks.py`` (so ``--code
-    src/repro`` checks the tree being linted), else the installed
-    package (``check_shapes`` default)."""
-    import pathlib
-
-    for path in code_paths:
-        p = pathlib.Path(path)
-        if (p / "core" / "networks.py").exists():
-            return p
-    return None
 
 
 def _lint_code_path(path: str, args: argparse.Namespace) -> list:
@@ -470,18 +467,19 @@ def _lint_groups(args: argparse.Namespace) -> list[tuple[str, list]]:
         if not os.path.exists(path):
             raise SystemExit(f"repro: error: no such path {path!r}")
         groups.append((path, _lint_code_path(path, args)))
-    if args.shapes:
-        from repro.analysis.shapes import check_shapes
-
-        groups.append(("shapes", check_shapes(_shapes_root(args.code))))
     return groups
 
 
 def _unknown_prefixes(prefixes) -> list[str]:
     """``--select/--ignore`` values matching no registered rule id."""
-    from repro.analysis import all_rules
+    from repro.analysis.codelint import CODE_RULES
+    from repro.analysis.configlint import CFG_RULES
+    from repro.analysis.erc import ERC_RULES
+    from repro.analysis.rngflow import RNG_RULES
 
-    known = [r.id for r in all_rules()] + ["code.syntax"]
+    known = [rule.id for ruleset in (ERC_RULES, CFG_RULES, CODE_RULES,
+                                     RNG_RULES) for rule in ruleset]
+    known.append("code.syntax")
     bad = []
     for prefix in prefixes:
         stem = prefix.rstrip(".")
@@ -497,14 +495,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.diagnostics import (exit_code, filter_diagnostics,
                                             render_text, sort_diagnostics)
 
-    if args.all:
-        args.flow = args.shapes = True
-    if not args.targets and not args.config and not args.code \
-            and not args.shapes:
+    if not args.targets and not args.config and not args.code:
         print("repro: error: nothing to lint — give task names / deck "
-              "files, --config, --code PATH, or --shapes",
-              file=sys.stderr)
+              "files, --config or --code PATH", file=sys.stderr)
         return 2
+    _check_point(args.point)
     bad = _unknown_prefixes([*args.select, *args.ignore])
     if bad:
         print(f"repro: error: --select/--ignore prefix(es) matching no "
@@ -516,34 +511,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         diags, select=args.select, ignore=args.ignore)))
         for label, diags in _lint_groups(args)]
     everything = [d for _, diags in groups for d in diags]
-
-    # -- baseline ratchet -----------------------------------------------------
-    n_suppressed = 0
-    if args.update_baseline:
-        from repro.analysis.baseline import DEFAULT_BASELINE_PATH, Baseline
-
-        target = args.baseline or DEFAULT_BASELINE_PATH
-        Baseline.from_diagnostics(everything).save(target)
-        if args.format != "json":
-            print(f"froze {len(everything)} finding(s) into {target}")
-        return 0
-    if args.baseline is not None:
-        from repro.analysis.baseline import Baseline
-
-        screen = Baseline.load(args.baseline).apply(everything)
-        suppressed = {id(d) for d in screen.suppressed}
-        n_suppressed = len(screen.suppressed)
-        groups = [(label, [d for d in diags if id(d) not in suppressed])
-                  for label, diags in groups]
-        everything = screen.new
-
-    if args.sarif_out:
-        from repro.analysis import RULE_SETS
-        from repro.analysis.sarif import render_sarif
-
-        with open(args.sarif_out, "w", encoding="utf-8") as fh:
-            fh.write(render_sarif(everything, rule_sets=RULE_SETS))
-
     if args.format == "json":
         for label, diags in groups:
             for d in diags:
@@ -554,9 +521,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             if len(groups) > 1:
                 print(f"== {label} ==")
             print(render_text(diags))
-        if n_suppressed:
-            print(f"{n_suppressed} baseline-suppressed finding(s) "
-                  f"not shown")
     return exit_code(everything)
 
 
@@ -656,21 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow", action="store_true",
                    help="with --code: also run the flow-sensitive RNG "
                         "provenance pass (flow.rng.*)")
-    p.add_argument("--all", action="store_true",
-                   help="shorthand: enable every pass (--flow --shapes)")
-    p.add_argument("--shapes", action="store_true",
-                   help="check the paper's dimensional contracts "
-                        "(critic 2d->m+1, actor d->d, N_es bound; "
-                        "shape.* rules)")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="screen findings against this committed baseline "
-                        "(only findings NOT in it affect the exit code)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="freeze the current findings into the baseline "
-                        "file and exit 0 (ratchet update)")
-    p.add_argument("--sarif-out", metavar="PATH", default=None,
-                   help="also write findings as a SARIF 2.1.0 document "
-                        "(GitHub code scanning)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text report or one JSON object per finding")
     p.add_argument("--select", action="append", default=[],
@@ -707,11 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_runs_diff)
 
     r = rsub.add_parser(
-        "export", help="render one run as json (full bundle), prom "
-                       "(Prometheus text) or sarif (diagnostics)")
+        "export", help="render one run as a single JSON bundle "
+                       "(manifest, events, metrics, trace)")
     r.add_argument("run", help="run ID or unique ID prefix")
-    r.add_argument("--format", choices=("json", "prom", "sarif"),
-                   default="json")
     r.add_argument("--output", metavar="PATH", default=None,
                    help="write here instead of stdout")
     r.add_argument("--store", metavar="DIR", default="runs",

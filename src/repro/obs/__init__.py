@@ -15,7 +15,7 @@ for the full reference.
 """
 
 from repro.obs.events import RunEvent, RunLogger, configure_logging
-from repro.obs.metrics import MetricsRegistry, render_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -43,5 +43,4 @@ __all__ = [
     "absorb_capture",
     "configure_logging",
     "new_run_id",
-    "render_prometheus",
 ]

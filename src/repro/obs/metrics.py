@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, and histograms with labels.
 
-Names follow a Prometheus-flavored convention: a metric is identified by
-``name`` plus a (possibly empty) label set, rendered as
-``sims_total{kind=actor}`` in snapshots and exports.  The registry is
-thread-safe; every mutation takes one short lock.
+A metric is identified by ``name`` plus a (possibly empty) label set,
+rendered as ``sims_total{kind=actor}`` in snapshots and in the JSON and
+CSV exports.  The registry is thread-safe; every mutation takes one
+short lock.
 
 The registry stores raw histogram observations (capped at
 :data:`HISTOGRAM_CAP` values per series; running count/sum/min/max stay
@@ -27,77 +27,6 @@ def _key(name: str, labels: dict[str, Any]) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-def parse_series_key(key: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`_key`: ``"sims_total{kind=actor}"`` -> name + labels.
-
-    Label values are stored unquoted, so they must not contain ``,`` or
-    ``=`` — true for every label the instrumentation emits (provenance
-    kinds, method names).
-    """
-    if "{" not in key:
-        return key, {}
-    name, _, inner = key.partition("{")
-    inner = inner.rstrip("}")
-    labels: dict[str, str] = {}
-    for part in inner.split(","):
-        if part:
-            k, _, v = part.partition("=")
-            labels[k] = v
-    return name, labels
-
-
-def _prom_labels(labels: dict[str, str], extra: dict[str, str] | None = None
-                 ) -> str:
-    """Prometheus-quoted label block (empty string when no labels)."""
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    inner = ",".join(
-        '{}="{}"'.format(k, str(v).replace("\\", "\\\\").replace('"', '\\"'))
-        for k, v in sorted(merged.items()))
-    return "{" + inner + "}"
-
-
-def render_prometheus(snapshot: dict[str, dict]) -> str:
-    """Prometheus text exposition of a :meth:`MetricsRegistry.snapshot`.
-
-    Works on live and stored (JSON round-tripped) snapshots alike —
-    histograms become summaries (p50/p95 quantile samples plus ``_sum`` /
-    ``_count``), and each metric family gets one ``# TYPE`` header.
-    """
-    lines: list[str] = []
-    typed: set[str] = set()
-
-    def header(name: str, kind: str) -> None:
-        if name not in typed:
-            typed.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for key, value in sorted(snapshot.get("counters", {}).items()):
-        name, labels = parse_series_key(key)
-        header(name, "counter")
-        lines.append(f"{name}{_prom_labels(labels)} {value:g}")
-    for key, value in sorted(snapshot.get("gauges", {}).items()):
-        name, labels = parse_series_key(key)
-        header(name, "gauge")
-        lines.append(f"{name}{_prom_labels(labels)} {value:g}")
-    for key, stats in sorted(snapshot.get("histograms", {}).items()):
-        name, labels = parse_series_key(key)
-        header(name, "summary")
-        for q, stat in (("0.5", "p50"), ("0.95", "p95")):
-            if stat in stats:
-                lines.append(
-                    f"{name}{_prom_labels(labels, {'quantile': q})} "
-                    f"{stats[stat]:g}")
-        lines.append(
-            f"{name}_sum{_prom_labels(labels)} {stats.get('sum', 0.0):g}")
-        lines.append(
-            f"{name}_count{_prom_labels(labels)} {stats.get('count', 0):g}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class _Histogram:
@@ -219,18 +148,10 @@ class MetricsRegistry:
 
         self._write(path_or_file, write)
 
-    def export_prometheus(self, path_or_file: str | TextIO) -> None:
-        """Prometheus text exposition format (see :func:`render_prometheus`)."""
-        self._write(path_or_file,
-                    lambda fh: fh.write(render_prometheus(self.snapshot())))
-
     def export(self, path: str) -> None:
-        """Export by extension: ``.csv`` -> CSV, ``.prom`` -> Prometheus
-        text, anything else -> JSON."""
+        """Export by extension: ``.csv`` -> CSV, anything else -> JSON."""
         if str(path).endswith(".csv"):
             self.export_csv(path)
-        elif str(path).endswith(".prom"):
-            self.export_prometheus(path)
         else:
             self.export_json(path)
 

@@ -40,7 +40,7 @@ import time
 from typing import Any
 
 from repro.obs.events import RunEvent, RunLogger
-from repro.obs.metrics import MetricsRegistry, render_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer, _json_default
 
@@ -344,64 +344,14 @@ def diff_runs(a: RunRecord, b: RunRecord) -> dict:
     return out
 
 
-def export_prometheus_text(record: RunRecord) -> str:
-    """Prometheus text exposition of a run's final metrics snapshot.
+def export_run(record: RunRecord) -> str:
+    """The whole run as one versioned ``repro.obs/run-export`` JSON text.
 
-    Falls back to the last in-flight snapshot for a run still in flight.
+    Manifest, events, metric snapshots, final metrics and trace rows — the
+    portable form for attaching a run to an issue or shipping it to
+    another machine.
     """
-    snap = record.final_metrics()
-    if not snap:
-        snapshots = record.metric_snapshots()
-        snap = snapshots[-1] if snapshots else {}
-    return render_prometheus(snap)
-
-
-#: Event kinds surfaced as SARIF-adjacent results, with their level.
-_SARIF_LEVELS = {"sim_failed": "warning", "lint_rejected": "warning",
-                 "config_warning": "note", "heartbeat": None}
-
-
-def export_sarif(record: RunRecord) -> dict:
-    """SARIF-adjacent JSON: the run's diagnostics as tool results.
-
-    Follows the SARIF 2.1.0 shape (``runs[].tool`` + ``runs[].results``)
-    closely enough for log viewers, with quarantined simulations and
-    ERC-gate rejections as the result stream; run-level facts ride in
-    ``runs[].properties``.
-    """
-    results = []
-    for event in record.events():
-        kind = event.get("event")
-        level = _SARIF_LEVELS.get(kind)
-        if level is None:
-            continue
-        payload = {k: v for k, v in event.items() if k not in ("event", "t")}
-        message = " ".join(f"{k}={v}" for k, v in payload.items())
-        results.append({
-            "ruleId": kind,
-            "level": level,
-            "message": {"text": f"{kind}: {message}" if message else kind},
-            "properties": payload,
-        })
-    return {
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": "ma-opt",
-                                "informationUri": "docs/observability.md",
-                                "rules": []}},
-            "results": results,
-            "properties": record.summary(),
-        }],
-    }
-
-
-def export_bundle(record: RunRecord) -> dict:
-    """Single-document export of a whole run (manifest+events+metrics+trace).
-
-    A versioned ``repro.obs/run-export`` object — the portable form for
-    attaching a run to an issue or shipping it to another machine.
-    """
-    return {
+    doc = {
         "schema": EXPORT_SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
         "manifest": record.manifest,
@@ -410,18 +360,5 @@ def export_bundle(record: RunRecord) -> dict:
         "final_metrics": record.final_metrics(),
         "trace": record.trace_rows(),
     }
-
-
-def export_run(record: RunRecord, fmt: str = "json") -> str:
-    """Render a run in an export format: ``json``, ``prom`` or ``sarif``."""
-    if fmt == "prom":
-        return export_prometheus_text(record)
-    if fmt == "sarif":
-        doc: dict = export_sarif(record)
-    elif fmt == "json":
-        doc = export_bundle(record)
-    else:
-        raise ValueError(f"unknown export format {fmt!r} "
-                         "(expected json, prom or sarif)")
     return json.dumps(doc, indent=2, sort_keys=True,
                       default=_json_default) + "\n"

@@ -86,6 +86,17 @@ class TestTaskTargets:
             main(["lint", "rfmixer"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("point", ["2.0", "-0.1", "nan"])
+    def test_point_outside_unit_box_exits_two(self, point, capsys):
+        # A normalized coordinate outside [0, 1] would lint a design
+        # outside the declared bounds (or crash in denormalize on nan).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "ota", "--point", point])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: --point")
+        assert "clean" not in captured.out
+
 
 class TestConfigAndCode:
     def test_config_mode(self, capsys):
@@ -126,9 +137,11 @@ class TestPrefixValidation:
         assert main(["lint", clean_deck, "--select", "erc",
                      "--ignore", "erc.unit-suffix"]) == 0
 
-    def test_flow_and_shape_prefixes_registered(self, clean_deck):
-        assert main(["lint", clean_deck, "--select", "flow.rng",
-                     "--ignore", "shape"]) == 0
+    def test_flow_prefix_registered(self, clean_deck, capsys):
+        assert main(["lint", clean_deck, "--select", "flow.rng"]) == 0
+        # No registered rule starts with "shape".
+        assert main(["lint", clean_deck, "--ignore", "shape"]) == 2
+        assert "shape" in capsys.readouterr().err
 
 
 class TestFlowAndShapes:
@@ -143,37 +156,23 @@ class TestFlowAndShapes:
         bad.write_text(BAD_FLOW, encoding="utf-8")
         assert main(["lint", "--code", str(bad)]) == 0
 
-    def test_shapes_alone_is_a_valid_invocation(self, capsys):
-        assert main(["lint", "--shapes"]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_repo_gate_invocation_with_baseline(self, monkeypatch, capsys):
-        # The exact CI gate: every pass on every python tree, screened
-        # by the committed baseline, must exit 0.  The ratchet has
-        # closed — the baseline is empty, so nothing may be suppressed
-        # either.
+    def test_repo_gate_has_no_findings(self, monkeypatch, capsys):
+        # The exact CI gate: codelint plus the flow pass on every python
+        # tree must exit 0 with no finding at all, warnings included.
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         monkeypatch.chdir(repo_root)
         assert main(["lint", "--code", "src/repro", "--code", "examples",
-                     "--code", "benchmarks", "--flow", "--shapes",
-                     "--baseline", "lint-baseline.json"]) == 0
+                     "--code", "benchmarks", "--flow"]) == 0
         out = capsys.readouterr().out
-        assert "clean: no findings" in out
-        assert "baseline-suppressed" not in out
-
-    def test_all_shorthand_runs_every_pass(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_FLOW, encoding="utf-8")
-        assert main(["lint", "--all", "--code", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "flow.rng.no-param" in out
-        assert "== shapes ==" in out
+        assert out.count("clean: no findings") == 3
 
 
 class TestRemovedOptions:
     @pytest.mark.parametrize("flag", ["--locks", "--taint", "--proto",
                                       "--proto-doc=x", "--cache=x",
-                                      "--no-cache"])
+                                      "--no-cache", "--shapes", "--all",
+                                      "--baseline=x", "--update-baseline",
+                                      "--sarif-out=x"])
     def test_deleted_lint_options_are_unknown(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", "ota", flag])
@@ -186,45 +185,3 @@ class TestRemovedOptions:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-
-class TestBaselineFlags:
-    def test_update_then_screen_then_ratchet(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_FLOW, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        # 1. freeze the pre-existing finding
-        assert main(["lint", "--code", str(bad), "--flow",
-                     "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert "froze 1 finding(s)" in capsys.readouterr().out
-        # 2. screened run is clean
-        assert main(["lint", "--code", str(bad), "--flow",
-                     "--baseline", str(baseline)]) == 0
-        assert "1 baseline-suppressed" in capsys.readouterr().out
-        # 3. a NEW finding still fails
-        bad.write_text(BAD_FLOW + "import pickle\n", encoding="utf-8")
-        assert main(["lint", "--code", str(bad), "--flow",
-                     "--baseline", str(baseline)]) == 1
-        assert "code.pickle" in capsys.readouterr().out
-
-    def test_missing_baseline_file_is_strict(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_FLOW, encoding="utf-8")
-        assert main(["lint", "--code", str(bad), "--flow",
-                     "--baseline", str(tmp_path / "absent.json")]) == 1
-
-
-class TestSarifOut:
-    def test_sarif_written_with_new_findings_only(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import pickle\n", encoding="utf-8")
-        sarif = tmp_path / "out.sarif"
-        assert main(["lint", "--code", str(bad),
-                     "--sarif-out", str(sarif)]) == 1
-        doc = json.loads(sarif.read_text(encoding="utf-8"))
-        assert doc["version"] == "2.1.0"
-        results = doc["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["code.pickle"]
-        rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"flow.rng.no-param", "shape.critic-io",
-                "erc.floating-node"} <= rule_ids

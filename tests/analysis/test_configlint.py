@@ -11,6 +11,7 @@ from repro.analysis.configlint import (
 from repro.analysis.diagnostics import Severity
 from repro.core.config import MAOptConfig, ResilienceConfig
 from repro.core.space import DesignSpace, Parameter
+from repro.experiments.config import TUNED_MAOPT, BenchConfig
 
 
 def rules(diags):
@@ -18,8 +19,18 @@ def rules(diags):
 
 
 class TestScalarRules:
-    def test_default_config_is_clean(self):
-        assert check_config(MAOptConfig()) == []
+    @pytest.mark.parametrize("config", [MAOptConfig(),
+                                        MAOptConfig(**TUNED_MAOPT)],
+                             ids=["default", "tuned"])
+    def test_default_config_is_clean(self, config):
+        assert check_config(config) == []
+        # The elite set (N_es) must fit in the bench protocol's initial
+        # set; the budgeted check may still warn about other rules (the
+        # default batch size exceeds n_init = 50, cfg.batch-vs-data).
+        bench = BenchConfig()
+        diags = check_config(config, n_sims=bench.n_sims,
+                             n_init=bench.n_init)
+        assert not [d for d in diags if d.rule.startswith("cfg.elite")]
 
     def test_zero_action_scale_is_error(self):
         diags = check_config(MAOptConfig(action_scale=0.0))

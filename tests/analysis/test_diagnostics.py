@@ -1,7 +1,5 @@
 """Tests for the shared diagnostic model."""
 
-import json
-
 import pytest
 
 from repro.analysis.diagnostics import (
@@ -12,7 +10,6 @@ from repro.analysis.diagnostics import (
     filter_diagnostics,
     has_errors,
     max_severity,
-    render_jsonl,
     render_text,
     sort_diagnostics,
 )
@@ -116,7 +113,3 @@ class TestRendering:
 
     def test_text_clean(self):
         assert render_text([]) == "clean: no findings"
-
-    def test_jsonl_round_trips(self):
-        lines = render_jsonl([d("a"), d("b")]).splitlines()
-        assert [json.loads(line)["rule"] for line in lines] == ["a", "b"]

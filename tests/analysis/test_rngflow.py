@@ -150,11 +150,11 @@ class TestSharedClosure:
 
 
 class TestRepoSources:
-    def test_core_tree_matches_baseline(self):
+    def test_core_tree_has_no_findings(self):
         # src/repro is finding-free: the two historical unseeded-fallback
         # warnings (nn/layers.py, spice/montecarlo.py) were fixed by
-        # threading an explicit seed parameter, and lint-baseline.json
-        # froze back down to zero.
+        # threading an explicit seed parameter.  Any new finding, warning
+        # or error, fails here and in the CI lint gate.
         import pathlib
 
         import repro

@@ -11,9 +11,7 @@ from repro.obs import RunRecord, RunStore, Telemetry, Tracer, new_run_id
 from repro.obs.store import (
     diff_runs,
     ensure_valid_manifest,
-    export_prometheus_text,
     export_run,
-    export_sarif,
     validate_manifest,
 )
 
@@ -136,33 +134,13 @@ class TestDiffAndExport:
         assert "best_fom" in diff["fields"]
         assert "status" not in diff["fields"]  # identical fields are elided
 
-    def test_prometheus_text(self, tmp_path):
-        store = RunStore(tmp_path)
-        rec, _ = _finished_run(store)
-        text = export_prometheus_text(rec.record())
-        assert "# TYPE sims_total counter" in text
-        assert 'sims_total{kind="init"} 6' in text
-
-    def test_sarif_shape(self, tmp_path):
-        store = RunStore(tmp_path)
-        rec, _ = _finished_run(store)
-        doc = export_sarif(rec.record())
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "ma-opt"
-        assert run["properties"]["run_id"] == rec.run_id
-        for result in run["results"]:
-            assert result["level"] in ("warning", "note")
-
     def test_bundle_and_format_routing(self, tmp_path):
         store = RunStore(tmp_path)
         rec, _ = _finished_run(store)
-        doc = json.loads(export_run(rec.record(), "json"))
+        doc = json.loads(export_run(rec.record()))
         assert doc["schema"] == "repro.obs/run-export"
         assert doc["manifest"]["run_id"] == rec.run_id
         assert doc["events"] and doc["trace"]
-        with pytest.raises(ValueError, match="unknown export format"):
-            export_run(rec.record(), "xml")
 
 
 class TestComparisonIntegration:

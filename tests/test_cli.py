@@ -42,6 +42,13 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["netlist", "sphere"])
 
+    @pytest.mark.parametrize("point", ["2.0", "nan"])
+    def test_netlist_point_outside_unit_box_exits_two(self, point, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["netlist", "ota", "--point", point])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("repro: error: --point")
+
     def test_optimize_sphere(self, capsys):
         rc = main(["optimize", "sphere", "--sims", "6", "--init", "8",
                    "--method", "Random"])

@@ -1,4 +1,4 @@
-"""Tests for the newer CLI features (corners, report)."""
+"""Tests for the newer CLI features (corners, report, run export)."""
 
 import json
 
@@ -131,3 +131,43 @@ class TestResilienceFlags:
         assert (tmp_path / "cmp" / "Random_run0.npz").exists()
         assert main(cmd) == 0  # resumes from the archive
         assert "restored from checkpoint" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """(store dir, run id) of one small finished run."""
+    from repro.obs import RunStore
+
+    store = tmp_path_factory.mktemp("runs")
+    assert main(["optimize", "sphere", "--sims", "4", "--init", "6",
+                 "--store", str(store)]) == 0
+    return str(store), RunStore(store).run_ids()[-1]
+
+
+class TestRunsExport:
+    def test_export_is_the_json_bundle(self, stored_run, tmp_path, capsys):
+        store, run_id = stored_run
+        out = tmp_path / "run.json"
+        assert main(["runs", "export", run_id, "--store", store,
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["schema"] == "repro.obs/run-export"
+        assert doc["manifest"]["run_id"] == run_id
+        assert f"wrote export of {run_id}" in capsys.readouterr().out
+
+    def test_unwritable_output_is_a_clean_error(self, stored_run, tmp_path):
+        store, run_id = stored_run
+        target = tmp_path / "no-such-dir" / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runs", "export", run_id, "--store", store,
+                  "--output", str(target)])
+        assert str(excinfo.value).startswith(
+            f"repro: error: cannot write {target}: ")
+
+    def test_format_option_is_gone(self, stored_run, capsys):
+        store, run_id = stored_run
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runs", "export", run_id, "--store", store,
+                  "--format", "prom"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

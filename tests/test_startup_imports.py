@@ -1,4 +1,5 @@
-"""Start-up import graph: BO's scipy stack loads only when a baseline runs.
+"""Start-up import graph: BO's scipy stack loads only when a baseline runs,
+and the code linters load only when ``lint`` runs.
 
 Each check runs in a fresh interpreter, because the test process itself has
 long since imported everything.  The checks are structural (which modules
@@ -56,3 +57,23 @@ assert np.isfinite(result.best_fom)
 """
     loaded = _loaded_after(code, ("scipy.stats", "repro.baselines"))
     assert loaded == {"scipy.stats": False, "repro.baselines": True}
+
+
+def test_maopt_run_does_not_load_code_linters():
+    # The ERC gate imports repro.analysis.erc on every simulation; the
+    # package must not drag the AST linters in with it.
+    code = STARTUP + """
+import numpy as np
+task = ThreeStageTIA(fidelity="fast")
+x0, f0 = make_initial_set(task, 6, seed=0)
+result = run_method("MA-Opt", task, 3, x0, f0, seed=0,
+                    maopt_overrides=dict(critic_steps=5, actor_steps=3,
+                                         batch_size=4, n_elite=4,
+                                         hidden=(8, 8)))
+assert len(result.records) == 3, len(result.records)
+"""
+    linters = ("repro.analysis.flow", "repro.analysis.rngflow",
+               "repro.analysis.codelint")
+    loaded = _loaded_after(code, ("repro.analysis.erc", *linters))
+    assert loaded == {"repro.analysis.erc": True,
+                      **{m: False for m in linters}}, loaded

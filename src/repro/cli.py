@@ -139,27 +139,24 @@ _MA_METHODS = ("DNN-Opt", "MA-Opt1", "MA-Opt2", "MA-Opt")
 
 
 def _build_resilience(args: argparse.Namespace):
-    """ResilienceConfig from the --sim-timeout/--checkpoint* flags; None
-    (the executor's default policy) when none of them is set."""
-    if not (args.sim_timeout is not None
-            or args.checkpoint or args.checkpoint_every):
+    """ResilienceConfig from the --checkpoint* flags; None (no
+    checkpoints) when neither is set."""
+    if not (args.checkpoint or args.checkpoint_every):
         return None
     from repro.core.config import ResilienceConfig
 
     return ResilienceConfig(
-        sim_timeout_s=args.sim_timeout,
         checkpoint_every=args.checkpoint_every or 0,
         checkpoint_path=args.checkpoint,
     )
 
 
 def _reject_ma_only_flags(args: argparse.Namespace) -> None:
-    """Baselines take no timeout, checkpoint or resume settings."""
+    """Baselines take no checkpoint or resume settings."""
     if args.method in _MA_METHODS:
         return
     given = [flag for flag, value in (
         ("--resume", args.resume),
-        ("--sim-timeout", args.sim_timeout is not None),
         ("--checkpoint", args.checkpoint),
         ("--checkpoint-every", args.checkpoint_every is not None)) if value]
     if given:
@@ -168,9 +165,19 @@ def _reject_ma_only_flags(args: argparse.Namespace) -> None:
             f"({', '.join(_MA_METHODS)}) supports this, not {args.method!r}")
 
 
+def _check_budget(args: argparse.Namespace) -> None:
+    """``--sims`` and ``--init`` each need at least one simulation."""
+    for flag, value in (("--sims", args.sims), ("--init", args.init)):
+        if value < 1:
+            print(f"repro: error: {flag} must be >= 1, got {value}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.experiments import make_initial_set, run_method
 
+    _check_budget(args)
     _reject_ma_only_flags(args)
     task = _make_task(args.task, args.fidelity, args.corner)
     resilience = _build_resilience(args)
@@ -190,10 +197,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     overrides = dict(_MAOPT_TUNED)
     if resilience is not None:
         overrides["resilience"] = resilience
-    if args.parallel:
-        overrides["parallel"] = True
-    if args.heartbeat:
-        overrides["heartbeat_s"] = args.heartbeat
     try:
         if args.resume:
             from repro.core.ma_opt import MAOptimizer
@@ -545,9 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", help="archive the run to this .npz file")
-    p.add_argument("--sim-timeout", type=float, default=None, metavar="S",
-                   help="per-simulation watchdog timeout in seconds "
-                        "(pool path only; MA-Opt family)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="write optimizer checkpoints to this .npz path "
                         "(MA-Opt family)")
@@ -561,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", metavar="DIR", default=None,
                    help="record this run durably under DIR (query with "
                         "'runs', follow with 'tail')")
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate actor batches over a process pool "
-                        "(MA-Opt family; one worker per actor)")
-    p.add_argument("--heartbeat", type=float, default=0.0, metavar="S",
-                   help="emit heartbeat events every S seconds while a "
-                        "pooled batch is in flight (MA-Opt family)")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_optimize)
 

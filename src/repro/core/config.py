@@ -30,29 +30,18 @@ class VariantPreset(enum.Enum):
 
 @dataclass
 class ResilienceConfig:
-    """Pool watchdog + checkpoint cadence for long optimization runs.
+    """Checkpoint cadence for long optimization runs.
 
-    Consumed by :class:`~repro.core.parallel.SimulationExecutor` (pool
-    watchdog) and the optimizers' run loops (checkpoint cadence); see
-    ``docs/resilience.md`` for the full semantics.  The failure rule itself
-    takes no settings: each design is simulated once and a failed or
-    non-finite simulation is quarantined instead of aborting the run.
+    Consumed by the optimizers' run loops; see ``docs/resilience.md`` for
+    the full semantics.  The failure rule itself takes no settings: each
+    design is simulated once and a failed or non-finite simulation is
+    quarantined instead of aborting the run.
     """
 
-    # pool-path watchdog: seconds a design may take.  A design whose result
-    # misses the deadline (a hung or crashed worker) is quarantined with
-    # reason "timeout"; the pool is rebuilt and only the designs whose
-    # results were lost are re-dispatched.  ``None`` disables the watchdog
-    # (and with it hang/crash recovery).
-    sim_timeout_s: float | None = None
-
-    # checkpoint cadence (consumed by the optimizers' run() loops)
     checkpoint_every: int = 0          # rounds between snapshots; 0 = off
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.sim_timeout_s is not None and self.sim_timeout_s <= 0:
-            raise ValueError("sim_timeout_s must be positive (or None)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 
@@ -114,17 +103,10 @@ class MAOptConfig:
     # Minimum distance (normalized space) between same-round proposals.
     proposal_min_dist: float = 0.05
 
-    # execution
-    parallel: bool = False     # multiprocessing over actors (Section II-B)
-    # Pooled-batch heartbeat cadence in seconds (0 = off): while a pool
-    # batch is in flight, heartbeat run events keep stalls visible to
-    # ``ma-opt tail`` and other event-stream consumers.
-    heartbeat_s: float = 0.0
     seed: int | None = None
 
-    # pool watchdog + checkpoint cadence; None is the default
-    # ResilienceConfig (no watchdog, no checkpoints).  Failed simulations
-    # are quarantined either way.
+    # checkpoint cadence; None is the default ResilienceConfig (no
+    # checkpoints).  Failed simulations are quarantined either way.
     resilience: ResilienceConfig | None = None
 
     extras: dict = field(default_factory=dict)
@@ -154,8 +136,6 @@ class MAOptConfig:
         if self.ucb_beta > 0 and self.n_critics < 2:
             raise ValueError("ucb_beta requires a critic ensemble "
                              "(n_critics >= 2)")
-        if self.heartbeat_s < 0:
-            raise ValueError("heartbeat_s must be >= 0")
 
     def to_dict(self) -> dict:
         """JSON-safe dict (checkpoint headers); inverse of :meth:`from_dict`.

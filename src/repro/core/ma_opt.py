@@ -94,11 +94,7 @@ class MAOptimizer(Driver):
                 EliteSet(self.total, self.config.n_elite, owner=i)
                 for i in range(self.config.n_actors)
             ]
-        self._executor = SimulationExecutor(
-            task, n_workers=self.config.n_actors if self.config.parallel else 0,
-            telemetry=self.obs, resilience=self.config.resilience,
-            heartbeat_s=self.config.heartbeat_s,
-        )
+        self._executor = SimulationExecutor(task, telemetry=self.obs)
 
     @property
     def diagnostics(self) -> list[dict]:

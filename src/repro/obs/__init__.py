@@ -16,13 +16,7 @@ for the full reference.
 
 from repro.obs.events import RunEvent, RunLogger, configure_logging
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    Telemetry,
-    WorkerCapture,
-    WorkerTelemetry,
-    absorb_capture,
-)
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.store import RunRecord, RunRecorder, RunStore, new_run_id
 from repro.obs.trace import NOOP_SPAN, Span, Tracer
 
@@ -38,9 +32,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "WorkerCapture",
-    "WorkerTelemetry",
-    "absorb_capture",
     "configure_logging",
     "new_run_id",
 ]

@@ -18,7 +18,7 @@ round_end            round, kind, plus per-round diagnostics
 run_end              method, n_sims, best_fom, wall_time_s, success,
                      run_id
 sim_failed           kind, design_index, reason
-                     (exception/nonfinite/timeout), error — a design was
+                     (exception/nonfinite), error — a design was
                      quarantined by the failure rule
 lint_rejected        kind, design_index, rules, first — the ERC gate
                      rejected a design before simulation
@@ -28,8 +28,6 @@ checkpoint_saved     path, round or n_records — an optimizer snapshot
                      was written atomically
 checkpoint_restored  path, round or n_records — an optimizer was rebuilt
                      from a snapshot
-heartbeat            elapsed_s, n, workers, beats — emitted by the pool's
-                     heartbeat thread while a batch is in flight
 =================== ====================================================
 
 ``MAOptimizer.diagnostics`` is a backward-compatible view over the
@@ -97,9 +95,9 @@ class RunLogger:
                  logger: logging.Logger | str | None = None,
                  level: int = logging.INFO) -> None:
         self._t0 = time.perf_counter()
-        # emit() is called from the optimizer thread *and* the pool
-        # heartbeat thread; the lock keeps the in-memory list and the
-        # JSONL file line-atomic under that concurrency.
+        # The logger is a shared sink that any thread may emit into; the
+        # lock keeps the in-memory list and the JSONL file line-atomic
+        # under that concurrency.
         self._lock = threading.Lock()
         self._events: list[RunEvent] = []  # guarded by _lock
         self._fh: TextIO | None = (        # guarded by _lock

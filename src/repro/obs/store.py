@@ -8,7 +8,7 @@ append-only directory under the store root::
       20260807-141503-a1b2c3/
         manifest.json    # repro.obs/run document (status, method, summary)
         events.jsonl     # streamed run events (written live, line-atomic)
-        metrics.jsonl    # metric snapshots appended at round ends/heartbeats
+        metrics.jsonl    # metric snapshots appended at round ends
         metrics.json     # final MetricsRegistry snapshot (on finalize)
         trace.jsonl      # flattened span tree (on finalize)
 
@@ -133,7 +133,7 @@ class RunRecord:
         return [r for r in rows if r.get("event") == kind]
 
     def metric_snapshots(self) -> list[dict]:
-        """In-flight metric snapshots (one per round end / heartbeat)."""
+        """In-flight metric snapshots (one per round end)."""
         return _read_jsonl(self.path / METRICS_STREAM)
 
     def final_metrics(self) -> dict:
@@ -165,7 +165,7 @@ class RunRecord:
 class _RecorderLogger(RunLogger):
     """The recorder's event stream: records each event, then reacts to it.
 
-    Round ends and heartbeats append a metric snapshot; ``run_end``
+    Round ends append a metric snapshot; ``run_end``
     finalizes the record from the event's payload.
     """
 
@@ -175,7 +175,7 @@ class _RecorderLogger(RunLogger):
 
     def emit(self, kind: str, /, **payload: Any) -> RunEvent:
         event = super().emit(kind, **payload)
-        if kind in ("round_end", "heartbeat"):
+        if kind == "round_end":
             self._recorder.snapshot_metrics()
         elif kind == "run_end":
             self._recorder.finalize(payload)
@@ -187,7 +187,7 @@ class RunRecorder:
 
     Exposes a ready-made :attr:`telemetry` bundle (tracer + metrics +
     events streamed into the run directory).  The recorder follows its
-    own event stream: rounds and heartbeats append metric snapshots and
+    own event stream: round ends append metric snapshots and
     the ``run_end`` event finalizes the record, so the normal optimizer
     lifecycle needs no explicit calls.  A run abandoned mid-flight keeps
     ``status="running"`` — visibly stale rather than silently absent.

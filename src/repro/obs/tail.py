@@ -4,8 +4,8 @@
 (``events.jsonl`` + ``metrics.jsonl``), reading only bytes appended since
 the previous poll (offset resume — a restarted tail picks up where the
 files are, not from scratch), and renders a one-screen status: run
-phase, round/evaluation progress, best FoM, failure counts, sim-latency
-p50/p95, pool busy gauge, and the age of the last heartbeat.
+phase, round/evaluation progress, best FoM, failure counts and
+sim-latency p50/p95.
 
 The reader is deliberately decoupled from the writer: it only ever opens
 files, so it can run in another process, on another machine over a
@@ -81,8 +81,6 @@ class TailState:
     best_fom: float | None = None
     failures: int = 0
     lint_rejections: int = 0
-    last_heartbeat: dict | None = None
-    workers_busy: float | None = None
     sim_p50: float | None = None
     sim_p95: float | None = None
     last_event_t: float | None = None   # writer clock of the latest event
@@ -119,9 +117,6 @@ class TailState:
             self.failures += 1
         elif kind == "lint_rejected":
             self.lint_rejections += 1
-        elif kind == "heartbeat":
-            self.last_heartbeat = {k: v for k, v in row.items()
-                                   if k != "event"}
         elif kind == "run_end":
             self.status = "finished"
             if row.get("best_fom") is not None:
@@ -129,9 +124,6 @@ class TailState:
 
     def apply_metrics(self, snap: dict) -> None:
         """Fold one ``metrics.jsonl`` snapshot into the state."""
-        gauges = snap.get("gauges", {})
-        if "pool_workers_busy" in gauges:
-            self.workers_busy = float(gauges["pool_workers_busy"])
         for key, stats in snap.get("histograms", {}).items():
             if key.startswith("sim_latency_s") and stats.get("count"):
                 self.sim_p50 = stats.get("p50")
@@ -158,14 +150,8 @@ def render(state: TailState, stalled_s: float | None = None) -> str:
         f"  failures {state.failures}  "
         f"lint_rejected {state.lint_rejections}",
         f"  sim latency p50 {_fmt(state.sim_p50, '.4g')}s  "
-        f"p95 {_fmt(state.sim_p95, '.4g')}s  "
-        f"workers busy {_fmt(state.workers_busy, 'g')}",
+        f"p95 {_fmt(state.sim_p95, '.4g')}s",
     ]
-    if state.last_heartbeat is not None:
-        hb = state.last_heartbeat
-        lines.append(
-            f"  heartbeat #{hb.get('beats', '?')} at t={hb.get('t', '?')}s "
-            f"(batch n={hb.get('n', '?')}, workers={hb.get('workers', '?')})")
     if stalled_s is not None:
         lines.append(f"  ** no new data for {stalled_s:.0f}s — "
                      "run may be stalled or dead **")

@@ -8,13 +8,7 @@ code opens spans with::
 
 Spans nest per-thread (a thread-local stack), so concurrent threads each
 build their own branch of the tree; finished root spans are appended to a
-lock-protected shared list.  Worker *processes* participate through
-:class:`~repro.obs.telemetry.WorkerTelemetry`: spans recorded inside a
-pool worker are shipped back with each task result (see
-:meth:`Span.to_dict` / :meth:`Span.from_dict`) and grafted into the
-parent tree under the owning ``simulate`` span with worker ``pid``/``seq``
-attributes — the :class:`~repro.core.parallel.SimulationExecutor` does
-this for every pooled batch.
+lock-protected shared list.
 
 When no tracer is attached (the default), instrumentation sites go through
 :data:`NOOP_SPAN`, a shared reusable no-op context manager — the fast path
@@ -49,36 +43,6 @@ class Span:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form of the subtree (picklable/JSON-safe payload)."""
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "t_start": self.t_start,
-            "duration_s": self.duration_s,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Span":
-        """Rebuild a subtree written by :meth:`to_dict`."""
-        return cls(
-            name=str(data["name"]),
-            attrs=dict(data.get("attrs", {})),
-            t_start=float(data.get("t_start", 0.0)),
-            duration_s=float(data.get("duration_s", 0.0)),
-            children=[cls.from_dict(c) for c in data.get("children", ())],
-        )
-
-    def shifted(self, offset_s: float) -> "Span":
-        """Copy with every ``t_start`` in the subtree moved by ``offset_s``
-        (used when grafting worker-recorded spans onto a parent clock)."""
-        return Span(
-            name=self.name, attrs=dict(self.attrs),
-            t_start=self.t_start + offset_s, duration_s=self.duration_s,
-            children=[c.shifted(offset_s) for c in self.children],
-        )
 
 
 class _NoopSpan:

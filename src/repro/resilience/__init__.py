@@ -13,10 +13,10 @@ the optimizer stack survive both:
   ``MAOptimizer.save_checkpoint()`` / ``MAOptimizer.restore()``, giving
   bit-exact resume of a killed run.
 
-Knobs live on :class:`~repro.core.config.ResilienceConfig`; the executor
+The checkpoint cadence lives on
+:class:`~repro.core.config.ResilienceConfig`; the executor
 (:class:`~repro.core.parallel.SimulationExecutor`) applies the failure
-rule on both the serial and process-pool paths.  See
-``docs/resilience.md``.
+rule.  See ``docs/resilience.md``.
 """
 
 from repro.core.config import ResilienceConfig

@@ -23,10 +23,11 @@ import numpy as np
 __all__ = ["CHECKPOINT_VERSION", "atomic_write_json", "load_checkpoint",
            "save_checkpoint"]
 
-# Version 2: the config's ``resilience`` block holds only the watchdog
-# timeout and the checkpoint cadence; version 1 also held failure-policy
-# settings that no longer exist, so its headers are refused.
-CHECKPOINT_VERSION = 2
+# Version 3: the config has no process-pool settings (pool switch,
+# heartbeat cadence, watchdog timeout), so its ``resilience`` block holds
+# only the checkpoint cadence.  Versions 1 and 2 carry settings that no
+# longer exist, so their headers are refused.
+CHECKPOINT_VERSION = 3
 
 _HEADER_KEY = "__header__"
 

@@ -11,16 +11,14 @@ gets the task's decisively-bad penalty metrics (the values
 measurement is missing) and flows on as an infeasible record.  The NaN/Inf
 check guards the data entering the critic's training set.
 
-:func:`evaluate_design` runs in the caller for the serial path and inside
-each worker process for the pool path, so both paths classify a failure
-identically (see ``tests/resilience``).
+:func:`evaluate_design` is called once per design by
+:class:`~repro.core.parallel.SimulationExecutor` (see ``tests/resilience``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -49,11 +47,8 @@ class SimOutcome:
     metrics: np.ndarray
     seconds: float
     failed: bool = False
-    reason: str | None = None   # "exception" | "nonfinite" | "timeout"
+    reason: str | None = None   # "exception" | "nonfinite"
     error: str | None = None    # repr of the exception, if any
-    #: Telemetry recorded in the worker while this design ran
-    #: (:class:`~repro.obs.telemetry.WorkerCapture`); None on serial paths.
-    capture: Any = None
 
 
 def penalty_metrics(task) -> np.ndarray:

@@ -6,6 +6,7 @@ from repro.circuits.ota import TwoStageOTA
 from repro.core.parallel import SimulationExecutor
 from repro.obs import MetricsRegistry, RunLogger, Telemetry
 from repro.resilience.policy import penalty_metrics
+from tests.resilience.stubs import DivergingSphere
 
 
 class BrokenNetlistOTA(TwoStageOTA):
@@ -104,3 +105,26 @@ class TestGate:
             out = ex.evaluate_batch(np.full((2, task.d), 0.5))
         assert out.shape == (2, task.m + 1)
         assert ex.last_lint_rejections == {}
+
+    def test_failure_index_is_the_callers(self):
+        # Gated designs are taken out before simulation; a later failure
+        # must still be reported at its index in the caller's batch.
+        class GatedDivergingSphere(DivergingSphere):
+            def lint_design(self, u):
+                if u[1] > 0.9:
+                    from repro.analysis.erc import ERC_RULES
+                    return [ERC_RULES.diag("erc.no-ground", "forced")]
+                return []
+
+        task = GatedDivergingSphere(d=4, seed=0)
+        u = np.full((3, task.d), 0.2)
+        u[0, 1] = 0.95   # ERC-rejected
+        u[2, 0] = 0.8    # diverges
+        obs = telemetry()
+        with SimulationExecutor(task, telemetry=obs) as ex:
+            ex.evaluate_batch(u, kind="actor")
+        assert list(ex.last_lint_rejections) == [0]
+        (rejected,) = obs.run_logger.events("lint_rejected")
+        (failed,) = obs.run_logger.events("sim_failed")
+        assert rejected.payload["design_index"] == 0
+        assert failed.payload["design_index"] == 2

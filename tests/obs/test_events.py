@@ -71,8 +71,8 @@ class TestRunLogger:
         assert "best_fom=0.5" in caplog.text
 
     def test_concurrent_emit_keeps_lines_atomic(self, tmp_path):
-        # The optimizer thread and the pool heartbeat thread share one
-        # logger; every JSONL line must stay intact under that contention.
+        # Several threads share one logger; every JSONL line must stay
+        # intact under that contention.
         path = tmp_path / "events.jsonl"
         log = RunLogger(path=str(path))
         n_threads, n_events = 8, 50

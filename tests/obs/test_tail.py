@@ -66,11 +66,9 @@ class TestTailState:
         assert state.best_fom == 1.0
         state.apply_event({"event": "sim_failed"})
         state.apply_event({"event": "lint_rejected"})
-        state.apply_event({"event": "heartbeat", "t": 3.0, "beats": 7})
         state.apply_event({"event": "round_end", "round": 2,
                            "best_fom": 0.5})
         assert state.failures == 1 and state.lint_rejections == 1
-        assert state.last_heartbeat["beats"] == 7
         assert state.rounds == 2 and state.best_fom == 0.5
         state.apply_event({"event": "run_end", "best_fom": 0.25})
         assert state.status == "finished" and state.best_fom == 0.25
@@ -78,11 +76,9 @@ class TestTailState:
     def test_metrics_folding(self):
         state = TailState()
         state.apply_metrics({
-            "gauges": {"pool_workers_busy": 3.0},
             "histograms": {'sim_latency_s{kind="actor"}':
                            {"count": 4, "p50": 0.1, "p95": 0.2}},
         })
-        assert state.workers_busy == 3.0
         assert state.sim_p50 == 0.1 and state.sim_p95 == 0.2
 
     def test_render(self):
@@ -103,7 +99,8 @@ class TestTailRun:
                  "method": "MA-Opt", "task": "sphere4", "n_sims": 2},
                 {"event": "evaluation", "kind": "actor", "fom": 1.0})
         _append(run_dir / METRICS_STREAM,
-                {"gauges": {"pool_workers_busy": 2.0}})
+                {"histograms": {'sim_latency_s{kind="actor"}':
+                                {"count": 1, "p50": 0.3, "p95": 0.3}}})
         return run_dir
 
     def test_once_renders_current_state(self, tmp_path):
@@ -111,7 +108,7 @@ class TestTailRun:
         state = tail_run(self._run_dir(tmp_path), once=True, out=out)
         assert state.status == "running"
         assert state.evaluations == 1
-        assert state.workers_busy == 2.0
+        assert state.sim_p50 == 0.3
         assert "run r1" in out.getvalue()
 
     def test_follows_until_run_end(self, tmp_path):

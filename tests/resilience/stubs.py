@@ -1,11 +1,8 @@
 """Deterministic failing tasks for the failure-rule tests.
 
 Each stub fails in a fixed region of the design space, so a test knows the
-failing set of any design stream up front.  They live at module level so
-spawn-started pool workers can import them.
+failing set of any design stream up front.
 """
-
-import time
 
 import numpy as np
 
@@ -39,12 +36,3 @@ def failure_reason(u):
     if u[1] > 0.7:
         return "nonfinite"
     return None
-
-
-class HangingSphere(ConstrainedSphere):
-    """Sleeps 60 s (a hung simulator) where ``u[0] > 0.9``."""
-
-    def evaluate(self, u):
-        if u[0] > 0.9:
-            time.sleep(60.0)
-        return super().evaluate(u)

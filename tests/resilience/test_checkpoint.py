@@ -68,15 +68,18 @@ class TestSafety:
             load_checkpoint(path)
 
     def test_version_1_header_rejected(self, tmp_path):
-        # A version-1 header's resilience block holds settings this build
-        # no longer has; it must be refused by version, not by a TypeError
-        # from the config constructor.
+        # Version-1 and version-2 headers hold config settings this build
+        # no longer has; they must be refused by version, not by a
+        # TypeError from the config constructor.
         path = tmp_path / "ck.npz"
-        header = json.dumps({"checkpoint_version": 1, "config": {}})
-        np.savez_compressed(path, __header__=np.array(header))
-        with pytest.raises(ValueError,
-                           match="unsupported checkpoint version 1"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            header = json.dumps({"checkpoint_version": version,
+                                 "config": {}})
+            np.savez_compressed(path, __header__=np.array(header))
+            with pytest.raises(
+                    ValueError,
+                    match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "ck.npz"

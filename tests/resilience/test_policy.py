@@ -86,10 +86,6 @@ class TestPenaltyMetrics:
 
 
 class TestConfigValidation:
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(sim_timeout_s=0.0)
-
     def test_bad_checkpoint_every_rejected(self):
         with pytest.raises(ValueError):
             ResilienceConfig(checkpoint_every=-2)

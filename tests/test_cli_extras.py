@@ -115,13 +115,32 @@ class TestResilienceFlags:
                   "--resume", str(tmp_path / "ck.npz")])
 
     @pytest.mark.parametrize("flags", [
-        ["--resume", "ck.npz"], ["--sim-timeout", "5"],
-        ["--checkpoint", "ck.npz"], ["--checkpoint-every", "2"]])
+        ["--resume", "ck.npz"], ["--checkpoint", "ck.npz"],
+        ["--checkpoint-every", "2"]])
     def test_ma_only_flags_reject_baselines(self, flags):
         with pytest.raises(SystemExit, match="MA-Opt family") as exc:
             main(["optimize", "sphere", "--method", "BO",
                   "--sims", "4", "--init", "4", *flags])
         assert flags[0] in str(exc.value)
+
+    @pytest.mark.parametrize("flags", [
+        ["--sims", "0"], ["--sims", "-1"], ["--init", "0"]])
+    def test_budget_below_one_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--sims", "4", "--init", "4",
+                  *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            f"repro: error: {flags[0]} must be >= 1")
+
+    @pytest.mark.parametrize("flags", [
+        ["--parallel"], ["--heartbeat", "1"], ["--sim-timeout", "5"]])
+    def test_process_pool_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--sims", "4", "--init", "4",
+                  *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_compare_checkpoint_dir(self, tmp_path, capsys):
         cmd = ["compare", "sphere", "--methods", "Random",

@@ -31,7 +31,6 @@ _PUBLIC = {
     "TwoStageOTA": ("repro.circuits", "TwoStageOTA"),
     "ThreeStageTIA": ("repro.circuits", "ThreeStageTIA"),
     "LDORegulator": ("repro.circuits", "LDORegulator"),
-    "ResilienceConfig": ("repro.core.config", "ResilienceConfig"),
 }
 
 __all__ = [*_PUBLIC, "__version__"]

@@ -14,9 +14,11 @@ correctness depends on — the mistakes that silently waste the paper's
   minimum proposal distance beyond the action range livelocks proposals);
 * learning-rate and penalty-weight sanity;
 * design-space well-formedness (integer parameters with an empty
-  representable range, non-finite bounds);
-* resilience/checkpoint plumbing (cadence without a path, unwritable
-  checkpoint directory).
+  representable range, non-finite bounds).
+
+Checkpoint settings are run arguments, not config fields; the run checks
+them before its first simulation
+(:func:`repro.core.driver.check_checkpointing`).
 
 :func:`check_config` returns :class:`~repro.analysis.diagnostics.Diagnostic`
 findings; :func:`validate_config` raises on error severity (the
@@ -27,8 +29,6 @@ construction-time fail-fast used by
 from __future__ import annotations
 
 import math
-import os
-import pathlib
 
 from repro.analysis.diagnostics import Diagnostic, RuleSet, Severity
 
@@ -60,9 +60,6 @@ CFG_RULES.add("cfg.space-integer", Severity.ERROR,
               "integer parameter whose bounds contain no integer")
 CFG_RULES.add("cfg.space-bounds", Severity.ERROR,
               "parameter bounds must be finite (and not collapsed)")
-CFG_RULES.add("cfg.checkpoint-path", Severity.ERROR,
-              "checkpoint cadence/path plumbing is inconsistent or the "
-              "directory is not writable")
 
 
 def _check_space(space) -> list[Diagnostic]:
@@ -83,37 +80,6 @@ def _check_space(space) -> list[Diagnostic]:
                 f"in [{p.low:g}, {p.high:g}]",
                 location=f"space.{p.name}",
                 fix="widen the bounds to include an integer"))
-    return diags
-
-
-def _check_resilience(res) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    if res is None:
-        return diags
-    if res.checkpoint_every > 0 and not res.checkpoint_path:
-        diags.append(CFG_RULES.diag(
-            "cfg.checkpoint-path",
-            f"checkpoint_every={res.checkpoint_every} but no "
-            f"checkpoint_path is set; snapshots require run(...) to supply "
-            f"a path",
-            location="resilience.checkpoint_every",
-            severity=Severity.WARNING,
-            fix="set resilience.checkpoint_path or pass checkpoint_path "
-                "to run()"))
-    if res.checkpoint_path:
-        parent = pathlib.Path(res.checkpoint_path).expanduser().parent
-        if not parent.is_dir():
-            diags.append(CFG_RULES.diag(
-                "cfg.checkpoint-path",
-                f"checkpoint directory {str(parent)!r} does not exist",
-                location="resilience.checkpoint_path",
-                fix="create the directory before the run starts"))
-        elif not os.access(parent, os.W_OK):
-            diags.append(CFG_RULES.diag(
-                "cfg.checkpoint-path",
-                f"checkpoint directory {str(parent)!r} is not writable",
-                location="resilience.checkpoint_path",
-                fix="point checkpoint_path at a writable directory"))
     return diags
 
 
@@ -230,7 +196,6 @@ def check_config(config, task=None, n_sims: int | None = None,
                 location="t_ns",
                 fix="lower t_ns or disable near_sampling"))
 
-    diags.extend(_check_resilience(config.resilience))
     if task is not None:
         diags.extend(_check_space(task.space))
     return diags

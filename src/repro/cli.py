@@ -138,19 +138,6 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
 _MA_METHODS = ("DNN-Opt", "MA-Opt1", "MA-Opt2", "MA-Opt")
 
 
-def _build_resilience(args: argparse.Namespace):
-    """ResilienceConfig from the --checkpoint* flags; None (no
-    checkpoints) when neither is set."""
-    if not (args.checkpoint or args.checkpoint_every):
-        return None
-    from repro.core.config import ResilienceConfig
-
-    return ResilienceConfig(
-        checkpoint_every=args.checkpoint_every or 0,
-        checkpoint_path=args.checkpoint,
-    )
-
-
 def _reject_ma_only_flags(args: argparse.Namespace) -> None:
     """Baselines take no checkpoint or resume settings."""
     if args.method in _MA_METHODS:
@@ -165,13 +152,35 @@ def _reject_ma_only_flags(args: argparse.Namespace) -> None:
             f"({', '.join(_MA_METHODS)}) supports this, not {args.method!r}")
 
 
+def _usage_error(message: str) -> None:
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _check_budget(args: argparse.Namespace) -> None:
     """``--sims`` and ``--init`` each need at least one simulation."""
     for flag, value in (("--sims", args.sims), ("--init", args.init)):
         if value < 1:
-            print(f"repro: error: {flag} must be >= 1, got {value}",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"{flag} must be >= 1, got {value}")
+
+
+def _check_checkpoint_flags(args: argparse.Namespace) -> None:
+    """Refuse a checkpoint plan the run would refuse, before the initial
+    set is simulated.  ``--checkpoint-every`` needs a path:
+    ``--checkpoint``, or the one a ``--resume`` checkpoint carries."""
+    from repro.core.driver import check_checkpointing
+
+    every = args.checkpoint_every
+    if every is not None and every < 0:
+        _usage_error(f"--checkpoint-every must be >= 0, got {every}")
+    if every is not None and not (args.checkpoint or args.resume):
+        _usage_error("--checkpoint-every needs --checkpoint PATH "
+                     "(or --resume)")
+    if args.checkpoint:
+        try:
+            check_checkpointing(args.checkpoint, every or 0)
+        except ValueError as exc:
+            _usage_error(str(exc))
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -179,8 +188,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     _check_budget(args)
     _reject_ma_only_flags(args)
+    _check_checkpoint_flags(args)
     task = _make_task(args.task, args.fidelity, args.corner)
-    resilience = _build_resilience(args)
     telemetry = _build_telemetry(args)
     recorder = None
     if args.store:
@@ -194,9 +203,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(f"run {recorder.run_id} recording to "
               f"{args.store}/{recorder.run_id} "
               f"(follow with: ma-opt tail {recorder.run_id})")
-    overrides = dict(_MAOPT_TUNED)
-    if resilience is not None:
-        overrides["resilience"] = resilience
     try:
         if args.resume:
             from repro.core.ma_opt import MAOptimizer
@@ -214,8 +220,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             x, f = make_initial_set(task, args.init, seed=args.seed,
                                     telemetry=telemetry)
             res = run_method(args.method, task, args.sims, x, f,
-                             seed=args.seed, maopt_overrides=overrides,
-                             telemetry=telemetry)
+                             seed=args.seed, maopt_overrides=_MAOPT_TUNED,
+                             telemetry=telemetry,
+                             checkpoint_path=args.checkpoint,
+                             checkpoint_every=args.checkpoint_every)
     except KeyboardInterrupt:
         if recorder is not None:
             recorder.finalize(status="interrupted")
@@ -557,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "a final checkpoint is always written)")
     p.add_argument("--resume", metavar="PATH", default=None,
                    help="resume a killed run from a checkpoint written by "
-                        "--checkpoint (MA-Opt family)")
+                        "--checkpoint (MA-Opt family); the resumed run "
+                        "keeps checkpointing as the killed one did unless "
+                        "--checkpoint/--checkpoint-every say otherwise")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="record this run durably under DIR (query with "
                         "'runs', follow with 'tail')")

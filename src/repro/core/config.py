@@ -16,7 +16,7 @@ MA-Opt     3       shared      yes
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 
 class VariantPreset(enum.Enum):
@@ -26,24 +26,6 @@ class VariantPreset(enum.Enum):
     MA_OPT_1 = "ma-opt1"
     MA_OPT_2 = "ma-opt2"
     MA_OPT = "ma-opt"
-
-
-@dataclass
-class ResilienceConfig:
-    """Checkpoint cadence for long optimization runs.
-
-    Consumed by the optimizers' run loops; see ``docs/resilience.md`` for
-    the full semantics.  The failure rule itself takes no settings: each
-    design is simulated once and a failed or non-finite simulation is
-    quarantined instead of aborting the run.
-    """
-
-    checkpoint_every: int = 0          # rounds between snapshots; 0 = off
-    checkpoint_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
 
 
 @dataclass
@@ -71,8 +53,6 @@ class MAOptConfig:
     # extensions beyond the paper's defaults
     n_critics: int = 1          # >1 enables the critic ensemble the paper
                                 # considered and rejected (memory cost)
-    proposal_noise: float = 0.0  # DDPG-style exploration noise on proposals
-    ucb_beta: float = 0.0        # ensemble-UCB exploration (needs n_critics>1)
 
     # near-sampling (Section II-C)
     near_sampling: bool = True
@@ -90,26 +70,10 @@ class MAOptConfig:
     batch_size: int = 64
     lambda_viol: float = 10.0
     identity_fraction: float = 0.1
-    # State distribution for actor training batches: "elite" focuses the
-    # policy on the region the elite set restricts the search to, "total"
-    # draws uniformly from every simulated design, "mixed" does both 50/50.
-    actor_train_on: str = "mixed"
-    # Equalize training compute per *simulation* across variants: a round
-    # consumes n_actors simulations, so the critic gets n_actors x
-    # critic_steps updates per round.  Without this, multi-actor variants
-    # would see 1/n_actors of DNN-Opt's surrogate training for the same
-    # simulation budget — an artifact, not the paper's comparison.
-    scale_training_with_actors: bool = True
     # Minimum distance (normalized space) between same-round proposals.
     proposal_min_dist: float = 0.05
 
     seed: int | None = None
-
-    # checkpoint cadence; None is the default ResilienceConfig (no
-    # checkpoints).  Failed simulations are quarantined either way.
-    resilience: ResilienceConfig | None = None
-
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_actors < 1:
@@ -126,22 +90,9 @@ class MAOptConfig:
             raise ValueError("training step counts and batch size must be >= 1")
         if self.n_critics < 1:
             raise ValueError("need at least one critic")
-        if self.actor_train_on not in ("elite", "total", "mixed"):
-            raise ValueError(
-                "actor_train_on must be 'elite', 'total' or 'mixed'")
-        if self.proposal_noise < 0:
-            raise ValueError("proposal_noise must be >= 0")
-        if self.ucb_beta < 0:
-            raise ValueError("ucb_beta must be >= 0")
-        if self.ucb_beta > 0 and self.n_critics < 2:
-            raise ValueError("ucb_beta requires a critic ensemble "
-                             "(n_critics >= 2)")
 
     def to_dict(self) -> dict:
-        """JSON-safe dict (checkpoint headers); inverse of :meth:`from_dict`.
-
-        ``extras`` must hold JSON-serializable values for the round trip.
-        """
+        """JSON-safe dict (checkpoint headers); inverse of :meth:`from_dict`."""
         d = asdict(self)
         d["hidden"] = list(self.hidden)
         return d
@@ -151,8 +102,6 @@ class MAOptConfig:
         """Rebuild a config from :meth:`to_dict` output."""
         d = dict(data)
         d["hidden"] = tuple(d.get("hidden", (100, 100)))
-        if d.get("resilience") is not None:
-            d["resilience"] = ResilienceConfig(**d["resilience"])
         return cls(**d)
 
     @classmethod

@@ -3,7 +3,8 @@
 :class:`Driver` owns everything a budgeted run does besides choosing
 designs: the run ID, ``run_start``/``run_end`` events and ``run`` span;
 initialization from a sampled or shared initial set; the ``t_wall`` clock
-and its resume offset; the budget loop with its checkpoint cadence;
+and its resume offset; the budget loop with its checkpoint cadence (run
+state, so a restored run keeps the cadence it was started with);
 evaluation records with their ``evaluation`` event; the
 :class:`OptimizationResult`; and the common checkpoint header and
 ``records/*`` arrays.  The run log (:attr:`Driver.run_log`) is the one
@@ -18,6 +19,7 @@ its state (``_add``) and its extra checkpoint state (``_state_header``,
 
 from __future__ import annotations
 
+import os
 import pathlib
 import time
 from typing import Any, TypeVar
@@ -67,6 +69,8 @@ class Driver:
         self._init_best_fom = np.inf
         self._initialized = False
         self._t0: float | None = None
+        self._checkpoint_path: str | None = None
+        self._checkpoint_every = 0
 
     @property
     def records(self) -> list[EvaluationRecord]:
@@ -170,10 +174,21 @@ class Driver:
     # -- full run --------------------------------------------------------------
     def _drive(self, name: str, n_sims: int, n_init: int,
                x_init: np.ndarray | None, f_init: np.ndarray | None,
-               checkpoint_path: str | None = None,
-               checkpoint_every: int = 0) -> OptimizationResult:
+               checkpoint_path: str | pathlib.Path | None = None,
+               checkpoint_every: int | None = None) -> OptimizationResult:
         """Run rounds until ``n_sims`` post-init simulations are spent
-        (see :meth:`repro.core.ma_opt.MAOptimizer.run`)."""
+        (see :meth:`repro.core.ma_opt.MAOptimizer.run`).
+
+        A checkpoint argument left at ``None`` keeps the optimizer's
+        current setting: none on a fresh optimizer, the checkpointed run's
+        after :meth:`restore`.
+        """
+        path = (self._checkpoint_path if checkpoint_path is None
+                else str(checkpoint_path))
+        every = (self._checkpoint_every if checkpoint_every is None
+                 else checkpoint_every)
+        check_checkpointing(path, every)
+        self._checkpoint_path, self._checkpoint_every = path, every
         start = time.perf_counter()
         run_id = self.obs.run_id or new_run_id()
         self.run_log.emit("run_start", method=name, task=self.task.name,
@@ -187,11 +202,10 @@ class Driver:
                                     f_init=f_init)
                 while len(self._records) < n_sims:
                     self.step(budget=n_sims - len(self._records))
-                    if (checkpoint_path and checkpoint_every
-                            and self._round % checkpoint_every == 0):
-                        self.save_checkpoint(checkpoint_path)
-            if checkpoint_path:
-                self.save_checkpoint(checkpoint_path)
+                    if path and every and self._round % every == 0:
+                        self.save_checkpoint(path)
+            if path:
+                self.save_checkpoint(path)
         meta = {**self._result_meta(), "run_id": run_id}
         result = OptimizationResult(
             task_name=self.task.name, method=name,
@@ -225,6 +239,8 @@ class Driver:
             "rng_state": rng_state(self.rng),
             "t_offset": (None if self._t0 is None
                          else time.perf_counter() - self._t0),
+            "checkpoint_path": self._checkpoint_path,
+            "checkpoint_every": self._checkpoint_every,
             **self._state_header(),
         }
         arrays: dict[str, np.ndarray] = {
@@ -253,7 +269,9 @@ class Driver:
         ``task`` must be the one the checkpoint was taken on; telemetry
         is wired fresh.  ``kwargs`` go to the constructor
         (baseline hyper-parameters are not checkpointed).  Continuing with
-        ``run`` replays the records an uninterrupted run would produce.
+        ``run`` replays the records an uninterrupted run would produce and,
+        unless ``run`` is given other checkpoint arguments, checkpoints to
+        the same path at the same cadence as the checkpointed run.
         """
         from repro.resilience.checkpoint import load_checkpoint
         from repro.resilience.state import set_rng_state
@@ -292,8 +310,32 @@ class Driver:
         t_offset = header.get("t_offset")
         opt._t0 = (None if t_offset is None
                    else time.perf_counter() - float(t_offset))
+        opt._checkpoint_path = header["checkpoint_path"]
+        opt._checkpoint_every = int(header["checkpoint_every"])
         opt._load_state(header, arrays)
         set_rng_state(opt.rng, header["rng_state"])
         opt.run_log.emit("checkpoint_restored", path=str(path),
                          round=opt._round, n_records=len(opt._records))
         return opt
+
+
+def check_checkpointing(path: str | None, every: int) -> None:
+    """Refuse a checkpoint plan that would fail or do nothing, before the
+    first simulation; a missing directory is created, as
+    :func:`repro.resilience.checkpoint.save_checkpoint` would."""
+    if every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {every}")
+    if not path:
+        if every > 0:
+            raise ValueError(f"checkpoint_every={every} needs a "
+                             f"checkpoint_path to write to")
+        return
+    parent = pathlib.Path(path).parent
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create checkpoint directory "
+                         f"{str(parent)!r}: {exc.strerror or exc}") from exc
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"checkpoint directory {str(parent)!r} is not "
+                         f"writable")

@@ -137,8 +137,12 @@ class MAOptimizer(Driver):
         self.run_log.emit("round_start", round=self._round, kind="actor",
                           n_propose=n_propose)
         with self.obs.span("round", index=self._round, kind="actor"):
-            critic_steps = cfg.critic_steps * (
-                n_propose if cfg.scale_training_with_actors else 1)
+            # Equal training compute per *simulation* across variants: the
+            # round spends n_propose simulations, so the critic gets
+            # n_propose x critic_steps updates.  Otherwise multi-actor
+            # variants would see 1/n_actors of DNN-Opt's surrogate training
+            # for the same simulation budget.
+            critic_steps = cfg.critic_steps * n_propose
             critic_loss = train_critic(self.critic, self.total, critic_steps,
                                        cfg.batch_size, self.rng,
                                        telemetry=self.obs)
@@ -149,20 +153,12 @@ class MAOptimizer(Driver):
                     self.actors[i], self.critic, self.fom, self.total,
                     self.actor_elites[i], cfg.actor_steps, cfg.batch_size,
                     cfg.lambda_viol, self.rng,
-                    train_on=cfg.actor_train_on,
                     telemetry=self.obs, actor_index=i))
                 proposal = propose_design(self.actors[i], self.critic,
                                           self.fom, self.actor_elites[i],
                                           exclude=[p for _, p in proposals],
                                           min_dist=cfg.proposal_min_dist,
-                                          ucb_beta=cfg.ucb_beta,
                                           telemetry=self.obs)
-                if cfg.proposal_noise > 0:
-                    proposal = np.clip(
-                        proposal + self.rng.normal(0.0, cfg.proposal_noise,
-                                                   size=proposal.shape),
-                        0.0, 1.0,
-                    )
                 proposals.append((i, proposal))
             designs = np.array([p[1] for p in proposals])
             metrics = self._executor.evaluate_batch(designs, kind="actor")
@@ -229,22 +225,16 @@ class MAOptimizer(Driver):
             checkpoint_every: int | None = None) -> OptimizationResult:
         """Alg. 3: run until ``n_sims`` post-init simulations are spent.
 
-        When a checkpoint path is configured (either here or on
-        ``config.resilience``) the run snapshots its full state every
-        ``checkpoint_every`` rounds plus once at the end, so a killed run
-        resumes bit-exactly via :meth:`restore`.  A restored optimizer
-        continues toward ``n_sims`` from the records it already holds.
+        With ``checkpoint_path`` the run snapshots its full state every
+        ``checkpoint_every`` rounds (0: never) plus once at the end, so a
+        killed run resumes bit-exactly via :meth:`restore`.  A restored
+        optimizer continues toward ``n_sims`` from the records it already
+        holds, checkpointing as the run it was taken from did unless these
+        arguments say otherwise.
         """
-        res_cfg = self.config.resilience
-        ckpt_path = checkpoint_path or (
-            res_cfg.checkpoint_path if res_cfg is not None else None)
-        if checkpoint_every is not None:
-            ckpt_every = checkpoint_every
-        else:
-            ckpt_every = res_cfg.checkpoint_every if res_cfg is not None else 0
         return self._drive(method_name or self.method_name, n_sims, n_init,
-                           x_init, f_init, checkpoint_path=ckpt_path,
-                           checkpoint_every=ckpt_every)
+                           x_init, f_init, checkpoint_path=checkpoint_path,
+                           checkpoint_every=checkpoint_every)
 
     def _check_budget(self, n_sims: int, n_init: int) -> None:
         # Budget-aware config checks: logged, never raised — a deliberate

@@ -164,11 +164,6 @@ class CriticEnsemble:
         preds = [m.predict(x, dx) for m in self.members]
         return np.mean(preds, axis=0)
 
-    def predict_std(self, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        """Epistemic spread across members (useful for exploration)."""
-        preds = [m.predict(x, dx) for m in self.members]
-        return np.std(preds, axis=0)
-
     def train_step(self, inputs: np.ndarray, raw_targets: np.ndarray) -> float:
         return self.train_step_scaled(
             inputs, self.scaler.transform(np.atleast_2d(raw_targets)))

@@ -25,10 +25,9 @@ simulated once under :func:`~repro.resilience.policy.evaluate_design`.  A
 simulator error (:class:`~repro.spice.exceptions.SpiceError`) or a
 non-finite metric vector quarantines the design to the task's penalty
 metrics; any other exception is a bug and propagates.  Quarantined designs
-surface as ``sim_failed`` run events plus the ``sim_failures_total``
-counter, and their per-design outcomes stay readable on
-:attr:`~SimulationExecutor.last_outcomes`.  ``lint_rejected`` and
-``sim_failed`` events both carry the design's index in the caller's batch.
+surface as ``sim_failed`` run events (with the failure reason) plus the
+``sim_failures_total`` counter.  ``lint_rejected`` and ``sim_failed``
+events both carry the design's index in the caller's batch.
 """
 
 from __future__ import annotations
@@ -37,11 +36,7 @@ import numpy as np
 
 from repro.core.problem import SizingTask
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.resilience.policy import (
-    SimOutcome,
-    evaluate_design,
-    penalty_metrics,
-)
+from repro.resilience.policy import evaluate_design, penalty_metrics
 
 
 class SimulationExecutor:
@@ -58,12 +53,6 @@ class SimulationExecutor:
                  telemetry: Telemetry | None = None) -> None:
         self.task = task
         self.obs = telemetry or NULL_TELEMETRY
-        #: Per-design outcomes of the most recent simulated batch (the
-        #: designs that passed the ERC gate, in batch order).
-        self.last_outcomes: list[SimOutcome] = []
-        #: Per-design ERC findings of the most recent gated batch
-        #: (design index -> list of error diagnostics).
-        self.last_lint_rejections: dict[int, list] = {}
 
     def evaluate_batch(self, designs: np.ndarray,
                        kind: str = "sim") -> np.ndarray:
@@ -84,7 +73,6 @@ class SimulationExecutor:
             return metrics
         with self.obs.span("simulate", n=len(keep), kind=kind):
             outcomes = [evaluate_design(self.task, designs[i]) for i in keep]
-            self.last_outcomes = outcomes
             for i, out in zip(keep, outcomes):
                 metrics[i] = out.metrics
                 if out.failed:
@@ -110,7 +98,6 @@ class SimulationExecutor:
         """
         lint = getattr(self.task, "lint_design", None)
         if lint is None:
-            self.last_lint_rejections = {}
             return {}
         from repro.analysis.diagnostics import Severity
 
@@ -120,7 +107,6 @@ class SimulationExecutor:
                 errors = [d for d in lint(u) if d.severity >= Severity.ERROR]
                 if errors:
                     rejected[i] = errors
-        self.last_lint_rejections = rejected
         if rejected:
             self.obs.inc("lint_rejections_total", len(rejected), kind=kind)
             if self.obs.run_logger is not None:

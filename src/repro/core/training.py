@@ -72,7 +72,6 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
                 total: TotalDesignSet, elite: EliteSet, steps: int,
                 batch_size: int, lambda_viol: float,
                 rng: np.random.Generator,
-                train_on: str = "elite",
                 telemetry: Telemetry | None = None,
                 actor_index: int | None = None) -> float:
     """Run ``steps`` actor updates (Eq. 5); returns the final loss value.
@@ -81,31 +80,20 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
     inputs only (``param_grads=False``), leaving its weights and gradient
     buffer untouched.
 
-    ``train_on`` selects the state distribution:
-
-    * ``"elite"`` (default) — batch states from the elite solution set (the
-      paper uses the elite set to "limit the search space of an actor
-      network");
-    * ``"total"`` — uniform over every simulated design;
-    * ``"mixed"`` — half and half, hedging exploitation focus
-      against coverage of the wider landscape.
+    Batch states are drawn from X^tot plus the elite solution set tiled to
+    at least X^tot's size, so about half come from each: the paper uses
+    the elite set to "limit the search space of an actor network", and the
+    X^tot half keeps the policy trained on the wider landscape.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if train_on not in ("elite", "total", "mixed"):
-        raise ValueError("train_on must be 'elite', 'total' or 'mixed'")
     obs = telemetry or NULL_TELEMETRY
     with obs.span("actor-train", steps=steps, actor=actor_index):
         lb, ub = elite.bounds()
-        if train_on == "elite":
-            designs = elite.designs()
-        elif train_on == "total":
-            designs = total.designs
-        else:
-            elite_designs = elite.designs()
-            reps = int(np.ceil(len(total) / max(len(elite_designs), 1)))
-            designs = np.concatenate(
-                [total.designs, np.tile(elite_designs, (reps, 1))])
+        elite_designs = elite.designs()
+        reps = int(np.ceil(len(total) / max(len(elite_designs), 1)))
+        designs = np.concatenate(
+            [total.designs, np.tile(elite_designs, (reps, 1))])
         n = len(designs)
         loss_val = 0.0
         for _ in range(steps):
@@ -147,7 +135,6 @@ def propose_design(actor: Actor, critic: Critic, fom: FigureOfMerit,
                    elite: EliteSet,
                    exclude: list[np.ndarray] | None = None,
                    min_dist: float = 0.05,
-                   ucb_beta: float = 0.0,
                    telemetry: Telemetry | None = None) -> np.ndarray:
     """Alg. 1 lines 8-9: pick the elite state whose actor-proposed successor
     the critic predicts to be best, and return that successor (clipped to
@@ -158,10 +145,6 @@ def propose_design(actor: Actor, critic: Critic, fom: FigureOfMerit,
     any of them are skipped so parallel actors spend the round's simulations
     on *diverse* designs (the point of having multiple actors).  If every
     candidate is too close, the predicted-best one is returned anyway.
-
-    ``ucb_beta > 0`` (requires a critic *ensemble*) ranks candidates
-    optimistically by ``mean_members(g) - beta * std_members(g)`` — designs
-    the critics disagree about get an exploration bonus.
     """
     states = elite.designs()
     if len(states) == 0:
@@ -169,15 +152,7 @@ def propose_design(actor: Actor, critic: Critic, fom: FigureOfMerit,
     obs = telemetry or NULL_TELEMETRY
     with obs.span("propose", n_states=len(states)):
         actions = actor.act(states)
-        if ucb_beta > 0.0 and hasattr(critic, "members"):
-            per_member = np.array([
-                fom(member.predict(states, actions))
-                for member in critic.members
-            ])
-            g = per_member.mean(axis=0) - ucb_beta * per_member.std(axis=0)
-        else:
-            metrics = critic.predict(states, actions)
-            g = fom(metrics)
+        g = fom(critic.predict(states, actions))
         order = np.argsort(g)
         successors = np.clip(states + actions, 0.0, 1.0)
         if exclude:

@@ -63,20 +63,29 @@ def run_method(method: str, task: SizingTask, n_sims: int,
                x_init: np.ndarray, f_init: np.ndarray,
                seed: int | None = None,
                maopt_overrides: dict | None = None,
-               telemetry=None) -> OptimizationResult:
+               telemetry=None,
+               checkpoint_path: str | None = None,
+               checkpoint_every: int | None = None) -> OptimizationResult:
     """Run one named method under the shared-initial-set protocol.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) is threaded into the
     optimizer; sharing one bundle across calls aggregates their traces,
     metrics, and events (``run`` spans carry a ``method`` attribute).
+    ``checkpoint_path``/``checkpoint_every`` go to
+    :meth:`~repro.core.ma_opt.MAOptimizer.run`; only the MA-Opt family
+    checkpoints.
     """
     if method in _PRESETS:
         cfg = MAOptConfig.from_preset(_PRESETS[method], seed=seed,
                                       **(maopt_overrides or {}))
         opt = MAOptimizer(task, cfg, telemetry=telemetry)
         return opt.run(n_sims=n_sims, x_init=x_init, f_init=f_init,
-                       method_name=method)
+                       method_name=method, checkpoint_path=checkpoint_path,
+                       checkpoint_every=checkpoint_every)
     if method in _BASELINES:
+        if checkpoint_path is not None or checkpoint_every is not None:
+            raise ValueError(f"{method} does not checkpoint; only the "
+                             f"MA-Opt family ({', '.join(_PRESETS)}) does")
         import repro.baselines
 
         cls = getattr(repro.baselines, _BASELINES[method])

@@ -16,14 +16,12 @@ final state and exits).  A run that stops appending without a
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs.store import (EVENTS, MANIFEST, METRICS_STREAM,
                              TERMINAL_STATUSES, RunStore)
@@ -219,43 +217,3 @@ def tail_run(run_dir: str | pathlib.Path,
         if max_polls is not None and polls >= max_polls:
             return state
         sleep(poll_s)
-
-
-def main(argv: Iterable[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.tail",
-        description="follow a live (or finished) run's event/metric stream")
-    parser.add_argument("run", help="run ID, unique ID prefix, or run "
-                                    "directory path")
-    parser.add_argument("--store", default="runs",
-                        help="run-store root for ID lookup (default: runs)")
-    parser.add_argument("--poll", type=float, default=0.5,
-                        help="poll interval in seconds (default: 0.5)")
-    parser.add_argument("--once", action="store_true",
-                        help="render the current state once and exit")
-    parser.add_argument("--max-polls", type=int, default=None,
-                        help="stop after this many polls (default: follow "
-                             "until run_end)")
-    parser.add_argument("--stall-after", type=float, default=30.0,
-                        help="seconds without new data before flagging a "
-                             "stall (default: 30)")
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    try:
-        run_dir = resolve_run_dir(args.run, store_root=args.store)
-    except KeyError as exc:
-        print(f"repro.obs.tail: error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if not os.path.isdir(run_dir):
-        print(f"repro.obs.tail: error: no run directory at {run_dir}",
-              file=sys.stderr)
-        return 2
-    try:
-        tail_run(run_dir, poll_s=args.poll, once=args.once,
-                 max_polls=args.max_polls, stall_after_s=args.stall_after)
-    except KeyboardInterrupt:
-        return 130
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

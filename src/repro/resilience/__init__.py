@@ -13,13 +13,11 @@ the optimizer stack survive both:
   ``MAOptimizer.save_checkpoint()`` / ``MAOptimizer.restore()``, giving
   bit-exact resume of a killed run.
 
-The checkpoint cadence lives on
-:class:`~repro.core.config.ResilienceConfig`; the executor
-(:class:`~repro.core.parallel.SimulationExecutor`) applies the failure
-rule.  See ``docs/resilience.md``.
+The checkpoint cadence is an argument of the optimizers' ``run``; the
+executor (:class:`~repro.core.parallel.SimulationExecutor`) applies the
+failure rule.  See ``docs/resilience.md``.
 """
 
-from repro.core.config import ResilienceConfig
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     atomic_write_json,
@@ -37,7 +35,6 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "atomic_write_json",
     "NonFiniteMetrics",
-    "ResilienceConfig",
     "SimOutcome",
     "evaluate_design",
     "load_checkpoint",

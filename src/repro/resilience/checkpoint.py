@@ -23,11 +23,12 @@ import numpy as np
 __all__ = ["CHECKPOINT_VERSION", "atomic_write_json", "load_checkpoint",
            "save_checkpoint"]
 
-# Version 3: the config has no process-pool settings (pool switch,
-# heartbeat cadence, watchdog timeout), so its ``resilience`` block holds
-# only the checkpoint cadence.  Versions 1 and 2 carry settings that no
-# longer exist, so their headers are refused.
-CHECKPOINT_VERSION = 3
+# Version 4: the checkpoint cadence is run state in the header
+# (``checkpoint_path``, ``checkpoint_every``), and the config holds no
+# ``resilience`` block and no exploration or training-mode switches.
+# Versions 1-3 carry config settings that no longer exist, so their
+# headers are refused.
+CHECKPOINT_VERSION = 4
 
 _HEADER_KEY = "__header__"
 

@@ -9,7 +9,7 @@ from repro.analysis.configlint import (
     validate_config,
 )
 from repro.analysis.diagnostics import Severity
-from repro.core.config import MAOptConfig, ResilienceConfig
+from repro.core.config import MAOptConfig
 from repro.core.space import DesignSpace, Parameter
 from repro.experiments.config import TUNED_MAOPT, BenchConfig
 
@@ -119,26 +119,6 @@ class TestSpaceRules:
 
         for task in (TwoStageOTA(), ThreeStageTIA(), LDORegulator()):
             assert check_config(MAOptConfig(), task=task) == []
-
-
-class TestResilienceRules:
-    def test_cadence_without_path_is_warning(self):
-        cfg = MAOptConfig(resilience=ResilienceConfig(checkpoint_every=5))
-        diags = check_config(cfg)
-        assert rules(diags) == {"cfg.checkpoint-path"}
-        assert diags[0].severity == Severity.WARNING
-
-    def test_missing_checkpoint_dir_is_error(self):
-        cfg = MAOptConfig(resilience=ResilienceConfig(
-            checkpoint_path="/no/such/dir/ckpt.npz"))
-        diags = check_config(cfg)
-        errors = [d for d in diags if d.rule == "cfg.checkpoint-path"]
-        assert errors and errors[0].severity == Severity.ERROR
-
-    def test_writable_checkpoint_dir_is_clean(self, tmp_path):
-        cfg = MAOptConfig(resilience=ResilienceConfig(
-            checkpoint_path=str(tmp_path / "ckpt.npz")))
-        assert check_config(cfg) == []
 
 
 class TestValidateConfig:

@@ -35,13 +35,19 @@ def telemetry():
     return Telemetry(metrics=MetricsRegistry(), run_logger=RunLogger())
 
 
+def rejected_indices(obs):
+    return [e.payload["design_index"]
+            for e in obs.run_logger.events("lint_rejected")]
+
+
 class TestGate:
     def test_clean_designs_pass_through(self):
         task = TwoStageOTA()
-        with SimulationExecutor(task) as ex:
+        obs = telemetry()
+        with SimulationExecutor(task, telemetry=obs) as ex:
             out = ex.evaluate_batch(np.full((2, task.d), 0.5), kind="init")
         assert out.shape == (2, task.m + 1)
-        assert ex.last_lint_rejections == {}
+        assert rejected_indices(obs) == []
 
     def test_broken_designs_never_simulate(self):
         task = BrokenNetlistOTA()
@@ -50,10 +56,9 @@ class TestGate:
             out = ex.evaluate_batch(np.full((2, task.d), 0.5),
                                     kind="actor")
         assert task.simulated == 0
-        assert sorted(ex.last_lint_rejections) == [0, 1]
+        assert rejected_indices(obs) == [0, 1]
         assert np.allclose(out, penalty_metrics(task))
         events = list(obs.run_logger.events("lint_rejected"))
-        assert len(events) == 2
         assert "erc.floating-node" in events[0].payload["rules"]
 
     def test_mixed_batch_merges_in_order(self):
@@ -70,9 +75,10 @@ class TestGate:
         bad_task = OneBadOTA()
         u = np.full((3, task.d), 0.5)
         u[1, 0] = 1.0
-        with SimulationExecutor(bad_task) as ex:
+        obs = telemetry()
+        with SimulationExecutor(bad_task, telemetry=obs) as ex:
             out = ex.evaluate_batch(u, kind="ns")
-        assert list(ex.last_lint_rejections) == [1]
+        assert rejected_indices(obs) == [1]
         assert np.allclose(out[1], penalty_metrics(bad_task))
         # Rows 0 and 2 are real simulations of the same design.
         assert np.allclose(out[0], out[2])
@@ -80,10 +86,12 @@ class TestGate:
 
     def test_raising_builder_is_rejected(self):
         task = RaisingBuilderOTA()
-        with SimulationExecutor(task) as ex:
+        obs = telemetry()
+        with SimulationExecutor(task, telemetry=obs) as ex:
             out = ex.evaluate_batch(np.full((1, task.d), 0.5))
-        assert list(ex.last_lint_rejections) == [0]
-        assert ex.last_lint_rejections[0][0].rule == "erc.parse-error"
+        (rejected,) = obs.run_logger.events("lint_rejected")
+        assert rejected.payload["design_index"] == 0
+        assert rejected.payload["rules"] == ["erc.parse-error"]
         assert np.allclose(out, penalty_metrics(task))
 
     def test_counter_increments(self):
@@ -101,10 +109,11 @@ class TestGate:
         from repro.core.synthetic import ConstrainedSphere
 
         task = ConstrainedSphere()
-        with SimulationExecutor(task) as ex:
+        obs = telemetry()
+        with SimulationExecutor(task, telemetry=obs) as ex:
             out = ex.evaluate_batch(np.full((2, task.d), 0.5))
         assert out.shape == (2, task.m + 1)
-        assert ex.last_lint_rejections == {}
+        assert rejected_indices(obs) == []
 
     def test_failure_index_is_the_callers(self):
         # Gated designs are taken out before simulation; a later failure
@@ -123,7 +132,6 @@ class TestGate:
         obs = telemetry()
         with SimulationExecutor(task, telemetry=obs) as ex:
             ex.evaluate_batch(u, kind="actor")
-        assert list(ex.last_lint_rejections) == [0]
         (rejected,) = obs.run_logger.events("lint_rejected")
         (failed,) = obs.run_logger.events("sim_failed")
         assert rejected.payload["design_index"] == 0

@@ -6,6 +6,7 @@ import pytest
 from repro.core.parallel import SimulationExecutor
 from repro.core.problem import Spec, Target
 from repro.core.synthetic import ConstrainedSphere
+from repro.obs import RunLogger, Telemetry
 from repro.resilience.policy import penalty_metrics
 from repro.spice.exceptions import ConvergenceError
 
@@ -81,12 +82,16 @@ class TestSizingTaskEvaluate:
         u = np.full((1, broken.d), 0.5)
         with pytest.raises(ConvergenceError):
             broken.evaluate(u[0])
-        with SimulationExecutor(broken) as ex:
+        log = RunLogger()
+        with SimulationExecutor(broken,
+                                telemetry=Telemetry(run_logger=log)) as ex:
             mv = ex.evaluate_batch(u)[0]
         np.testing.assert_array_equal(mv, penalty_metrics(broken))
         assert mv[0] == broken.target.fail_value
         assert not broken.is_feasible(mv)
-        assert ex.last_outcomes[0].failed
+        (failed,) = log.events("sim_failed")
+        assert failed.payload["design_index"] == 0
+        assert failed.payload["reason"] == "exception"
 
     def test_programming_error_in_simulate_propagates(self, sphere_task):
         class Buggy(type(sphere_task)):

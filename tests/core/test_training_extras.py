@@ -1,5 +1,5 @@
-"""Tests for training extensions: state distributions, proposal diversity,
-per-simulation training equalization."""
+"""Tests for training extensions: proposal diversity and per-simulation
+training equalization."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.core.ma_opt import MAOptimizer
 from repro.core.networks import Actor, Critic
 from repro.core.population import EliteSet, TotalDesignSet
 from repro.core.synthetic import ConstrainedSphere
-from repro.core.training import propose_design, train_actor
+from repro.core.training import propose_design
 
 
 @pytest.fixture
@@ -26,27 +26,6 @@ def setup(rng):
     actor = Actor(task.d, hidden=(16, 16), seed=2, action_scale=0.3)
     elite = EliteSet(total, n_es=6)
     return task, fom, total, critic, actor, elite
-
-
-class TestTrainOnModes:
-    @pytest.mark.parametrize("mode", ["elite", "total", "mixed"])
-    def test_all_modes_run(self, setup, rng, mode):
-        task, fom, total, critic, actor, elite = setup
-        loss = train_actor(actor, critic, fom, total, elite, steps=5,
-                           batch_size=8, lambda_viol=1.0, rng=rng,
-                           train_on=mode)
-        assert np.isfinite(loss)
-
-    def test_unknown_mode_raises(self, setup, rng):
-        task, fom, total, critic, actor, elite = setup
-        with pytest.raises(ValueError):
-            train_actor(actor, critic, fom, total, elite, steps=1,
-                        batch_size=8, lambda_viol=1.0, rng=rng,
-                        train_on="sometimes")
-
-    def test_config_validates_mode(self):
-        with pytest.raises(ValueError):
-            MAOptConfig(actor_train_on="sometimes")
 
 
 class TestProposalDiversity:
@@ -91,8 +70,7 @@ class TestTrainingEqualization:
     def test_critic_steps_scaled_by_round_size(self, monkeypatch):
         task = ConstrainedSphere(d=4, seed=1)
         cfg = MAOptConfig(seed=0, n_actors=3, critic_steps=7, actor_steps=3,
-                          batch_size=8, n_elite=5, hidden=(8, 8),
-                          scale_training_with_actors=True)
+                          batch_size=8, n_elite=5, hidden=(8, 8))
         opt = MAOptimizer(task, cfg)
         opt.initialize(n_init=10)
         seen = {}
@@ -108,23 +86,3 @@ class TestTrainingEqualization:
         monkeypatch.setattr(mod, "train_critic", spy)
         opt.optimization_round()
         assert seen["steps"] == 21  # 7 * 3 actors
-
-    def test_scaling_disabled(self, monkeypatch):
-        task = ConstrainedSphere(d=4, seed=1)
-        cfg = MAOptConfig(seed=0, n_actors=3, critic_steps=7, actor_steps=3,
-                          batch_size=8, n_elite=5, hidden=(8, 8),
-                          scale_training_with_actors=False)
-        opt = MAOptimizer(task, cfg)
-        opt.initialize(n_init=10)
-        seen = {}
-        import repro.core.ma_opt as mod
-
-        real = mod.train_critic
-
-        def spy(critic, total, steps, batch_size, rng, **kwargs):
-            seen["steps"] = steps
-            return real(critic, total, steps, batch_size, rng, **kwargs)
-
-        monkeypatch.setattr(mod, "train_critic", spy)
-        opt.optimization_round()
-        assert seen["steps"] == 7

@@ -45,6 +45,16 @@ class TestRunMethod:
         with pytest.raises(ValueError):
             run_method("SGD", task, 3, x, f)
 
+    def test_checkpoint_arguments(self, task, tmp_path):
+        x, f = make_initial_set(task, 10, seed=0)
+        path = tmp_path / "ck.npz"
+        run_method("MA-Opt", task, 4, x, f, seed=1, maopt_overrides=FAST,
+                   checkpoint_path=str(path))
+        assert path.exists()
+        with pytest.raises(ValueError, match="does not checkpoint"):
+            run_method("Random", task, 4, x, f, seed=1,
+                       checkpoint_path=str(tmp_path / "rs.npz"))
+
     def test_same_init_best_across_methods(self, task):
         x, f = make_initial_set(task, 10, seed=0)
         res = {m: run_method(m, task, 4, x, f, seed=1,

@@ -68,11 +68,11 @@ class TestSafety:
             load_checkpoint(path)
 
     def test_version_1_header_rejected(self, tmp_path):
-        # Version-1 and version-2 headers hold config settings this build
+        # Version-1 to version-3 headers hold config settings this build
         # no longer has; they must be refused by version, not by a
         # TypeError from the config constructor.
         path = tmp_path / "ck.npz"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             header = json.dumps({"checkpoint_version": version,
                                  "config": {}})
             np.savez_compressed(path, __header__=np.array(header))

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.parallel import SimulationExecutor
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import MetricsRegistry, RunLogger, Telemetry
 from tests.resilience.stubs import NaNSphere, failure_reason
 
 
@@ -18,20 +18,21 @@ def failing_setup():
 
 
 def run_path(task, designs):
-    reg = MetricsRegistry()
-    with SimulationExecutor(task, telemetry=Telemetry(metrics=reg)) as ex:
+    reg, log = MetricsRegistry(), RunLogger()
+    obs = Telemetry(metrics=reg, run_logger=log)
+    with SimulationExecutor(task, telemetry=obs) as ex:
         metrics = ex.evaluate_batch(designs, kind="actor")
-        outcomes = list(ex.last_outcomes)
-    return metrics, outcomes, reg
+    failures = {e.payload["design_index"]: e.payload["reason"]
+                for e in log.events("sim_failed")}
+    return metrics, failures, reg
 
 
 class TestSerialGroundTruth:
     def test_matches_planned_outcomes(self):
         task, designs = failing_setup()
-        metrics, outcomes, reg = run_path(task, designs)
+        metrics, failures, reg = run_path(task, designs)
         reasons = [failure_reason(u) for u in designs]
-        assert [o.reason for o in outcomes] == reasons
-        assert [o.failed for o in outcomes] == [r is not None
-                                                for r in reasons]
+        assert failures == {i: r for i, r in enumerate(reasons)
+                            if r is not None}
         assert reg.counter_value("sim_failures_total", kind="actor") == sum(
             r is not None for r in reasons)

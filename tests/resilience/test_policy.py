@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.config import ResilienceConfig
+from repro.core.config import MAOptConfig
+from repro.core.ma_opt import MAOptimizer
 from repro.resilience.policy import evaluate_design, penalty_metrics
 from repro.spice.exceptions import ConvergenceError
 
@@ -86,6 +87,8 @@ class TestPenaltyMetrics:
 
 
 class TestConfigValidation:
-    def test_bad_checkpoint_every_rejected(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(checkpoint_every=-2)
+    def test_bad_checkpoint_every_rejected(self, sphere_task):
+        opt = MAOptimizer(sphere_task, MAOptConfig(seed=0, hidden=(8, 8)))
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            opt.run(n_sims=2, n_init=4, checkpoint_every=-2)
+        assert len(opt.total) == 0  # refused before the first simulation

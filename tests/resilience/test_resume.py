@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import ParticleSwarm, RandomSearch
-from repro.core.config import MAOptConfig, ResilienceConfig
+from repro.core.config import MAOptConfig
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
+from repro.resilience.checkpoint import load_checkpoint
 
 
 def small_cfg(**overrides) -> MAOptConfig:
@@ -46,14 +47,35 @@ class TestMAOptResume:
     def test_checkpoint_every_writes_during_run(self, tmp_path):
         task = ConstrainedSphere(d=4, seed=0)
         path = tmp_path / "auto.npz"
-        cfg = small_cfg(resilience=ResilienceConfig(
-            checkpoint_every=1, checkpoint_path=str(path)))
-        opt = MAOptimizer(task, cfg)
-        result = opt.run(n_sims=8, n_init=8)
-        assert path.exists()
+        opt = MAOptimizer(task, small_cfg())
+        result = opt.run(n_sims=8, n_init=8, checkpoint_path=str(path),
+                         checkpoint_every=1)
+        # One snapshot per round plus the final one.
+        assert len(opt.run_log.events("checkpoint_saved")) == opt._round + 1
         # The final snapshot holds the completed run's full record stream.
         restored = MAOptimizer.restore(path, task)
         assert_same_records(result.records, restored.records)
+
+    def test_resumed_run_keeps_checkpointing(self, tmp_path):
+        task = ConstrainedSphere(d=4, seed=0)
+        path = tmp_path / "ck.npz"
+        MAOptimizer(task, small_cfg()).run(
+            n_sims=6, n_init=8, checkpoint_path=str(path),
+            checkpoint_every=1)
+        MAOptimizer.restore(path, task).run(n_sims=12)
+        _, arrays = load_checkpoint(path)
+        assert len(arrays["records/fom"]) == 12
+
+    def test_run_arguments_override_restored_checkpointing(self, tmp_path):
+        task = ConstrainedSphere(d=4, seed=0)
+        path, other = tmp_path / "ck.npz", tmp_path / "other.npz"
+        MAOptimizer(task, small_cfg()).run(
+            n_sims=6, n_init=8, checkpoint_path=str(path),
+            checkpoint_every=1)
+        MAOptimizer.restore(path, task).run(n_sims=12,
+                                            checkpoint_path=str(other))
+        assert len(load_checkpoint(path)[1]["records/fom"]) == 6
+        assert len(load_checkpoint(other)[1]["records/fom"]) == 12
 
     def test_restore_rejects_other_task(self, tmp_path):
         task = ConstrainedSphere(d=4, seed=0)
@@ -70,6 +92,31 @@ class TestMAOptResume:
         path = rs.save_checkpoint(tmp_path / "rs.npz")
         with pytest.raises(ValueError):
             MAOptimizer.restore(path, task)
+
+
+class TestCheckpointArguments:
+    """``run``'s checkpoint plan is checked before the first simulation."""
+
+    def test_cadence_without_path_rejected(self):
+        opt = MAOptimizer(ConstrainedSphere(d=4, seed=0), small_cfg())
+        with pytest.raises(ValueError, match="checkpoint_path"):
+            opt.run(n_sims=4, n_init=6, checkpoint_every=5)
+        assert len(opt.total) == 0
+
+    def test_missing_checkpoint_dir_is_created(self, tmp_path):
+        path = tmp_path / "no" / "such" / "dir" / "ck.npz"
+        opt = MAOptimizer(ConstrainedSphere(d=4, seed=0), small_cfg())
+        opt.run(n_sims=2, n_init=6, checkpoint_path=str(path))
+        assert path.exists()
+
+    def test_unwritable_checkpoint_location_rejected(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        opt = MAOptimizer(ConstrainedSphere(d=4, seed=0), small_cfg())
+        with pytest.raises(ValueError, match="checkpoint directory"):
+            opt.run(n_sims=4, n_init=6,
+                    checkpoint_path=str(blocker / "ck.npz"))
+        assert len(opt.total) == 0
 
 
 class TestBaselineResume:

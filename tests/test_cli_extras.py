@@ -124,6 +124,30 @@ class TestResilienceFlags:
         assert flags[0] in str(exc.value)
 
     @pytest.mark.parametrize("flags", [
+        ["--checkpoint-every", "2"], ["--checkpoint-every", "0"],
+        ["--checkpoint-every", "-1", "--checkpoint", "ck.npz"]])
+    def test_bad_checkpoint_every_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--sims", "4", "--init", "4",
+                  *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "repro: error: --checkpoint-every")
+
+    def test_unwritable_checkpoint_exits_before_simulating(self, tmp_path,
+                                                           capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--sims", "4", "--init", "4",
+                  "--checkpoint", str(blocker / "ck.npz")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "repro: error: cannot create checkpoint directory")
+        assert "init + 4 sims" not in captured.out  # no run started
+
+    @pytest.mark.parametrize("flags", [
         ["--sims", "0"], ["--sims", "-1"], ["--init", "0"]])
     def test_budget_below_one_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:

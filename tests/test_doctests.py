@@ -8,14 +8,12 @@ import repro.spice.montecarlo
 import repro.spice.parser
 import repro.spice.sweep
 import repro.spice.units
-import repro.viz
 
 MODULES = [
     repro.spice.units,
     repro.spice.parser,
     repro.spice.sweep,
     repro.spice.montecarlo,
-    repro.viz,
 ]
 
 

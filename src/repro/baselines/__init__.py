@@ -13,19 +13,31 @@ and the shared initial set, and return an
 :class:`~repro.core.result.OptimizationResult`.
 """
 
-from repro.baselines.bayesopt import BayesOpt, expected_improvement
-from repro.baselines.de import DifferentialEvolution
-from repro.baselines.gp import GaussianProcess
-from repro.baselines.ppo import PPOSizer
-from repro.baselines.pso import ParticleSwarm
-from repro.baselines.random_search import RandomSearch
+import importlib
 
-__all__ = [
-    "GaussianProcess",
-    "BayesOpt",
-    "expected_improvement",
-    "RandomSearch",
-    "ParticleSwarm",
-    "DifferentialEvolution",
-    "PPOSizer",
-]
+#: Exported name -> the submodule that defines it.  The submodules load on
+#: first attribute access (PEP 562), so a Random, PSO or DE run never
+#: imports the GP and its scipy stack.
+_EXPORTS = {
+    "GaussianProcess": "repro.baselines.gp",
+    "BayesOpt": "repro.baselines.bayesopt",
+    "expected_improvement": "repro.baselines.bayesopt",
+    "RandomSearch": "repro.baselines.random_search",
+    "ParticleSwarm": "repro.baselines.pso",
+    "DifferentialEvolution": "repro.baselines.de",
+    "PPOSizer": "repro.baselines.ppo",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -2,9 +2,12 @@
 
 A single GP models the scalar figure of merit g[f(x)]; the next design
 maximizes expected improvement over a candidate pool of uniform samples
-plus local perturbations of the incumbent best.  The GP is refit (with
-hyper-parameter optimization) every iteration, reproducing BO's O(N^3)
-per-iteration cost that the paper's runtime columns expose.
+plus local perturbations of the incumbent best.  The GP is refit every
+iteration, reproducing BO's O(N^3) per-iteration cost that the paper's
+runtime columns expose.  Every ``hp_every``-th refit also optimizes the
+hyper-parameters; each objective evaluation of that search costs one
+Cholesky factor plus one inverse, with the exact gradient, so it carries no
+d+2 multiplier for finite differences.
 """
 
 from __future__ import annotations

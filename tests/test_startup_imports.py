@@ -1,5 +1,5 @@
-"""Start-up import graph: BO's scipy stack loads only when a baseline runs,
-and the code linters load only when ``lint`` runs.
+"""Start-up import graph: BO's scipy stack loads only when BO runs, and the
+code linters load only when ``lint`` runs.
 
 Each check runs in a fresh interpreter, because the test process itself has
 long since imported everything.  The checks are structural (which modules
@@ -57,6 +57,24 @@ assert np.isfinite(result.best_fom)
 """
     loaded = _loaded_after(code, ("scipy.stats", "repro.baselines"))
     assert loaded == {"scipy.stats": False, "repro.baselines": True}
+
+
+def test_random_run_does_not_load_gp_stack():
+    # repro.baselines resolves each class on first access, so a Random
+    # run loads neither the GP (scipy.optimize) nor BO nor PPO.
+    code = STARTUP + """
+import numpy as np
+task = ThreeStageTIA(fidelity="fast")
+x0, f0 = make_initial_set(task, 6, seed=0)
+result = run_method("Random", task, 3, x0, f0, seed=0)
+assert len(result.records) == 3, len(result.records)
+"""
+    gp_stack = ("scipy.optimize", "repro.baselines.gp",
+                "repro.baselines.bayesopt", "repro.baselines.ppo")
+    loaded = _loaded_after(code, ("repro.baselines.random_search",
+                                  *gp_stack))
+    assert loaded == {"repro.baselines.random_search": True,
+                      **{m: False for m in gp_stack}}, loaded
 
 
 def test_maopt_run_does_not_load_code_linters():

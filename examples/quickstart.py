@@ -58,7 +58,7 @@ def main() -> None:
         print(f"  {name:10s} = {value:.4g}")
 
     print("\nnetlist of the best design:")
-    print(build_ota(params).netlist_text())
+    print(build_ota(params).to_spice())
 
 
 if __name__ == "__main__":

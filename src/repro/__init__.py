@@ -12,8 +12,8 @@ Optimization using Multi-Actors" (DATE 2023) end to end:
 * :mod:`repro.core` — the MA-Opt optimizer itself (multi-actor actor-critic
   training, shared elite solution set, near-sampling) plus the DNN-Opt,
   MA-Opt1 and MA-Opt2 ablation variants.
-* :mod:`repro.baselines` — Bayesian optimization, random search, PSO and
-  differential evolution baselines.
+* :mod:`repro.baselines` — Bayesian optimization, random search and PPO
+  baselines.
 * :mod:`repro.experiments` — runners that regenerate every table and figure
   of the paper's evaluation section.
 """

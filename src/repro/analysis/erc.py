@@ -1,20 +1,17 @@
 """Electrical rule checks (ERC) over :class:`repro.spice.netlist.Circuit`.
 
 Topology checks — no ground reference, floating nodes, capacitor-isolated
-islands with no DC path to ground, loops of ideal voltage
-sources/inductors — over an in-tree union-find
+islands with no DC path to ground, loops of ideal voltage sources — over
+an in-tree union-find
 (:mod:`repro.analysis.graph`), plus device-level rules:
 
 * MOSFET geometry sanity (non-finite/nonpositive W or L, out-of-family
   dimensions),
-* passive value sanity (NaN/Inf or nonpositive R/C/L, absurd magnitudes),
+* passive value sanity (NaN/Inf or nonpositive R/C, absurd magnitudes),
 * case-insensitive element-name collisions (SPICE treats ``M1``/``m1`` as
   the same device),
 * voltage sources shorting a node to itself, current sources driving an
-  open circuit,
-* SI-suffix sanity on textual decks (``1m`` resistor that almost
-  certainly meant ``1meg``; suffixes :func:`repro.spice.units.parse_si`
-  silently drops).
+  open circuit.
 
 Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic`
 (:func:`run_erc`); :func:`gate_errors` / :func:`is_simulatable` are the
@@ -24,7 +21,6 @@ pre-simulation gate's views of the same list.
 from __future__ import annotations
 
 import math
-import re
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -33,7 +29,6 @@ from repro.analysis.diagnostics import (
     has_errors,
 )
 from repro.analysis.graph import UnionFind, find_cycle
-from repro.spice.exceptions import SpiceError
 from repro.spice.netlist import Circuit
 
 GROUND = "0"
@@ -50,7 +45,7 @@ ERC_RULES.add("erc.source-open", Severity.ERROR,
 ERC_RULES.add("erc.no-dc-path", Severity.ERROR,
               "node has no DC path to ground (capacitor-isolated island)")
 ERC_RULES.add("erc.vsource-loop", Severity.ERROR,
-              "loop of ideal voltage sources/inductors (singular MNA)")
+              "loop of ideal voltage sources (singular MNA)")
 ERC_RULES.add("erc.source-short", Severity.ERROR,
               "voltage source with both terminals on the same node")
 ERC_RULES.add("erc.mosfet-geometry", Severity.ERROR,
@@ -60,20 +55,16 @@ ERC_RULES.add("erc.passive-value", Severity.ERROR,
               "passive element value non-finite, nonpositive, or absurd")
 ERC_RULES.add("erc.name-collision", Severity.WARNING,
               "element names differing only by case (one device in SPICE)")
-ERC_RULES.add("erc.unit-suffix", Severity.WARNING,
-              "suspicious SI suffix in a textual deck (e.g. milli-ohm "
-              "resistor that probably meant 'meg')")
 ERC_RULES.add("erc.parse-error", Severity.ERROR,
-              "netlist text could not be parsed")
+              "building the task's netlist raised")
 
 # Sanity envelopes for the magnitude rules (warning severity).  These are
 # deliberately generous — they exist to catch unit mistakes (fF vs F,
-# milli vs meg), not to police design choices.
+# um vs m), not to police design choices.
 _W_RANGE = (2e-8, 1e-2)      # MOSFET width [m]: 20 nm .. 1 cm
 _L_RANGE = (1.6e-8, 1e-3)    # MOSFET length [m]: 16 nm .. 1 mm
 _R_RANGE = (1e-3, 1e12)      # resistance [ohm]
 _C_RANGE = (1e-18, 1e-1)     # capacitance [F]
-_L_IND_RANGE = (1e-15, 1e2)  # inductance [H]
 
 
 def _finite_positive(value: float) -> bool:
@@ -85,7 +76,6 @@ def _check_topology(circuit: Circuit, connectivity) -> list[Diagnostic]:
     from repro.spice.elements import (
         Capacitor,
         CurrentSource,
-        Inductor,
         Mosfet,
         VoltageSource,
     )
@@ -151,15 +141,15 @@ def _check_topology(circuit: Circuit, connectivity) -> list[Diagnostic]:
                     fix="add a DC-conducting element (resistor, source) "
                         "to the island"))
 
-    # Loops of ideal voltage sources (inductors are DC shorts).
+    # Loops of ideal voltage sources.
     v_edges = [(index[nodes[0]], index[nodes[1]], elem.name)
                for elem, nodes in connectivity
-               if isinstance(elem, (VoltageSource, Inductor))]
+               if isinstance(elem, VoltageSource)]
     cycle = find_cycle(v_edges)
     if cycle:
         diags.append(ERC_RULES.diag(
             "erc.vsource-loop",
-            "loop of ideal voltage sources/inductors: " + ", ".join(cycle),
+            "loop of ideal voltage sources: " + ", ".join(cycle),
             location=cycle[-1],
             fix="break the loop with a resistance"))
     return diags
@@ -169,7 +159,6 @@ def _check_devices(circuit: Circuit, connectivity) -> list[Diagnostic]:
     """Per-element value/geometry sanity and name-collision checks."""
     from repro.spice.elements import (
         Capacitor,
-        Inductor,
         Mosfet,
         Resistor,
         VoltageSource,
@@ -209,8 +198,7 @@ def _check_devices(circuit: Circuit, connectivity) -> list[Diagnostic]:
 
         for cls, attr, label, (lo, hi) in (
                 (Resistor, "resistance", "resistance [ohm]", _R_RANGE),
-                (Capacitor, "capacitance", "capacitance [F]", _C_RANGE),
-                (Inductor, "inductance", "inductance [H]", _L_IND_RANGE)):
+                (Capacitor, "capacitance", "capacitance [F]", _C_RANGE)):
             if not isinstance(elem, cls):
                 continue
             value = getattr(elem, attr)
@@ -253,70 +241,6 @@ def run_erc(circuit: Circuit) -> list[Diagnostic]:
     connectivity = circuit.connectivity()
     return (_check_topology(circuit, connectivity)
             + _check_devices(circuit, connectivity))
-
-
-# -- textual decks -----------------------------------------------------------
-
-_ELEMENT_LINE_RE = re.compile(r"^\s*([rcl])\w*\s+\S+\s+\S+\s+(\S+)",
-                              re.IGNORECASE)
-_VALUE_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([a-zA-Z]*)$")
-_KNOWN_UNITS = {"v", "a", "hz", "f", "h", "ohm", "ohms", "s", "volt", "amp"}
-_SUFFIX_LETTERS = set("tgxkmunpfa")
-
-
-def _suffix_findings(text: str) -> list[Diagnostic]:
-    """Unit-suffix sanity over the raw deck text (R/C/L value tokens)."""
-    diags: list[Diagnostic] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("*")[0].split("$")[0]
-        m = _ELEMENT_LINE_RE.match(stripped)
-        if not m:
-            continue
-        letter = m.group(1).lower()
-        token = m.group(2)
-        vm = _VALUE_RE.match(token)
-        if not vm:
-            continue
-        magnitude, suffix = float(vm.group(1)), vm.group(2).lower()
-        if not suffix:
-            continue
-        if (letter == "r" and suffix[0] == "m"
-                and not suffix.startswith("meg") and abs(magnitude) < 1e4):
-            diags.append(ERC_RULES.diag(
-                "erc.unit-suffix",
-                f"resistor value {token!r} parses as milli-ohms "
-                f"(SPICE 'm' is milli); did you mean '{vm.group(1)}meg'?",
-                location=f"line {lineno}",
-                fix="use 'meg' for megaohms"))
-            continue
-        if (suffix[0] not in _SUFFIX_LETTERS
-                and suffix not in _KNOWN_UNITS):
-            diags.append(ERC_RULES.diag(
-                "erc.unit-suffix",
-                f"value {token!r} has unrecognized suffix {suffix!r}; it is "
-                f"parsed as a plain number",
-                location=f"line {lineno}",
-                fix="use a standard SI suffix (t/g/meg/k/m/u/n/p/f)"))
-    return diags
-
-
-def lint_deck(text: str) -> list[Diagnostic]:
-    """Parse a SPICE deck and run ERC plus text-level suffix checks.
-
-    A deck the parser rejects yields one ``erc.parse-error`` diagnostic
-    (the suffix checks still run — they only need the raw text).
-    """
-    from repro.spice.parser import parse_netlist
-
-    diags = _suffix_findings(text)
-    try:
-        circuit = parse_netlist(text)
-    except SpiceError as exc:
-        diags.append(ERC_RULES.diag("erc.parse-error", str(exc),
-                                    fix="fix the deck syntax"))
-        return diags
-    return diags + run_erc(circuit)
 
 
 def gate_errors(circuit: Circuit) -> list[Diagnostic]:

@@ -21,9 +21,6 @@ MODULES = [
     "repro.nn",
     "repro.spice",
     "repro.spice.measure",
-    "repro.spice.parser",
-    "repro.spice.sweep",
-    "repro.spice.montecarlo",
     "repro.spice.corners",
     "repro.spice.tf",
     "repro.core",

@@ -4,8 +4,9 @@
   (the paper's BO [21] column).
 * :mod:`repro.baselines.random_search` — uniform random sampling (sanity
   floor).
-* :mod:`repro.baselines.pso` / :mod:`repro.baselines.de` — the population
-  metaheuristics the paper's related-work section cites (PSO [7], DE [8]).
+* :mod:`repro.baselines.ppo` — an AutoCkt-style PPO agent, the true-RL
+  sizer whose sample inefficiency the paper's introduction argues against
+  (the RL-budget ablation).
 
 All baselines share the same entry-point signature as the MA-Opt wrapper in
 :mod:`repro.experiments.runner`: they consume a task, a simulation budget
@@ -16,15 +17,13 @@ and the shared initial set, and return an
 import importlib
 
 #: Exported name -> the submodule that defines it.  The submodules load on
-#: first attribute access (PEP 562), so a Random, PSO or DE run never
-#: imports the GP and its scipy stack.
+#: first attribute access (PEP 562), so a Random or PPO run never imports
+#: the GP and its scipy stack.
 _EXPORTS = {
     "GaussianProcess": "repro.baselines.gp",
     "BayesOpt": "repro.baselines.bayesopt",
     "expected_improvement": "repro.baselines.bayesopt",
     "RandomSearch": "repro.baselines.random_search",
-    "ParticleSwarm": "repro.baselines.pso",
-    "DifferentialEvolution": "repro.baselines.de",
     "PPOSizer": "repro.baselines.ppo",
 }
 

@@ -31,9 +31,10 @@ class BaselineOptimizer(Driver):
     plus the FoM history, and :meth:`restore` rebuilds it, after which
     :meth:`run` continues toward its budget from the records it already
     holds.  Resume is bit-exact for any subclass whose only state is the
-    history plus ``self.rng`` (e.g. random search); subclasses with more
-    mutable state (swarm positions, surrogate datasets, ...) extend
-    :meth:`_state_arrays` / :meth:`_load_state`.
+    history plus ``self.rng`` (random search); a subclass with more
+    mutable state extends :meth:`_state_arrays` / :meth:`_load_state`
+    (BO's GP hyper-parameters and iteration count), or refuses
+    :meth:`restore` (PPO) rather than diverge silently.
     """
 
     checkpoint_kind = "baseline"

@@ -23,6 +23,8 @@ sample-inefficiency the paper criticizes (see the RL-budget bench).
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 import numpy as np
 
 from repro.baselines.base import BaselineOptimizer
@@ -73,6 +75,16 @@ class PPOSizer(BaselineOptimizer):
         self._t = 0
         self._traj: list[dict] = []
         self._pending: dict | None = None
+
+    @classmethod
+    def restore(cls, *args: object, **kwargs: object) -> NoReturn:
+        """Refused: a checkpoint holds neither the policy and value
+        networks, their Adam moments nor the episode in flight, so a
+        restored agent would silently diverge from an uninterrupted one."""
+        raise NotImplementedError(
+            "PPO runs cannot be resumed: the checkpoint does not hold the "
+            "policy/value networks, their optimizer moments or the "
+            "episode in flight")
 
     # -- observation/action plumbing ----------------------------------------
     def _observe_metrics(self, metrics: np.ndarray) -> np.ndarray:

@@ -8,11 +8,12 @@ Commands
                       report the best design.
 ``compare <task>``    run the paper's multi-method comparison and print the
                       Table II/IV/VI-style summary plus the Fig. 5 panel.
-``netlist <task>``    print the netlist of a design (mid-space by default).
-``lint <targets>``    static analysis: ERC over task netlists or deck
-                      files, ``--config`` cross-validation, ``--code``
-                      AST lint (``--flow`` adds RNG provenance).  Exit 1
-                      on error-severity findings.
+``netlist <task>``    print a design's SPICE deck (mid-space by default),
+                      with the ``.model`` cards of its process corner.
+``lint <tasks>``      static analysis: ERC over task netlists,
+                      ``--config`` cross-validation, ``--code`` AST lint
+                      (``--flow`` adds RNG provenance).  Exit 1 on
+                      error-severity findings.
 ``runs <cmd>``        query the durable run store (``--store`` on
                       optimize/compare): ``list``, ``show``, ``diff``,
                       ``export`` (one JSON bundle per run).
@@ -303,7 +304,7 @@ def cmd_netlist(args: argparse.Namespace) -> int:
     if build_netlist is None:
         raise SystemExit(f"no netlist builder for task {args.task!r}")
     params = task.space.denormalize(np.full(task.d, args.point))
-    print(build_netlist(params).netlist_text())
+    print(build_netlist(params).to_spice())
     return 0
 
 
@@ -446,19 +447,14 @@ def _lint_groups(args: argparse.Namespace) -> list[tuple[str, list]]:
     import os
 
     from repro.analysis.configlint import check_config
-    from repro.analysis.erc import lint_deck
 
     groups: list[tuple[str, list]] = []
     for target in args.targets:
-        if os.path.exists(target):
-            with open(target, encoding="utf-8") as fh:
-                groups.append((target, lint_deck(fh.read())))
-            continue
         try:
             task = _make_task(target, args.fidelity, args.corner)
         except SystemExit:
             print(f"repro: error: unknown lint target {target!r} "
-                  f"(neither a file nor a task name)", file=sys.stderr)
+                  f"(not a task name)", file=sys.stderr)
             raise SystemExit(2) from None
         lint_design = getattr(task, "lint_design", None)
         if lint_design is None:
@@ -507,8 +503,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
                                             render_text, sort_diagnostics)
 
     if not args.targets and not args.config and not args.code:
-        print("repro: error: nothing to lint — give task names / deck "
-              "files, --config or --code PATH", file=sys.stderr)
+        print("repro: error: nothing to lint — give task names, --config "
+              "or --code PATH", file=sys.stderr)
         return 2
     _check_point(args.point)
     bad = _unknown_prefixes([*args.select, *args.ignore])
@@ -596,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="REPORT.md")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("netlist", help="print a design's netlist")
+    p = sub.add_parser("netlist", help="print a design's SPICE deck")
     p.add_argument("task")
     p.add_argument("--point", type=float, default=0.5,
                    help="normalized coordinate used for every parameter")
@@ -606,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="static analysis: ERC, config checks, codelint")
     p.add_argument("targets", nargs="*",
                    help="task names (ota/tia/ldo; lints the netlist at "
-                        "--point) or SPICE deck files")
+                        "--point)")
     p.add_argument("--point", type=float, default=0.5,
                    help="normalized coordinate for task-netlist targets")
     p.add_argument("--config", action="store_true",

@@ -18,7 +18,7 @@ from repro.core.result import OptimizationResult
 
 METHOD_NAMES = [
     "BO", "DNN-Opt", "MA-Opt1", "MA-Opt2", "MA-Opt",
-    "Random", "PSO", "DE", "PPO",
+    "Random", "PPO",
 ]
 
 _PRESETS = {
@@ -34,8 +34,6 @@ _PRESETS = {
 _BASELINES = {
     "BO": "BayesOpt",
     "Random": "RandomSearch",
-    "PSO": "ParticleSwarm",
-    "DE": "DifferentialEvolution",
     "PPO": "PPOSizer",
 }
 

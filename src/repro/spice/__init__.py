@@ -3,15 +3,18 @@
 Implements Modified Nodal Analysis over dense numpy matrices with:
 
 * DC operating point (Newton-Raphson with gmin- and source-stepping
-  homotopy), DC sweeps,
+  homotopy),
 * AC small-signal analysis (complex MNA linearized at the OP),
 * transient analysis (backward-Euler / trapezoidal companion models with
   per-step Newton and step halving on non-convergence),
 * small-signal noise analysis (adjoint method; thermal + flicker sources).
 
-Devices: resistors, capacitors, inductors, independent V/I sources with
-DC/PULSE/SIN/PWL waveforms, VCVS/VCCS, diodes, and a C1-smooth EKV-style
-MOSFET model with representative 180 nm parameter cards.
+Devices: resistors, capacitors, independent V/I sources, and a C1-smooth
+EKV-style MOSFET model with representative 180 nm parameter cards, at five
+process corners and any temperature.  These are exactly the element kinds
+the paper's three circuits (two-stage OTA, three-stage TIA, LDO) are built
+from.  Sources take DC, PULSE, SIN or PWL waveforms; SI-suffixed values
+(``2k``, ``1meg``) convert with :func:`parse_si`/:func:`format_si`.
 
 The circuits in the MA-Opt paper are a few dozen nodes, so dense LU
 factorization is both simpler and faster than sparse machinery here.
@@ -19,24 +22,16 @@ factorization is both simpler and faster than sparse machinery here.
 
 from repro.spice.ac import ac_analysis
 from repro.spice.corners import corner_models
-from repro.spice.dc import dc_sweep, operating_point
+from repro.spice.dc import operating_point
 from repro.spice.exceptions import (
     AnalysisError,
     ConvergenceError,
     NetlistError,
     SpiceError,
 )
-from repro.spice.models import (
-    DiodeModel,
-    MosfetModel,
-    NMOS_180,
-    PMOS_180,
-)
-from repro.spice.montecarlo import monte_carlo
+from repro.spice.models import MosfetModel, NMOS_180, PMOS_180
 from repro.spice.netlist import Circuit
 from repro.spice.noise import noise_analysis
-from repro.spice.parser import parse_netlist
-from repro.spice.report import op_report
 from repro.spice.tf import transfer_function
 from repro.spice.transient import transient_analysis
 from repro.spice.units import format_si, parse_si
@@ -45,17 +40,12 @@ from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine
 __all__ = [
     "Circuit",
     "operating_point",
-    "dc_sweep",
     "ac_analysis",
     "transient_analysis",
     "noise_analysis",
     "transfer_function",
-    "parse_netlist",
-    "monte_carlo",
     "corner_models",
-    "op_report",
     "MosfetModel",
-    "DiodeModel",
     "NMOS_180",
     "PMOS_180",
     "DCWave",

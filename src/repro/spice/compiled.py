@@ -2,11 +2,11 @@
 
 Each analysis compiles its circuit at entry (:meth:`Circuit.compile`).  The
 linear part is pre-summed into one matrix and every capacitance (MOSFET
-Meyer caps and diode junction caps included) and inductance into one
-matrix ``C``; sources keep their branch/node index; MOSFETs and diodes
-become per-device parameter arrays with flat scatter indices.  Ground maps
-to an extra row and column that is sliced away.  DC and transient Newton
-steps add one vectorized device evaluation to a base matrix built once per
+Meyer caps included) into one matrix ``C``; sources keep their branch/node
+index; MOSFETs, the one nonlinear device kind, become per-device
+parameter arrays with flat scatter indices.  Ground maps to an extra row
+and column that is sliced away.  DC and transient Newton steps add one
+vectorized MOSFET evaluation to a base matrix built once per
 ``(analysis, dt, integ, gmin)``; small-signal analyses use ``G + jwC``.
 See docs/spice.md, "Assembly".
 """
@@ -18,19 +18,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.spice.elements import (
-    VCCS,
-    VCVS,
     Capacitor,
     CurrentSource,
-    Diode,
-    Inductor,
     Mosfet,
     Resistor,
     VoltageSource,
 )
 from repro.spice.exceptions import AnalysisError, NetlistError
 from repro.spice.mna import MNASystem, StampContext
-from repro.spice.models import diode_iv, ekv
+from repro.spice.models import ekv
 
 if TYPE_CHECKING:
     from repro.spice.netlist import Circuit
@@ -61,11 +57,9 @@ class CompiledCircuit:
             entry(br, b, -1.0)
 
         caps: list[tuple[int, int, float, float]] = []  # a, b, C, ic (nan)
-        inds: list[tuple[int, int, int, float, float]] = []  # br, a, b, L, ic
         self._vsrc: list[tuple[int, VoltageSource]] = []
         self._isrc: list[tuple[int, int, CurrentSource]] = []
         mos: list[tuple[tuple[int, ...], Mosfet]] = []
-        diodes: list[tuple[int, int, Diode]] = []
         for elem in circuit.elements:
             nodes = tuple(n if i < 0 else i for i in elem.nodes)
             br = elem.branch_start
@@ -79,26 +73,11 @@ class CompiledCircuit:
             elif isinstance(elem, Capacitor):
                 ic = np.nan if elem.ic is None else float(elem.ic)
                 caps.append((*nodes, elem.capacitance, ic))
-            elif isinstance(elem, Inductor):
-                incidence(br, *nodes)
-                ic = np.nan if elem.ic is None else float(elem.ic)
-                inds.append((br, *nodes, elem.inductance, ic))
             elif isinstance(elem, VoltageSource):
                 incidence(br, *nodes)
                 self._vsrc.append((br, elem))
             elif isinstance(elem, CurrentSource):
                 self._isrc.append((*nodes, elem))
-            elif isinstance(elem, VCVS):
-                a, b, c, d = nodes
-                incidence(br, a, b)
-                entry(br, c, -elem.mu)
-                entry(br, d, elem.mu)
-            elif isinstance(elem, VCCS):
-                a, b, c, d = nodes
-                entry(a, c, elem.gm)
-                entry(a, d, -elem.gm)
-                entry(b, c, -elem.gm)
-                entry(b, d, elem.gm)
             elif isinstance(elem, Mosfet):
                 mos.append((nodes, elem))
                 d, g, s, b = nodes
@@ -106,10 +85,6 @@ class CompiledCircuit:
                 for ta, tb, key in ((g, s, "cgs"), (g, d, "cgd"),
                                     (d, b, "cdb"), (s, b, "csb")):
                     caps.append((ta, tb, c[key], np.nan))
-            elif isinstance(elem, Diode):
-                diodes.append((*nodes, elem))
-                if elem.model.cj0 > 0:
-                    caps.append((*nodes, elem.model.cj0 * elem.area, np.nan))
             else:
                 raise NetlistError(
                     f"cannot compile element type {type(elem).__name__}")
@@ -119,8 +94,8 @@ class CompiledCircuit:
         self._diag = np.arange(self.n_nodes) * (n1 + 1)
         self._base_key: tuple | None = None
         self._base_a = self._lin
-        self._compile_reactive(caps, inds)
-        self._compile_devices(mos, diodes)
+        self._compile_reactive(caps)
+        self._compile_devices(mos)
 
     # -- construction helpers ------------------------------------------------
     def _flat(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -132,37 +107,29 @@ class CompiledCircuit:
         return np.bincount(self._flat(rows, cols), weights=vals,
                            minlength=self._n1 * self._n1).astype(float)
 
-    def _compile_reactive(self, caps: list, inds: list) -> None:
-        """Terminal/value arrays of every capacitance and inductance, the
-        capacitance matrix ``C`` and the (zeroed) companion state."""
+    def _compile_reactive(self, caps: list) -> None:
+        """Terminal/value arrays of every capacitance, the capacitance
+        matrix ``C`` and the (zeroed) companion state."""
         cap = np.array(caps, dtype=float).reshape(-1, 4)
         self._cap_a, self._cap_b = cap[:, :2].T.astype(int)
         self._cap_c, self._cap_ic = cap[:, 2], cap[:, 3]
-        ind = np.array(inds, dtype=float).reshape(-1, 5)
-        self._ind_br, self._ind_a, self._ind_b = ind[:, :3].T.astype(int)
-        self._ind_l, self._ind_ic = ind[:, 3], ind[:, 4]
         a, b = self._cap_a, self._cap_b
-        self._C = (self._scatter(np.concatenate((a, b, a, b)),
-                                 np.concatenate((a, b, b, a)),
-                                 np.concatenate((self._cap_c, self._cap_c,
-                                                 -self._cap_c, -self._cap_c)))
-                   - self._scatter(self._ind_br, self._ind_br, self._ind_l))
+        self._C = self._scatter(np.concatenate((a, b, a, b)),
+                                np.concatenate((a, b, b, a)),
+                                np.concatenate((self._cap_c, self._cap_c,
+                                                -self._cap_c, -self._cap_c)))
         # Transient companion state: branch voltage and current of every
-        # capacitor, current and voltage of every inductor.
+        # capacitor.
         self._cap_v = np.zeros(self._cap_c.size)
         self._cap_i = np.zeros(self._cap_c.size)
-        self._ind_i = np.zeros(self._ind_l.size)
-        self._ind_v = np.zeros(self._ind_l.size)
         self._z_ctx: StampContext | None = None
         self._z_companion = np.zeros(0)
 
-    def _compile_devices(self, mos: list, diodes: list) -> None:
-        """Per-device parameter arrays and the flat scatter indices of
+    def _compile_devices(self, mos: list) -> None:
+        """Per-MOSFET parameter arrays and the flat scatter indices of
         their stamps into ``[A.ravel(), z]`` (one vector, so one bincount
         assembles every device)."""
         nn = self._n1 * self._n1
-        a_idx: list[np.ndarray] = []
-        z_idx: list[np.ndarray] = []
         self._n_mos = len(mos)
         if mos:
             # Terminal indices, rows d, g, s, b.
@@ -179,22 +146,9 @@ class CompiledCircuit:
             self._mos_m = np.array([e.m for e in elems], float)
             # Drain row +g_t and source row -g_t in each terminal column t;
             # the linearization residual ieq leaves d and enters s.
-            a_idx += [self._flat(t[0], t).ravel(), self._flat(t[2], t).ravel()]
-            z_idx += [nn + t[0], nn + t[2]]
-        self._n_diode = len(diodes)
-        if diodes:
-            da = np.array([a for a, _, _ in diodes])
-            db = np.array([b for _, b, _ in diodes])
-            self._d_a, self._d_b = da, db
-            models = [e.model for _, _, e in diodes]
-            self._d_is = np.array([mo.is_ for mo in models])
-            self._d_nut = np.array([mo.n * mo.ut for mo in models])
-            self._d_vcrit = np.array([mo.v_crit for mo in models])
-            self._d_area = np.array([e.area for _, _, e in diodes])
-            a_idx += [self._flat(da, da), self._flat(db, db),
-                      self._flat(da, db), self._flat(db, da)]
-            z_idx += [nn + da, nn + db]
-        self._dev_idx = np.concatenate([np.zeros(0, int), *a_idx, *z_idx])
+            self._dev_idx = np.concatenate((
+                self._flat(t[0], t).ravel(), self._flat(t[2], t).ravel(),
+                nn + t[0], nn + t[2]))
 
     # -- assembly ---------------------------------------------------------------
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -205,31 +159,20 @@ class CompiledCircuit:
         return xg
 
     def _devices(self, xg: np.ndarray) -> np.ndarray:
-        """``[A.ravel(), z]`` (flat, ground padded) of every nonlinear
-        device linearized at the padded iterate ``xg``:
+        """``[A.ravel(), z]`` (flat, ground padded) of every MOSFET
+        linearized at the padded iterate ``xg``:
         ``i ~= i0 + g (v - v0)``, with the constant part in ``z``."""
-        g_parts: list[np.ndarray] = []
-        ieq_parts: list[np.ndarray] = []
-        if self._n_mos:
-            v = xg[self._mos_t]
-            id_, g, _, _ = ekv(self._mos_p, self._mos_vto, self._mos_n,
-                               self._mos_ut, self._mos_isq, self._mos_lam, v)
-            g = g * self._mos_m
-            ieq = id_ * self._mos_m - (g * v).sum(axis=0)
-            g_parts += [g.ravel(), -g.ravel()]
-            ieq_parts += [-ieq, ieq]
-        if self._n_diode:
-            v = xg[self._d_a] - xg[self._d_b]
-            i, g = diode_iv(v, self._d_is, self._d_nut, self._d_vcrit)
-            i, g = i * self._d_area, g * self._d_area
-            ieq = i - g * v
-            g_parts += [g, g, -g, -g]
-            ieq_parts += [-ieq, ieq]
         size = self._n1 * (self._n1 + 1)
-        if not g_parts:
+        if not self._n_mos:
             return np.zeros(size)
+        v = xg[self._mos_t]
+        id_, g, _, _ = ekv(self._mos_p, self._mos_vto, self._mos_n,
+                           self._mos_ut, self._mos_isq, self._mos_lam, v)
+        g = g * self._mos_m
+        ieq = id_ * self._mos_m - (g * v).sum(axis=0)
         return np.bincount(self._dev_idx,
-                           weights=np.concatenate(g_parts + ieq_parts),
+                           weights=np.concatenate((g.ravel(), -g.ravel(),
+                                                   -ieq, ieq)),
                            minlength=size)
 
     @staticmethod
@@ -264,11 +207,6 @@ class CompiledCircuit:
         z = np.bincount(np.concatenate((self._cap_a, self._cap_b)),
                         weights=np.concatenate((ceq, -ceq)),
                         minlength=self._n1).astype(float)
-        # Inductor branch row: v - (k L/dt) i = -(k L/dt) i_prev [- v_prev].
-        rhs = -(k_dt * self._ind_l) * self._ind_i
-        if ctx.integ != "be":
-            rhs = rhs - self._ind_v
-        z[self._ind_br] += rhs
         self._z_ctx, self._z_companion = ctx, z
         return z
 
@@ -311,14 +249,11 @@ class CompiledCircuit:
     # -- transient state ----------------------------------------------------------
     def init_state(self, x: np.ndarray) -> None:
         """Start the companion state from solution ``x`` (t = 0): element
-        initial conditions where given, else the voltages/currents of x."""
+        initial conditions where given, else the voltages of x."""
         xg = self._pad(x)
         v = xg[self._cap_a] - xg[self._cap_b]
         self._cap_v = np.where(np.isnan(self._cap_ic), v, self._cap_ic)
         self._cap_i = np.zeros_like(self._cap_v)
-        self._ind_i = np.where(np.isnan(self._ind_ic), xg[self._ind_br],
-                               self._ind_ic)
-        self._ind_v = np.zeros_like(self._ind_i)
         self._z_ctx = None
 
     def commit(self, x: np.ndarray, ctx: StampContext) -> None:
@@ -328,8 +263,6 @@ class CompiledCircuit:
         geq = self._companion_scale(ctx) * self._cap_c
         self._cap_i = geq * v_new - self._companion_ceq(ctx, geq)
         self._cap_v = v_new
-        self._ind_i = xg[self._ind_br]
-        self._ind_v = xg[self._ind_a] - xg[self._ind_b]
         self._z_ctx = None
 
     def _companion_ceq(self, ctx: StampContext, geq: np.ndarray) -> np.ndarray:

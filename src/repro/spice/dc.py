@@ -1,4 +1,4 @@
-"""DC operating point and DC sweep.
+"""DC operating point.
 
 Newton-Raphson over the MNA companion formulation, with the standard SPICE
 rescue ladder when plain Newton fails:
@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.spice.elements import CurrentSource, VoltageSource
 from repro.spice.exceptions import AnalysisError, ConvergenceError
 from repro.spice.mna import StampContext
 from repro.spice.netlist import Circuit
-from repro.spice.results import OPResult, SweepResult
-from repro.spice.waveforms import DCWave
+from repro.spice.results import OPResult
 
 # Newton controls (SPICE-like defaults).
 MAX_ITER = 120
@@ -122,28 +120,3 @@ def operating_point(circuit: Circuit, x0: np.ndarray | None = None,
                 ) from None
     return OPResult(circuit, x_good, total_it, strategy="source-stepping")
 
-
-def dc_sweep(circuit: Circuit, source_name: str, values: np.ndarray,
-             x0: np.ndarray | None = None) -> SweepResult:
-    """Sweep the DC value of an independent source, warm-starting each point.
-
-    The source's waveform is restored afterwards.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise AnalysisError("empty sweep")
-    elem = circuit[source_name]
-    if not isinstance(elem, VoltageSource | CurrentSource):
-        raise AnalysisError(f"{source_name!r} is not an independent source")
-    saved = elem.waveform
-    xs = np.empty((values.size, circuit.size))
-    guess = x0
-    try:
-        for k, value in enumerate(values):
-            elem.waveform = DCWave(float(value))
-            op = operating_point(circuit, x0=guess)
-            xs[k] = op.x
-            guess = op.x
-    finally:
-        elem.waveform = saved
-    return SweepResult(circuit, values, xs)

@@ -1,10 +1,7 @@
-"""Passive elements: resistor, capacitor, inductor.
+"""Passive elements: resistor and capacitor.
 
-Branch convention: ``self.branch_start`` (set by ``Circuit.bind``) is the
-*absolute* row/column index of the element's first branch current in the MNA
-system and in solution vectors.  An optional ``ic`` is the transient initial
-condition (capacitor voltage / inductor current) used instead of the
-starting solution's value.
+A capacitor's optional ``ic`` is its transient initial condition (its
+voltage), used instead of the starting solution's value.
 """
 
 from __future__ import annotations
@@ -57,19 +54,3 @@ class Capacitor(Element):
     def op_info(self, x: np.ndarray) -> dict[str, float]:
         return {"v": self._v(x, 0) - self._v(x, 1)}
 
-
-class Inductor(Element):
-    """Linear inductor: a branch element, ideal short in DC."""
-
-    n_branches = 1
-
-    def __init__(self, name: str, a: str, b: str, inductance: float,
-                 ic: float | None = None) -> None:
-        super().__init__(name, (a, b))
-        if inductance <= 0:
-            raise ValueError(f"inductor {name}: inductance must be positive")
-        self.inductance = float(inductance)
-        self.ic = ic
-
-    def op_info(self, x: np.ndarray) -> dict[str, float]:
-        return {"i": float(x[self.branch_start])}

@@ -21,7 +21,7 @@ length modulation, as in a real 180 nm process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,16 +92,6 @@ def ekv(polarity, vto, n, ut, isq, lam, v):
     g3 = dic * mclm + _CLM_SIGN * (icore * lam * vds / root)
     g = np.concatenate((g3, -g3.sum(axis=0, keepdims=True)))
     return polarity * icore * mclm, g, i_f, i_r
-
-
-def diode_iv(v, is_, nut, v_crit):
-    """Diode ``(current, conductance)`` at junction voltage ``v``,
-    elementwise.  Above ``v_crit`` the exponential is linearized to avoid
-    overflow during Newton iterations far from the solution."""
-    vc = np.minimum(v, v_crit)
-    e = np.exp(vc / nut)
-    g = is_ * e / nut
-    return is_ * (e - 1.0) + g * (v - vc), g
 
 
 @dataclass(frozen=True)
@@ -226,31 +216,6 @@ class MosfetModel:
         return self.kf * abs(drain_current) ** self.af / (cox_tot * f)
 
 
-@dataclass(frozen=True)
-class DiodeModel:
-    """Ideal-exponential junction diode model with series conductance clamp."""
-
-    name: str
-    is_: float = 1e-14
-    n: float = 1.0
-    temp: float = ROOM_TEMP
-    v_crit: float = 0.9
-    cj0: float = field(default=0.0)
-
-    @property
-    def ut(self) -> float:
-        return BOLTZMANN * self.temp / ELEMENTARY_CHARGE
-
-    def evaluate(self, v: float) -> tuple[float, float]:
-        """Return ``(current, conductance)`` at junction voltage ``v``.
-
-        Above ``v_crit`` the exponential is linearized to avoid overflow
-        during Newton iterations far from the solution.
-        """
-        i, g = diode_iv(v, self.is_, self.n * self.ut, self.v_crit)
-        return float(i), float(g)
-
-
 # Representative generic 0.18 um CMOS cards.  Values are textbook-plausible
 # (not any foundry's data): NMOS mobility ~3-4x PMOS, |VTO| ~ 0.45 V,
 # tox ~ 4 nm, strong CLM at minimum length.
@@ -275,5 +240,3 @@ PMOS_180 = MosfetModel(
     tox=4e-9,
     kf=1.5e-24,
 )
-
-DEFAULT_DIODE = DiodeModel(name="d180")

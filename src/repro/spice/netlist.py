@@ -6,21 +6,17 @@ import numpy as np
 
 from repro.spice.compiled import CompiledCircuit
 from repro.spice.elements import (
-    VCCS,
-    VCVS,
     Capacitor,
     CurrentSource,
-    Diode,
     Element,
-    Inductor,
     Mosfet,
     Resistor,
     VoltageSource,
 )
 from repro.spice.exceptions import NetlistError
 from repro.spice.mna import MNASystem, StampContext
-from repro.spice.models import DEFAULT_DIODE, DiodeModel, MosfetModel
-from repro.spice.waveforms import Waveform
+from repro.spice.models import MosfetModel
+from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine, Waveform
 
 GROUND_NAMES = frozenset({"0", "gnd"})
 
@@ -38,9 +34,15 @@ class Circuit:
     Example
     -------
     >>> ckt = Circuit("divider")
-    >>> ckt.add_vsource("Vin", "in", "0", 1.0)
-    >>> ckt.add_resistor("R1", "in", "out", 1e3)
-    >>> ckt.add_resistor("R2", "out", "0", 1e3)
+    >>> _ = ckt.add_vsource("Vin", "in", "0", 1.0)
+    >>> _ = ckt.add_resistor("R1", "in", "out", 1e3)
+    >>> _ = ckt.add_resistor("R2", "out", "0", 1e3)
+    >>> print(ckt.to_spice())
+    .title divider
+    Vin in 0 DC 1
+    R1 in out 1000
+    R2 out 0 1000
+    .end
     """
 
     def __init__(self, title: str = "untitled") -> None:
@@ -79,10 +81,6 @@ class Circuit:
                       ic: float | None = None) -> Capacitor:
         return self.add(Capacitor(name, a, b, c, ic=ic))
 
-    def add_inductor(self, name: str, a: str, b: str, value: float,
-                     ic: float | None = None) -> Inductor:
-        return self.add(Inductor(name, a, b, value, ic=ic))
-
     def add_vsource(self, name: str, pos: str, neg: str,
                     value: float | Waveform = 0.0, ac: float = 0.0) -> VoltageSource:
         return self.add(VoltageSource(name, pos, neg, value, ac=ac))
@@ -91,56 +89,9 @@ class Circuit:
                     value: float | Waveform = 0.0, ac: float = 0.0) -> CurrentSource:
         return self.add(CurrentSource(name, pos, neg, value, ac=ac))
 
-    def add_vcvs(self, name: str, pos: str, neg: str, cpos: str, cneg: str,
-                 mu: float) -> VCVS:
-        return self.add(VCVS(name, pos, neg, cpos, cneg, mu))
-
-    def add_vccs(self, name: str, pos: str, neg: str, cpos: str, cneg: str,
-                 gm: float) -> VCCS:
-        return self.add(VCCS(name, pos, neg, cpos, cneg, gm))
-
-    def add_diode(self, name: str, anode: str, cathode: str,
-                  model: DiodeModel = DEFAULT_DIODE, area: float = 1.0) -> Diode:
-        return self.add(Diode(name, anode, cathode, model, area))
-
     def add_mosfet(self, name: str, d: str, g: str, s: str, b: str,
                    model: MosfetModel, w: float, l: float, m: int = 1) -> Mosfet:
         return self.add(Mosfet(name, d, g, s, b, model, w, l, m=m))
-
-    def add_subcircuit(self, inst: str, sub: "Circuit",
-                       port_map: dict[str, str]) -> list[Element]:
-        """Flatten another circuit into this one as instance ``inst``.
-
-        ``port_map`` maps the subcircuit's port node names to nodes of this
-        circuit; every other subcircuit node becomes ``<inst>.<node>`` and
-        every element is copied (deep) under the name ``<inst>.<name>``.
-        Ground is never remapped.  Returns the new elements.
-
-        This is the programmatic counterpart of the parser's ``.subckt`` /
-        ``X`` support — compose reusable blocks without writing decks.
-        """
-        import copy
-
-        if not inst:
-            raise NetlistError("instance name must be non-empty")
-        added: list[Element] = []
-        for elem in sub.elements:
-            clone = copy.deepcopy(elem)
-            clone.name = f"{inst}.{elem.name}"
-            new_nodes = []
-            for node in elem.node_names:
-                canon = sub._canon(node)
-                if canon == "0":
-                    new_nodes.append("0")
-                elif canon in port_map:
-                    new_nodes.append(port_map[canon])
-                else:
-                    new_nodes.append(f"{inst}.{canon}")
-            clone.node_names = tuple(new_nodes)
-            clone.nodes = ()
-            clone.branch_start = -1
-            added.append(self.add(clone))
-        return added
 
     def canonical_node(self, node: str) -> str:
         """Public canonical spelling of a node name (``"gnd"``/``"GND"`` ->
@@ -246,43 +197,12 @@ class Circuit:
         return MNASystem(g + 1j * w * c, z.astype(complex))
 
     # -- reporting --------------------------------------------------------------
-    def netlist_text(self) -> str:
-        """A human-readable netlist listing (SPICE-flavoured)."""
-        lines = [f"* {self.title}"]
-        for elem in self.elements:
-            kind = type(elem).__name__
-            nodes = " ".join(elem.node_names)
-            extra = ""
-            if isinstance(elem, Resistor):
-                extra = f"{elem.resistance:g}"
-            elif isinstance(elem, Capacitor):
-                extra = f"{elem.capacitance:g}"
-            elif isinstance(elem, Inductor):
-                extra = f"{elem.inductance:g}"
-            elif isinstance(elem, VoltageSource | CurrentSource):
-                extra = f"dc={elem.waveform.dc_value():g} ac={elem.ac:g}"
-            elif isinstance(elem, Mosfet):
-                extra = (f"{elem.model.name} w={elem.w:g} l={elem.l:g} "
-                         f"m={elem.m}")
-            elif isinstance(elem, Diode):
-                extra = f"{elem.model.name} area={elem.area:g}"
-            elif isinstance(elem, VCVS | VCCS):
-                gain = elem.mu if isinstance(elem, VCVS) else elem.gm
-                extra = f"gain={gain:g}"
-            lines.append(f"{elem.name} ({kind}) {nodes} {extra}".rstrip())
-        lines.append(".end")
-        return "\n".join(lines)
-
     def to_spice(self) -> str:
-        """Emit a SPICE deck that :func:`repro.spice.parser.parse_netlist`
-        reads back into an equivalent circuit (round-trip tested).
-
-        Custom MOSFET/diode models are emitted as ``.model`` cards; source
-        waveforms map to PULSE/SIN/PWL specs.  Instance names containing
-        ``.`` (from subcircuit flattening) are preserved.
-        """
-        from repro.spice.models import MosfetModel
-        from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine
+        """The circuit as a SPICE deck: one line per element with every
+        value at 17 significant digits (so it ``float()``s back exactly),
+        source waveforms as DC/PULSE/SIN/PWL specs, and a ``.model`` card for every
+        MOSFET model other than the built-in ``nmos180``/``pmos180``
+        (process corners and temperatures included)."""
 
         def src_spec(elem) -> str:
             wave = elem.waveform
@@ -328,28 +248,13 @@ class Circuit:
             elif isinstance(elem, Capacitor):
                 lines.append(f"{elem.name} {n[0]} {n[1]} "
                              f"{elem.capacitance:.17g}")
-            elif isinstance(elem, Inductor):
-                lines.append(f"{elem.name} {n[0]} {n[1]} "
-                             f"{elem.inductance:.17g}")
             elif isinstance(elem, VoltageSource | CurrentSource):
                 lines.append(f"{elem.name} {n[0]} {n[1]} {src_spec(elem)}")
-            elif isinstance(elem, VCVS):
-                lines.append(f"{elem.name} {n[0]} {n[1]} {n[2]} {n[3]} "
-                             f"{elem.mu:.17g}")
-            elif isinstance(elem, VCCS):
-                lines.append(f"{elem.name} {n[0]} {n[1]} {n[2]} {n[3]} "
-                             f"{elem.gm:.17g}")
             elif isinstance(elem, Mosfet):
                 mname = mos_model_name(elem.model)
                 lines.append(f"{elem.name} {n[0]} {n[1]} {n[2]} {n[3]} "
                              f"{mname} W={elem.w:.17g} L={elem.l:.17g} "
                              f"M={elem.m}")
-            elif isinstance(elem, Diode):
-                dname = elem.model.name
-                model_cards[dname] = (
-                    f".model {dname} d is={elem.model.is_:.17g} "
-                    f"n={elem.model.n:.17g} cjo={elem.model.cj0:.17g}")
-                lines.append(f"{elem.name} {n[0]} {n[1]} {dname}")
             else:  # pragma: no cover - future element types
                 raise NetlistError(
                     f"cannot export element type {type(elem).__name__}")

@@ -58,27 +58,6 @@ class OPResult(_ResultBase):
         return {name: self.v(name) for name in self.circuit.node_names()}
 
 
-class SweepResult(_ResultBase):
-    """DC sweep: one solution per swept value."""
-
-    def __init__(self, circuit: Circuit, values: np.ndarray, xs: np.ndarray) -> None:
-        super().__init__(circuit)
-        self.values = np.asarray(values, dtype=float)
-        self.xs = np.asarray(xs, dtype=float)
-
-    def v(self, node: str) -> np.ndarray:
-        idx = self._node_column(node)
-        if idx < 0:
-            return np.zeros(len(self.values))
-        return self.xs[:, idx].copy()
-
-    def branch_current(self, source_name: str) -> np.ndarray:
-        elem = self.circuit[source_name]
-        if not isinstance(elem, VoltageSource):
-            raise AnalysisError(f"{source_name!r} is not a voltage source")
-        return np.array([elem.branch_current(x) for x in self.xs])
-
-
 class ACResult(_ResultBase):
     """AC sweep: complex solutions over frequency."""
 

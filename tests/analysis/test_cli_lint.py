@@ -7,71 +7,40 @@ import pytest
 
 from repro.cli import main
 
-BROKEN_DECK = """\
-V1 a 0 DC 1.8
-V2 a 0 DC 3.3
-R1 a dangle 1k
-.end
-"""
-
-CLEAN_DECK = """\
-V1 in 0 DC 1
-R1 in out 1k
-R2 out 0 1k
-.end
-"""
+BAD_FLOW = ("import numpy as np\n"
+            "rng = np.random.default_rng(0)\n"
+            "def sample(n):\n"
+            "    return rng.uniform(size=n)\n")
+BAD_CODE = "import pickle\n" + BAD_FLOW
 
 
 @pytest.fixture
-def broken_deck(tmp_path):
-    path = tmp_path / "broken.sp"
-    path.write_text(BROKEN_DECK, encoding="utf-8")
+def bad_code(tmp_path):
+    """A file that fires ``code.pickle`` and, with --flow,
+    ``flow.rng.no-param``."""
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_CODE, encoding="utf-8")
     return str(path)
 
 
-@pytest.fixture
-def clean_deck(tmp_path):
-    path = tmp_path / "clean.sp"
-    path.write_text(CLEAN_DECK, encoding="utf-8")
-    return str(path)
-
-
-class TestDeckTargets:
-    def test_broken_deck_exits_one(self, broken_deck, capsys):
-        assert main(["lint", broken_deck]) == 1
-        out = capsys.readouterr().out
-        assert "erc.vsource-loop" in out
-        assert "erc.floating-node" in out
-        assert "error(s)" in out
-
-    def test_clean_deck_exits_zero(self, clean_deck, capsys):
-        assert main(["lint", clean_deck]) == 0
-        assert "clean: no findings" in capsys.readouterr().out
-
-    def test_shipped_example_is_broken(self, capsys):
-        example = (pathlib.Path(__file__).resolve().parents[2]
-                   / "examples" / "broken_netlist.sp")
-        assert main(["lint", str(example)]) == 1
-        out = capsys.readouterr().out
-        for rule in ("erc.vsource-loop", "erc.floating-node",
-                     "erc.no-dc-path", "erc.unit-suffix"):
-            assert rule in out
-
-    def test_json_format(self, broken_deck, capsys):
-        assert main(["lint", broken_deck, "--format", "json"]) == 1
+class TestOutputOptions:
+    def test_json_format(self, bad_code, capsys):
+        assert main(["lint", "--code", bad_code, "--flow",
+                     "--format", "json"]) == 1
         records = [json.loads(line)
                    for line in capsys.readouterr().out.splitlines()]
-        assert all(r["target"] == broken_deck for r in records)
-        assert {"erc.vsource-loop", "erc.floating-node"} \
+        assert all(r["target"] == bad_code for r in records)
+        assert {"code.pickle", "flow.rng.no-param"} \
             <= {r["rule"] for r in records}
 
-    def test_select_and_ignore(self, broken_deck, capsys):
+    def test_select_and_ignore(self, bad_code, capsys):
         # Ignoring every firing rule leaves nothing -> exit 0.
-        assert main(["lint", broken_deck, "--ignore", "erc"]) == 0
-        assert main(["lint", broken_deck,
-                     "--select", "erc.floating-node"]) == 1
+        assert main(["lint", "--code", bad_code, "--flow",
+                     "--ignore", "code", "--ignore", "flow"]) == 0
+        assert main(["lint", "--code", bad_code, "--flow",
+                     "--select", "code.pickle"]) == 1
         out = capsys.readouterr().out
-        assert "erc.vsource-loop" not in out
+        assert "flow.rng" not in out
 
 
 class TestTaskTargets:
@@ -85,6 +54,14 @@ class TestTaskTargets:
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", "rfmixer"])
         assert excinfo.value.code == 2
+
+    def test_deck_file_is_not_a_target(self, tmp_path, capsys):
+        deck = tmp_path / "divider.sp"
+        deck.write_text("V1 in 0 DC 1\nR1 in 0 1k\n.end\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(deck)])
+        assert excinfo.value.code == 2
+        assert "not a task name" in capsys.readouterr().err
 
     @pytest.mark.parametrize("point", ["2.0", "-0.1", "nan"])
     def test_point_outside_unit_box_exits_two(self, point, capsys):
@@ -119,28 +96,22 @@ class TestConfigAndCode:
         assert "nothing to lint" in capsys.readouterr().err
 
 
-BAD_FLOW = ("import numpy as np\n"
-            "rng = np.random.default_rng(0)\n"
-            "def sample(n):\n"
-            "    return rng.uniform(size=n)\n")
-
-
 class TestPrefixValidation:
-    def test_unknown_select_prefix_exits_two(self, clean_deck, capsys):
-        assert main(["lint", clean_deck, "--select", "bogus.rule"]) == 2
+    def test_unknown_select_prefix_exits_two(self, capsys):
+        assert main(["lint", "ota", "--select", "bogus.rule"]) == 2
         assert "matching no registered rule" in capsys.readouterr().err
 
-    def test_unknown_ignore_prefix_exits_two(self, clean_deck, capsys):
-        assert main(["lint", clean_deck, "--ignore", "nope"]) == 2
+    def test_unknown_ignore_prefix_exits_two(self, capsys):
+        assert main(["lint", "ota", "--ignore", "nope"]) == 2
 
-    def test_known_prefixes_accepted(self, clean_deck):
-        assert main(["lint", clean_deck, "--select", "erc",
-                     "--ignore", "erc.unit-suffix"]) == 0
+    def test_known_prefixes_accepted(self):
+        assert main(["lint", "ota", "--select", "erc",
+                     "--ignore", "erc.name-collision"]) == 0
 
-    def test_flow_prefix_registered(self, clean_deck, capsys):
-        assert main(["lint", clean_deck, "--select", "flow.rng"]) == 0
+    def test_flow_prefix_registered(self, capsys):
+        assert main(["lint", "ota", "--select", "flow.rng"]) == 0
         # No registered rule starts with "shape".
-        assert main(["lint", clean_deck, "--ignore", "shape"]) == 2
+        assert main(["lint", "ota", "--ignore", "shape"]) == 2
         assert "shape" in capsys.readouterr().err
 
 

@@ -6,7 +6,6 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.erc import (
     gate_errors,
     is_simulatable,
-    lint_deck,
     run_erc,
 )
 from repro.spice import Circuit, NMOS_180
@@ -86,11 +85,6 @@ class TestTopologyRules:
         assert len(diags) == 1
         assert "V1" in diags[0].message and "V2" in diags[0].message
 
-    def test_inductor_closes_vsource_loop(self):
-        ckt = divider()
-        ckt.add_inductor("L1", "in", "0", 1e-9)
-        assert "erc.vsource-loop" in rules(run_erc(ckt))
-
     def test_source_short(self):
         ckt = divider()
         ckt.add_vsource("V2", "out", "out", 1.0)
@@ -142,29 +136,6 @@ class TestDeviceRules:
         diags = [d for d in run_erc(ckt) if d.rule == "erc.name-collision"]
         assert diags and diags[0].severity == Severity.WARNING
         assert is_simulatable(ckt)
-
-
-class TestDeckLint:
-    def test_milli_ohm_suffix(self):
-        diags = lint_deck("V1 a 0 1\nR1 a 0 10m\n.end\n")
-        suffix = [d for d in diags if d.rule == "erc.unit-suffix"]
-        assert suffix and "meg" in suffix[0].message
-
-    def test_megaohm_spelled_right_is_silent(self):
-        diags = lint_deck("V1 a 0 1\nR1 a 0 10meg\n.end\n")
-        assert "erc.unit-suffix" not in rules(diags)
-
-    def test_unknown_suffix(self):
-        diags = lint_deck("V1 a 0 1\nC1 a 0 10qq\n.end\n")
-        assert "erc.unit-suffix" in rules(diags)
-
-    def test_parse_error(self):
-        diags = lint_deck("R1 a\n")
-        assert rules(diags) == {"erc.parse-error"}
-
-    def test_clean_deck(self):
-        diags = lint_deck("V1 in 0 1\nR1 in out 1k\nR2 out 0 1k\n.end\n")
-        assert diags == []
 
 
 class TestGateAndLegacyApi:

@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.analysis.erc import run_erc
 from repro.analysis.graph import UnionFind, bfs_path, find_cycle
+from repro.spice import Circuit
+
+
+def erc(elements, rename=None):
+    """ERC findings of a circuit given as ``(kind, name, a, b, value)``
+    rows (kind R, C or V), with node names mapped through ``rename``."""
+    rename = rename or {}
+    ckt = Circuit()
+    add = {"R": ckt.add_resistor, "C": ckt.add_capacitor,
+           "V": ckt.add_vsource}
+    for kind, name, a, b, value in elements:
+        add[kind](name, rename.get(a, a), rename.get(b, b), value)
+    return run_erc(ckt)
 
 
 class TestUnionFind:
@@ -91,18 +105,15 @@ class TestSelfLoopElements:
         assert find_cycle(edges) is None
 
     def test_erc_self_loop_resistor_is_an_island(self):
-        from repro.analysis.erc import lint_deck
-
-        deck = "V1 in 0 DC 1\nR1 in 0 1k\nR2 x x 1k\n.end\n"
-        diags = lint_deck(deck)
+        diags = erc([("V", "V1", "in", "0", 1.0), ("R", "R1", "in", "0", 1e3),
+                     ("R", "R2", "x", "x", 1e3)])
         assert [d.rule for d in diags] == ["erc.no-dc-path"]
         assert diags[0].location == "x"
 
     def test_erc_self_loop_vsource_is_a_short(self):
-        from repro.analysis.erc import lint_deck
-
-        deck = "V1 in 0 DC 1\nR1 in 0 1k\nV2 in in DC 0\n.end\n"
-        rules = {d.rule for d in lint_deck(deck)}
+        rules = {d.rule for d in erc([("V", "V1", "in", "0", 1.0),
+                                      ("R", "R1", "in", "0", 1e3),
+                                      ("V", "V2", "in", "in", 0.0)])}
         assert "erc.source-short" in rules
         # ...and does NOT double-report as a voltage-source loop.
         assert "erc.vsource-loop" not in rules
@@ -126,11 +137,8 @@ class TestDisconnectedSubcircuits:
         assert bfs_path(adj, 0, 3) is None
 
     def test_erc_reports_every_islanded_node(self):
-        from repro.analysis.erc import lint_deck
-
-        deck = ("V1 in 0 DC 1\nR1 in 0 1k\n"
-                "R3 a b 1k\nR4 b a 2k\n.end\n")
-        diags = lint_deck(deck)
+        diags = erc([("V", "V1", "in", "0", 1.0), ("R", "R1", "in", "0", 1e3),
+                     ("R", "R3", "a", "b", 1e3), ("R", "R4", "b", "a", 2e3)])
         assert [d.rule for d in diags] == ["erc.no-dc-path"] * 2
         assert sorted(d.location for d in diags) == ["a", "b"]
 
@@ -139,41 +147,27 @@ class TestCanonicalNodeStability:
     """Node indices come from sorted() over node names: renaming every
     node must not change which *rules* fire (only the names in them)."""
 
-    DECK = ("V1 in 0 DC 1\nR1 in mid 1k\nR2 mid 0 1k\n"
-            "C1 mid dangle 1p\n.end\n")
-
-    @staticmethod
-    def _rename(deck, mapping):
-        out = []
-        for line in deck.splitlines():
-            parts = line.split()
-            out.append(" ".join(mapping.get(p, p) for p in parts))
-        return "\n".join(out) + "\n"
+    ELEMENTS = [("V", "V1", "in", "0", 1.0), ("R", "R1", "in", "mid", 1e3),
+                ("R", "R2", "mid", "0", 1e3),
+                ("C", "C1", "mid", "dangle", 1e-12)]
 
     def test_rule_multiset_invariant_under_renaming(self):
-        from repro.analysis.erc import lint_deck
-
-        renamed = self._rename(
-            self.DECK, {"in": "zz_in", "mid": "aa_mid",
-                        "dangle": "qq_dangle"})
-        before = sorted(d.rule for d in lint_deck(self.DECK))
-        after = sorted(d.rule for d in lint_deck(renamed))
+        renamed = {"in": "zz_in", "mid": "aa_mid", "dangle": "qq_dangle"}
+        before = sorted(d.rule for d in erc(self.ELEMENTS))
+        after = sorted(d.rule for d in erc(self.ELEMENTS, renamed))
         assert before == after == ["erc.floating-node", "erc.no-dc-path"]
 
     def test_locations_follow_the_renaming(self):
-        from repro.analysis.erc import lint_deck
-
-        renamed = self._rename(self.DECK, {"dangle": "zzz"})
-        locs = {d.rule: d.location for d in lint_deck(renamed)}
+        locs = {d.rule: d.location
+                for d in erc(self.ELEMENTS, {"dangle": "zzz"})}
         assert locs["erc.floating-node"] == "zzz"
 
     def test_reversed_sort_order_same_verdicts(self):
         # Renaming that inverts the sorted() order of node names must
         # not flip any union-find/cycle verdicts.
-        from repro.analysis.erc import lint_deck
-
-        deck = "V1 a 0 DC 1\nV2 b 0 DC 1\nV3 a b DC 0\nR1 a 0 1k\n.end\n"
-        flipped = self._rename(deck, {"a": "zz", "b": "aa"})
-        assert {d.rule for d in lint_deck(deck)} \
-            == {d.rule for d in lint_deck(flipped)} \
+        elements = [("V", "V1", "a", "0", 1.0), ("V", "V2", "b", "0", 1.0),
+                    ("V", "V3", "a", "b", 0.0), ("R", "R1", "a", "0", 1e3)]
+        flipped = {"a": "zz", "b": "aa"}
+        assert {d.rule for d in erc(elements)} \
+            == {d.rule for d in erc(elements, flipped)} \
             >= {"erc.vsource-loop"}

@@ -151,9 +151,9 @@ class TestSharedClosure:
 
 class TestRepoSources:
     def test_core_tree_has_no_findings(self):
-        # src/repro is finding-free: the two historical unseeded-fallback
-        # warnings (nn/layers.py, spice/montecarlo.py) were fixed by
-        # threading an explicit seed parameter.  Any new finding, warning
+        # src/repro is finding-free: the historical unseeded-fallback
+        # warning in nn/layers.py was fixed by threading an explicit seed
+        # parameter.  Any new finding, warning
         # or error, fails here and in the CI lint gate.
         import pathlib
 

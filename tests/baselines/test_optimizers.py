@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    BayesOpt,
-    DifferentialEvolution,
-    ParticleSwarm,
-    RandomSearch,
-)
+from repro.baselines import BayesOpt, PPOSizer, RandomSearch
 from repro.core.fom import FigureOfMerit
 from repro.core.synthetic import ConstrainedSphere
 
@@ -18,7 +13,7 @@ def task():
     return ConstrainedSphere(d=5, seed=2)
 
 
-ALL = [RandomSearch, BayesOpt, ParticleSwarm, DifferentialEvolution]
+ALL = [RandomSearch, BayesOpt, PPOSizer]
 
 
 class TestProtocol:
@@ -63,45 +58,9 @@ class TestOptimizationQuality:
         rnd = RandomSearch(task, seed=1).run(n_sims=30, x_init=x, f_init=f)
         assert bo.best_fom < rnd.best_fom
 
-    def test_pso_improves(self, task):
-        res = ParticleSwarm(task, seed=3, n_particles=8).run(
-            n_sims=60, n_init=20)
-        assert res.best_fom < res.init_best_fom
-
-    def test_de_improves(self, task):
-        res = DifferentialEvolution(task, seed=3, pop_size=8).run(
-            n_sims=60, n_init=20)
-        assert res.best_fom < res.init_best_fom
-
 
 class TestValidation:
-    def test_pso_needs_particles(self, task):
-        with pytest.raises(ValueError):
-            ParticleSwarm(task, n_particles=1)
-
-    def test_de_needs_population(self, task):
-        with pytest.raises(ValueError):
-            DifferentialEvolution(task, pop_size=2)
-
-    def test_de_crossover_range(self, task):
-        with pytest.raises(ValueError):
-            DifferentialEvolution(task, crossover=0.0)
-
     def test_bo_candidate_pool(self, task):
         with pytest.raises(ValueError):
             BayesOpt(task, n_candidates=1)
 
-
-class TestDEMechanics:
-    def test_population_only_improves(self, task):
-        de = DifferentialEvolution(task, seed=0, pop_size=6)
-        de.run(n_sims=40, n_init=12)
-        # every slot's fom must be <= the initial best-12 slot values
-        assert np.all(np.isfinite(de.pop_y))
-
-    def test_trial_at_least_one_mutant_gene(self, task, rng):
-        de = DifferentialEvolution(task, seed=0, pop_size=6, crossover=0.01)
-        de.run(n_sims=6, n_init=12)
-        # with tiny crossover the trial still differs from the parent
-        # (guaranteed mutant gene) -- exercised implicitly; just sanity:
-        assert de.pop.shape == (6, task.d)

@@ -36,7 +36,7 @@ class TestRunMethod:
 
     def test_extra_methods_run(self, task):
         x, f = make_initial_set(task, 10, seed=0)
-        for m in ("Random", "PSO", "DE"):
+        for m in ("Random", "PPO"):
             res = run_method(m, task, 6, x, f, seed=1)
             assert res.n_sims == 6
 

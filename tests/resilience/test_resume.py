@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import ParticleSwarm, RandomSearch
+from repro.baselines import BayesOpt, PPOSizer, RandomSearch
 from repro.core.config import MAOptConfig
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
@@ -120,19 +120,38 @@ class TestCheckpointArguments:
 
 
 class TestBaselineResume:
-    def test_bit_exact_resume(self, tmp_path):
-        task = ConstrainedSphere(d=4, seed=0)
-        ref = RandomSearch(task, seed=7).run(n_sims=12, n_init=8)
-
-        interrupted = RandomSearch(task, seed=7)
+    @staticmethod
+    def checkpoint_after_five(cls, task, tmp_path):
+        interrupted = cls(task, seed=7)
         interrupted.run(n_sims=5, n_init=8)
-        path = interrupted.save_checkpoint(tmp_path / "ck.npz")
+        return interrupted.save_checkpoint(tmp_path / "ck.npz")
 
-        resumed = RandomSearch.restore(path, task)
-        res = resumed.run(n_sims=12, n_init=8)
+    def assert_bit_exact_resume(self, cls, tmp_path):
+        """Checkpoint after 5 of 14 simulations, restore, finish: the run
+        matches an uninterrupted one record for record."""
+        task = ConstrainedSphere(d=4, seed=0)
+        ref = cls(task, seed=7).run(n_sims=14, n_init=8)
+        path = self.checkpoint_after_five(cls, task, tmp_path)
+        res = cls.restore(path, task).run(n_sims=14, n_init=8)
 
         assert_same_records(ref.records, res.records)
         assert ref.init_best_fom == res.init_best_fom
+
+    def test_bit_exact_resume(self, tmp_path):
+        self.assert_bit_exact_resume(RandomSearch, tmp_path)
+
+    def test_bo_resume_restores_gp_state(self, tmp_path):
+        # The GP hyperparameters warm-start each fit, so they must travel
+        # with the checkpoint for the resumed run to match.
+        self.assert_bit_exact_resume(BayesOpt, tmp_path)
+
+    def test_ppo_restore_refuses(self, tmp_path):
+        # PPO's networks and optimizer moments are not checkpointed yet;
+        # restoring must fail loudly rather than diverge.
+        task = ConstrainedSphere(d=4, seed=0)
+        path = self.checkpoint_after_five(PPOSizer, task, tmp_path)
+        with pytest.raises(NotImplementedError, match="cannot be resumed"):
+            PPOSizer.restore(path, task)
 
     def test_restore_rejects_other_method(self, tmp_path):
         task = ConstrainedSphere(d=4, seed=0)
@@ -140,7 +159,7 @@ class TestBaselineResume:
         rs.run(n_sims=3, n_init=4)
         path = rs.save_checkpoint(tmp_path / "rs.npz")
         with pytest.raises(ValueError, match="method"):
-            ParticleSwarm.restore(path, task)
+            BayesOpt.restore(path, task)
 
     def test_checkpoint_emits_event_and_counter(self, tmp_path):
         from repro.obs import MetricsRegistry, RunLogger, Telemetry

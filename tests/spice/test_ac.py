@@ -40,19 +40,6 @@ class TestLinearAC:
         assert abs(h[0]) < 0.02
         assert abs(h[1]) == pytest.approx(1.0, rel=0.01)
 
-    def test_lc_resonance(self):
-        """Series RLC driven at resonance: |V_C| = Q."""
-        r, l, c = 10.0, 1e-6, 1e-9
-        f0 = 1 / (2 * np.pi * np.sqrt(l * c))
-        q = np.sqrt(l / c) / r
-        ckt = Circuit()
-        ckt.add_vsource("Vin", "in", "0", 0.0, ac=1.0)
-        ckt.add_resistor("R", "in", "a", r)
-        ckt.add_inductor("L", "a", "b", l)
-        ckt.add_capacitor("C", "b", "0", c)
-        ac = ac_analysis(ckt, np.array([f0]))
-        assert abs(ac.v("b")[0]) == pytest.approx(q, rel=0.01)
-
     def test_superposition_of_two_ac_sources(self):
         ckt = Circuit()
         ckt.add_vsource("V1", "a", "0", 0.0, ac=1.0)

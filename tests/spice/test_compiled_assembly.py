@@ -4,15 +4,16 @@ per-element scalar stamps it replaced.
 The reference below is the scalar stamping path kept verbatim in spirit:
 one ``stamp``/``stamp_ac`` per element into a dense system with ground
 skipped index by index, a companion-state object per reactive element, and
-the scalar EKV/diode equations evaluated one device at a time.  Every
-compiled assembly must agree with it to 1e-12 relative, on random sizings
-of every paper netlist and on small hand circuits that cover the remaining
-element types and waveforms.
+the scalar EKV equations evaluated one device at a time.  Every compiled
+assembly must agree with it to 1e-12 relative, on random sizings of every
+paper netlist and on small hand circuits that cover capacitor initial
+conditions, pulse waveforms on both source kinds and MOSFET multipliers.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,28 +27,21 @@ from repro.spice import (
     NMOS_180,
     PMOS_180,
     ac_analysis,
-    dc_sweep,
     operating_point,
     transient_analysis,
 )
 from repro.spice.dc import DV_MAX, RELTOL, VNTOL
 from repro.spice.elements import (
-    VCCS,
-    VCVS,
     Capacitor,
     CurrentSource,
-    Diode,
     Element,
-    Inductor,
     Mosfet,
     Resistor,
     VoltageSource,
 )
 from repro.spice.exceptions import NetlistError
 from repro.spice.mna import StampContext
-from repro.spice.models import DiodeModel
-from repro.spice.montecarlo import apply_mismatch, restore_models
-from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine
+from repro.spice.waveforms import DCWave, Pulse
 
 RTOL = 1e-12
 N_SIZINGS = 200
@@ -94,19 +88,6 @@ def ref_mosfet(elem: Mosfet, vd: float, vg: float, vs: float, vb: float):
     gmb = -(gm + gds + gms)
     m = elem.m
     return p * icore * mclm * m, (gds * m, gm * m, gms * m, gmb * m)
-
-
-def ref_diode(elem: Diode, v: float) -> tuple[float, float]:
-    mo = elem.model
-    nut = mo.n * mo.ut
-    if v <= mo.v_crit:
-        e = math.exp(v / nut)
-        i, g = mo.is_ * (e - 1.0), mo.is_ * e / nut
-    else:
-        e = math.exp(mo.v_crit / nut)
-        g = mo.is_ * e / nut
-        i = mo.is_ * (e - 1.0) + g * (v - mo.v_crit)
-    return i * elem.area, g * elem.area
 
 
 class RefSystem:
@@ -171,7 +152,6 @@ class Reference:
         self.circuit = circuit
         self.size = circuit.size
         self.caps: list[RefCapState] = []
-        self.inductors: dict[str, list[float]] = {}  # name -> [i_prev, v_prev]
         for elem in circuit.elements:
             if isinstance(elem, Capacitor):
                 self.caps.append(RefCapState(*elem.nodes, elem.capacitance,
@@ -182,11 +162,6 @@ class Reference:
                 for ta, tb, key in ((g, s, "cgs"), (g, d, "cgd"),
                                     (d, b, "cdb"), (s, b, "csb")):
                     self.caps.append(RefCapState(ta, tb, c[key] * elem.m))
-            elif isinstance(elem, Diode) and elem.model.cj0 > 0:
-                self.caps.append(RefCapState(*elem.nodes,
-                                             elem.model.cj0 * elem.area))
-            elif isinstance(elem, Inductor):
-                self.inductors[elem.name] = [0.0, 0.0]
 
     @staticmethod
     def _v(x: np.ndarray, i: int) -> float:
@@ -207,7 +182,6 @@ class Reference:
 
     def assemble(self, x: np.ndarray, ctx: StampContext) -> RefSystem:
         sys = RefSystem(self.size)
-        tran = ctx.analysis == "tran"
         for elem in self.circuit.elements:
             nodes, br = elem.nodes, elem.branch_start
             if isinstance(elem, Resistor):
@@ -219,38 +193,9 @@ class Reference:
                 value = elem.waveform.value(ctx.time) * ctx.source_scale
                 sys.add_z(nodes[0], -value)
                 sys.add_z(nodes[1], value)
-            elif isinstance(elem, Inductor):
-                sys.incidence(br, *nodes)
-                if tran:
-                    i_prev, v_prev = self.inductors[elem.name]
-                    if ctx.integ == "be":
-                        req = elem.inductance / ctx.dt
-                        rhs = -req * i_prev
-                    else:
-                        req = 2.0 * elem.inductance / ctx.dt
-                        rhs = -req * i_prev - v_prev
-                    sys.add_a(br, br, -req)
-                    sys.add_z(br, rhs)
-            elif isinstance(elem, VCVS):
-                a, b, c, d = nodes
-                sys.incidence(br, a, b)
-                sys.add_a(br, c, -elem.mu)
-                sys.add_a(br, d, elem.mu)
-            elif isinstance(elem, VCCS):
-                a, b, c, d = nodes
-                for row, col, sign in ((a, c, 1), (a, d, -1), (b, c, -1),
-                                       (b, d, 1)):
-                    sys.add_a(row, col, sign * elem.gm)
             elif isinstance(elem, Mosfet):
                 self._stamp_mosfet(sys, elem, x, with_rhs=True)
-            elif isinstance(elem, Diode):
-                a, b = nodes
-                v = self._v(x, a) - self._v(x, b)
-                i, g = ref_diode(elem, v)
-                sys.conductance(a, b, g)
-                sys.add_z(a, -(i - g * v))
-                sys.add_z(b, i - g * v)
-        if tran:
+        if ctx.analysis == "tran":
             for cap in self.caps:
                 cap.stamp(sys, ctx)
         for i in range(self.circuit.n_nodes):
@@ -270,24 +215,8 @@ class Reference:
             elif isinstance(elem, CurrentSource):
                 sys.add_z(nodes[0], -elem.ac)
                 sys.add_z(nodes[1], elem.ac)
-            elif isinstance(elem, Inductor):
-                sys.incidence(br, *nodes)
-                sys.add_a(br, br, -1j * omega * elem.inductance)
-            elif isinstance(elem, VCVS):
-                a, b, c, d = nodes
-                sys.incidence(br, a, b)
-                sys.add_a(br, c, -elem.mu)
-                sys.add_a(br, d, elem.mu)
-            elif isinstance(elem, VCCS):
-                a, b, c, d = nodes
-                for row, col, sign in ((a, c, 1), (a, d, -1), (b, c, -1),
-                                       (b, d, 1)):
-                    sys.add_a(row, col, sign * elem.gm)
             elif isinstance(elem, Mosfet):
                 self._stamp_mosfet(sys, elem, x_op, with_rhs=False)
-            elif isinstance(elem, Diode):
-                v = self._v(x_op, nodes[0]) - self._v(x_op, nodes[1])
-                sys.conductance(*nodes, ref_diode(elem, v)[1])
         for cap in self.caps:
             sys.conductance(cap.a, cap.b, 1j * omega * cap.c)
         for i in range(self.circuit.n_nodes):
@@ -299,20 +228,10 @@ class Reference:
             cap.v_prev = (cap.ic if cap.ic is not None
                           else self._v(x, cap.a) - self._v(x, cap.b))
             cap.i_prev = 0.0
-        for elem in self.circuit.elements:
-            if isinstance(elem, Inductor):
-                i0 = elem.ic if elem.ic is not None else x[elem.branch_start]
-                self.inductors[elem.name] = [float(i0), 0.0]
 
     def commit(self, x: np.ndarray, ctx: StampContext) -> None:
         for cap in self.caps:
             cap.commit(self._v(x, cap.a) - self._v(x, cap.b), ctx)
-        for elem in self.circuit.elements:
-            if isinstance(elem, Inductor):
-                a, b = elem.nodes
-                self.inductors[elem.name] = [
-                    float(x[elem.branch_start]),
-                    self._v(x, a) - self._v(x, b)]
 
 
 # -- comparison ------------------------------------------------------------------
@@ -357,7 +276,7 @@ def check_all_contexts(ckt: Circuit, rng: np.random.Generator,
         assert_same_system(new.assemble(x, ctx), ref.assemble(x, ctx), x,
                            f"{ckt.title} {ctx}")
     # Start both from one iterate, commit one step at another: capacitor
-    # voltages and currents and inductor states are all non-zero.
+    # voltages and currents are all non-zero.
     x0, x1 = random_iterate(ckt, rng), random_iterate(ckt, rng)
     for obj in (new, ref):
         obj.init_state(x0)
@@ -400,36 +319,37 @@ def test_paper_netlists_match_scalar_stamps(name):
 # -- hand circuits for the remaining element types ------------------------------
 
 def _hand_circuits() -> list[Circuit]:
-    rlc = Circuit("rlc-sin")
-    rlc.add_vsource("V1", "in", "0", Sine(0.2, 0.5, 50e6, td=1e-9, theta=1e6))
-    rlc.add_resistor("R1", "in", "a", 50.0)
-    rlc.add_inductor("L1", "a", "b", 1e-6)
-    rlc.add_inductor("L2", "b", "0", 2e-7, ic=1e-3)
-    rlc.add_capacitor("C1", "b", "0", 1e-12, ic=0.1)
-    rlc.add_capacitor("C2", "a", "b", 3e-13)
+    rc = Circuit("rc-pulse")
+    rc.add_vsource("V1", "in", "0",
+                   Pulse(0.2, 1.2, td=5e-9, tr=2e-9, tf=2e-9, pw=10e-9,
+                         per=30e-9))
+    rc.add_resistor("R1", "in", "a", 50.0)
+    rc.add_resistor("R2", "a", "b", 2e3)
+    rc.add_capacitor("C1", "b", "0", 1e-12, ic=0.1)
+    rc.add_capacitor("C2", "a", "b", 3e-13)
 
-    diode = Circuit("diode-pulse")
-    diode.add_vsource("V1", "in", "0",
-                      Pulse(0.0, 1.2, td=5e-9, tr=2e-9, tf=2e-9, pw=10e-9,
-                            per=30e-9))
-    diode.add_resistor("R1", "in", "a", 1e3)
-    diode.add_diode("D1", "a", "0", DiodeModel("dcj", cj0=2e-12), area=2.0)
-    diode.add_diode("D2", "a", "k", DiodeModel("dplain"))
-    diode.add_resistor("R2", "k", "0", 5e3)
+    cs = Circuit("cs-isource-pulse")
+    cs.add_isource("I1", "0", "in",
+                   Pulse(0.0, 1e-3, td=10e-9, tr=5e-9, tf=3e-9, pw=20e-9))
+    cs.add_resistor("Rin", "in", "0", 2e3)
+    cs.add_capacitor("Cin", "in", "0", 2e-13, ic=0.4)
+    cs.add_resistor("RL", "vdd", "out", 5e3)
+    cs.add_mosfet("M1", "out", "in", "0", "0", NMOS_180, 5e-6, 0.5e-6, m=3)
+    cs.add_capacitor("CL", "out", "0", 1e-12)
+    cs.add_vsource("Vdd", "vdd", "0", 1.8)
 
-    ctrl = Circuit("controlled-pwl")
-    ctrl.add_isource("I1", "0", "in",
-                     PieceWiseLinear([(0.0, 0.0), (10e-9, 1e-3),
-                                      (30e-9, -2e-4)]))
-    ctrl.add_resistor("Rin", "in", "0", 2e3)
-    ctrl.add_vcvs("E1", "e", "0", "in", "0", 4.0)
-    ctrl.add_resistor("Re", "e", "f", 1e3)
-    ctrl.add_vccs("G1", "f", "0", "in", "e", 2e-3)
-    ctrl.add_capacitor("Cf", "f", "0", 1e-12)
-    ctrl.add_mosfet("M1", "f", "e", "0", "0", NMOS_180, 5e-6, 0.5e-6, m=3)
-    ctrl.add_mosfet("M2", "f", "in", "vdd", "vdd", PMOS_180, 8e-6, 1e-6)
-    ctrl.add_vsource("Vdd", "vdd", "0", 1.8)
-    return [rlc, diode, ctrl]
+    inv = Circuit("cmos-pair")
+    inv.add_vsource("Vdd", "vdd", "0", 1.8)
+    inv.add_vsource("Vin", "in", "0", Pulse(0.0, 1.8, td=2e-9, tr=1e-9,
+                                             tf=1e-9, pw=15e-9))
+    inv.add_isource("Ib", "vdd", "t", 50e-6)
+    inv.add_mosfet("M1", "out", "in", "0", "0", NMOS_180, 2e-6, 0.18e-6)
+    inv.add_mosfet("M2", "out", "in", "vdd", "vdd", PMOS_180, 8e-6, 1e-6,
+                   m=2)
+    inv.add_mosfet("M3", "t", "out", "0", "0", NMOS_180, 4e-6, 0.5e-6)
+    inv.add_resistor("Rt", "t", "0", 20e3)
+    inv.add_capacitor("CL", "out", "0", 5e-13)
+    return [rc, cs, inv]
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -518,7 +438,9 @@ def _pair() -> Circuit:
 def test_mismatch_and_restore_are_picked_up():
     ckt = _pair()
     nominal = operating_point(ckt).x
-    originals = apply_mismatch(ckt, np.random.default_rng(3))
+    originals = {name: ckt[name].model for name in ("M1", "M2")}
+    ckt["M1"].model = replace(NMOS_180, name="m1_mm", vto=NMOS_180.vto + 4e-3)
+    ckt["M2"].model = replace(NMOS_180, name="m2_mm", kp=NMOS_180.kp * 0.97)
     perturbed = operating_point(ckt).x
     fresh = _pair()
     for name in originals:
@@ -526,7 +448,8 @@ def test_mismatch_and_restore_are_picked_up():
     np.testing.assert_array_equal(perturbed, operating_point(fresh).x)
     assert abs(perturbed[ckt.node_index("x")]
                - perturbed[ckt.node_index("y")]) > 1e-6
-    restore_models(ckt, originals)
+    for name, model in originals.items():
+        ckt[name].model = model
     np.testing.assert_array_equal(operating_point(ckt).x, nominal)
 
 
@@ -551,9 +474,14 @@ def test_ota_ac_flips_are_picked_up():
 
 
 def test_dc_sweep_values_are_picked_up():
-    values = np.array([0.7, 0.9, 1.1])
-    sweep = dc_sweep(_pair(), "Vp", values)
-    for value, x in zip(values, sweep.xs):
+    """One circuit stepped through source values, warm-starting each
+    operating point from the last, agrees with a fresh circuit per value."""
+    ckt = _pair()
+    guess = None
+    for value in (0.7, 0.9, 1.1):
+        ckt["Vp"].waveform = DCWave(value)
+        x = operating_point(ckt, x0=guess).x
+        guess = x
         fresh = _pair()
         fresh["Vp"].waveform = DCWave(value)
         np.testing.assert_allclose(x, operating_point(fresh).x,

@@ -1,9 +1,10 @@
-"""DC operating-point and sweep tests against hand-computable circuits."""
+"""DC operating-point tests against hand-computable circuits."""
 
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, NMOS_180, PMOS_180, dc_sweep, operating_point
+from repro.spice import Circuit, NMOS_180, PMOS_180, operating_point
+from repro.spice.waveforms import DCWave
 from repro.spice.exceptions import AnalysisError
 
 
@@ -42,30 +43,6 @@ class TestLinearDC:
         # KCL at b: (vb-2)/1k + vb/1k = 1mA -> vb = 1.5
         assert op.v("b") == pytest.approx(1.5, rel=1e-6)
 
-    def test_vcvs(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "in", "0", 1.0)
-        ckt.add_vcvs("E1", "out", "0", "in", "0", 5.0)
-        ckt.add_resistor("RL", "out", "0", 1e3)
-        op = operating_point(ckt)
-        assert op.v("out") == pytest.approx(5.0, rel=1e-6)
-
-    def test_vccs(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "in", "0", 2.0)
-        ckt.add_vccs("G1", "0", "out", "in", "0", 1e-3)  # injects into out
-        ckt.add_resistor("RL", "out", "0", 1e3)
-        op = operating_point(ckt)
-        assert op.v("out") == pytest.approx(2.0, rel=1e-6)
-
-    def test_inductor_is_dc_short(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "a", "0", 1.0)
-        ckt.add_inductor("L1", "a", "b", 1e-6)
-        ckt.add_resistor("R1", "b", "0", 1e3)
-        op = operating_point(ckt)
-        assert op.v("b") == pytest.approx(1.0, rel=1e-6)
-
     def test_capacitor_is_dc_open(self):
         ckt = Circuit()
         ckt.add_vsource("V1", "a", "0", 1.0)
@@ -96,19 +73,6 @@ class TestLinearDC:
 
 
 class TestNonlinearDC:
-    def test_diode_clamp(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "a", "0", 5.0)
-        ckt.add_resistor("R1", "a", "d", 1e3)
-        ckt.add_diode("D1", "d", "0")
-        op = operating_point(ckt)
-        vd = op.v("d")
-        assert 0.4 < vd < 0.8
-        # KCL consistency: resistor current equals diode current
-        i_r = (5.0 - vd) / 1e3
-        i_d = op.element_info("D1")["i"]
-        assert i_r == pytest.approx(i_d, rel=1e-4)
-
     def test_nmos_diode_connected(self):
         ckt = Circuit()
         ckt.add_vsource("V1", "vdd", "0", 1.8)
@@ -140,8 +104,12 @@ class TestNonlinearDC:
         ckt.add_mosfet("MN", "out", "in", "0", "0", NMOS_180, 2e-6, 0.18e-6)
         ckt.add_mosfet("MP", "out", "in", "vdd", "vdd", PMOS_180,
                        4e-6, 0.18e-6)
-        sweep = dc_sweep(ckt, "Vin", np.linspace(0.0, 1.8, 19))
-        vout = sweep.v("out")
+        vout, guess = [], None
+        for vin in np.linspace(0.0, 1.8, 19):
+            ckt["Vin"].waveform = DCWave(vin)
+            op = operating_point(ckt, x0=guess)
+            vout.append(op.v("out"))
+            guess = op.x
         assert vout[0] > 1.7          # input low -> output high
         assert vout[-1] < 0.1         # input high -> output low
         assert all(b <= a + 1e-6 for a, b in zip(vout, vout[1:]))  # monotone
@@ -163,33 +131,17 @@ class TestNonlinearDC:
         assert np.all(np.isfinite(op.x))
 
 
-class TestSweep:
-    def test_sweep_restores_waveform(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "a", "0", 2.5)
-        ckt.add_resistor("R1", "a", "0", 1e3)
-        dc_sweep(ckt, "V1", np.array([0.0, 1.0]))
-        op = operating_point(ckt)
-        assert op.v("a") == pytest.approx(2.5)
 
+class TestSweep:
     def test_sweep_values_tracked(self):
+        """Stepping a source between operating points moves the solution
+        with it: the divider midpoint follows V1 point by point."""
         ckt = Circuit()
         ckt.add_vsource("V1", "a", "0", 0.0)
         ckt.add_resistor("R1", "a", "b", 1e3)
         ckt.add_resistor("R2", "b", "0", 1e3)
-        sweep = dc_sweep(ckt, "V1", np.array([0.0, 1.0, 2.0]))
-        np.testing.assert_allclose(sweep.v("b"), [0.0, 0.5, 1.0], atol=1e-9)
-
-    def test_empty_sweep_raises(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "a", "0", 1.0)
-        ckt.add_resistor("R1", "a", "0", 1.0)
-        with pytest.raises(AnalysisError):
-            dc_sweep(ckt, "V1", np.array([]))
-
-    def test_sweep_non_source_raises(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "a", "0", 1.0)
-        ckt.add_resistor("R1", "a", "0", 1.0)
-        with pytest.raises(AnalysisError):
-            dc_sweep(ckt, "R1", np.array([1.0]))
+        vb = []
+        for value in (0.0, 1.0, 2.0):
+            ckt["V1"].waveform = DCWave(value)
+            vb.append(operating_point(ckt).v("b"))
+        np.testing.assert_allclose(vb, [0.0, 0.5, 1.0], atol=1e-9)

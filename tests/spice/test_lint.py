@@ -82,14 +82,6 @@ class TestDetections:
         warnings = messages(ckt)
         assert any("loop of ideal voltage sources" in w for w in warnings)
 
-    def test_inductor_vsource_loop(self):
-        ckt = Circuit()
-        ckt.add_vsource("V1", "a", "0", 1.0)
-        ckt.add_inductor("L1", "a", "0", 1e-6)
-        ckt.add_resistor("R1", "a", "0", 1e3)
-        warnings = messages(ckt)
-        assert any("loop" in w for w in warnings)
-
     def test_assert_clean_raises_with_details(self):
         ckt = Circuit()
         ckt.add_vsource("V1", "a", "b", 1.0)

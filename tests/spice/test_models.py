@@ -1,10 +1,9 @@
-"""Unit tests for the EKV MOSFET and diode models."""
+"""Unit tests for the EKV MOSFET model."""
 
 import numpy as np
 import pytest
 
 from repro.spice.models import (
-    DiodeModel,
     MosfetModel,
     NMOS_180,
     PMOS_180,
@@ -169,28 +168,6 @@ class TestMosfetNoise:
             NMOS_180.flicker_noise_psd(1e-4, 1e-6, 1e-6, f=0.0)
 
 
-class TestDiode:
-    def test_zero_bias_zero_current(self):
-        i, g = DiodeModel(name="d").evaluate(0.0)
-        assert i == pytest.approx(0.0)
-        assert g > 0
-
-    def test_exponential_region(self):
-        d = DiodeModel(name="d")
-        i1, _ = d.evaluate(0.5)
-        i2, _ = d.evaluate(0.5 + d.ut * np.log(10))
-        assert i2 == pytest.approx(10 * i1, rel=1e-2)
-
-    def test_linearized_above_vcrit(self):
-        d = DiodeModel(name="d", v_crit=0.7)
-        i1, g1 = d.evaluate(0.8)
-        i2, g2 = d.evaluate(0.9)
-        assert g2 == pytest.approx(g1, rel=1e-9)  # constant conductance
-        assert i2 - i1 == pytest.approx(g1 * 0.1, rel=1e-9)
-
-    def test_no_overflow_at_huge_voltage(self):
-        i, g = DiodeModel(name="d").evaluate(100.0)
-        assert np.isfinite(i) and np.isfinite(g)
-
+class TestConstants:
     def test_ut_room_value(self):
         assert UT_ROOM == pytest.approx(0.02585, rel=1e-2)

@@ -60,7 +60,7 @@ class TestElements:
         ckt.add_vsource("V1", "a", "0", 1.0)
         ckt.add_resistor("R1", "a", "b", 1.0)
         ckt.add_vsource("V2", "b", "0", 1.0)
-        ckt.add_inductor("L1", "a", "b", 1e-9)
+        ckt.add_vsource("V3", "c", "b", 1.0)
         assert ckt.n_branches == 3
         assert ckt.size == ckt.n_nodes + 3
 
@@ -87,17 +87,6 @@ class TestAssembly:
         assert sys.A[0, 0] == pytest.approx(1e-3)
         # branch row diagonal untouched
         assert sys.A[1, 1] == 0.0
-
-    def test_netlist_text_lists_everything(self):
-        ckt = Circuit("demo")
-        ckt.add_vsource("V1", "a", "0", 1.0)
-        ckt.add_resistor("R1", "a", "b", 1e3)
-        ckt.add_mosfet("M1", "b", "a", "0", "0", NMOS_180, 1e-6, 1e-6, m=4)
-        text = ckt.netlist_text()
-        assert "* demo" in text
-        assert "V1" in text and "R1" in text and "M1" in text
-        assert "m=4" in text
-        assert text.endswith(".end")
 
 
 class TestMNASystem:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, ac_analysis, dc_sweep, operating_point, transient_analysis
+from repro.spice import Circuit, ac_analysis, operating_point, transient_analysis
 from repro.spice.exceptions import AnalysisError
 from repro.spice.waveforms import Pulse
 
@@ -33,17 +33,6 @@ class TestOPResult:
 
     def test_strategy_recorded(self, divider):
         assert operating_point(divider).strategy == "newton"
-
-
-class TestSweepResult:
-    def test_branch_current_per_point(self, divider):
-        sweep = dc_sweep(divider, "V1", np.array([1.0, 2.0]))
-        i = sweep.branch_current("V1")
-        np.testing.assert_allclose(i, [-0.5e-3, -1e-3], rtol=1e-6)
-
-    def test_ground_column_zeros(self, divider):
-        sweep = dc_sweep(divider, "V1", np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(sweep.v("0"), [0.0, 0.0])
 
 
 class TestACResult:

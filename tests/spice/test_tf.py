@@ -27,15 +27,6 @@ class TestLinear:
         assert tf.gain == pytest.approx(2e3, rel=1e-6)
         assert tf.input_resistance == pytest.approx(2e3, rel=1e-6)
 
-    def test_vcvs_ideal_gain(self):
-        ckt = Circuit()
-        ckt.add_vsource("Vin", "in", "0", 0.0)
-        ckt.add_vcvs("E1", "out", "0", "in", "0", 10.0)
-        ckt.add_resistor("RL", "out", "0", 1e3)
-        tf = transfer_function(ckt, "Vin", "out")
-        assert tf.gain == pytest.approx(10.0, rel=1e-6)
-        assert tf.output_resistance < 1e-6  # ideal source output
-
     def test_capacitor_open_at_dc(self):
         ckt = Circuit()
         ckt.add_vsource("Vin", "in", "0", 1.0)
@@ -46,15 +37,6 @@ class TestLinear:
         tf = transfer_function(ckt, "Vin", "out")
         # C blocks: divider is R1 / R3
         assert tf.gain == pytest.approx(1e6 / (1e6 + 1e3), rel=1e-4)
-
-    def test_inductor_short_at_dc(self):
-        ckt = Circuit()
-        ckt.add_vsource("Vin", "in", "0", 1.0)
-        ckt.add_inductor("L1", "in", "out", 1e-6)
-        ckt.add_resistor("R1", "out", "0", 1e3)
-        tf = transfer_function(ckt, "Vin", "out")
-        assert tf.gain == pytest.approx(1.0, rel=1e-4)
-
 
 class TestNonlinear:
     def test_cs_amplifier_gain_matches_ac(self):

@@ -1,15 +1,91 @@
-"""Round-trip tests: Circuit -> SPICE deck -> Circuit."""
+"""Tests for ``Circuit.to_spice``: one deck line per element whose numeric
+tokens read back (``float()``) exactly as the element values, plus a
+``.model`` card for every non-builtin MOSFET model."""
 
-import numpy as np
 import pytest
 
-from repro.spice import Circuit, operating_point, parse_netlist
-from repro.spice.models import DiodeModel, MosfetModel
-from repro.spice.waveforms import PieceWiseLinear, Pulse, Sine
+from repro.circuits import LDORegulator, ThreeStageTIA, TwoStageOTA
+from repro.spice import NMOS_180, Circuit
+from repro.spice.elements import (
+    Capacitor,
+    CurrentSource,
+    Mosfet,
+    Resistor,
+    VoltageSource,
+)
+from repro.spice.models import MosfetModel
+from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine
+from tests.circuits.test_ldo import GOOD as LDO_GOOD
+from tests.circuits.test_ota import GOOD as OTA_GOOD
+from tests.circuits.test_tia import GOOD as TIA_GOOD
+
+BUILTIN_MODELS = {"nmos180", "pmos180"}
 
 
-def roundtrip(ckt: Circuit) -> Circuit:
-    return parse_netlist(ckt.to_spice())
+def element_lines(deck: str) -> list[str]:
+    return [line for line in deck.splitlines()
+            if not line.startswith((".title", ".model", ".end"))]
+
+
+def model_cards(deck: str) -> dict[str, str]:
+    return {line.split()[1]: line for line in deck.splitlines()
+            if line.startswith(".model")}
+
+
+def numbers(tokens: list[str]) -> list[float]:
+    """The numeric tokens, in order (``W=1e-06`` -> 1e-06, ``PULSE(0`` ->
+    0)."""
+    out = []
+    for tok in " ".join(tokens).replace("(", " ").replace(")", " ").split():
+        try:
+            out.append(float(tok.split("=")[-1]))
+        except ValueError:
+            pass
+    return out
+
+
+def expected_numbers(elem) -> list[float]:
+    if isinstance(elem, Resistor):
+        return [elem.resistance]
+    if isinstance(elem, Capacitor):
+        return [elem.capacitance]
+    if isinstance(elem, VoltageSource | CurrentSource):
+        wave = elem.waveform
+        if isinstance(wave, Pulse):
+            values = [wave.v1, wave.v2, wave.td, wave.tr, wave.tf, wave.pw,
+                      wave.per]
+        elif isinstance(wave, Sine):
+            values = [wave.vo, wave.va, wave.freq, wave.td, wave.theta]
+        elif isinstance(wave, PieceWiseLinear):
+            values = [x for point in zip(wave.times, wave.values)
+                      for x in point]
+        else:
+            values = [wave.dc_value()]
+        return values + ([elem.ac] if elem.ac else [])
+    assert isinstance(elem, Mosfet)
+    return [elem.w, elem.l, elem.m]
+
+
+def assert_deck_matches(ckt: Circuit) -> str:
+    """Every element has its line, in order; every value reads back equal;
+    every non-builtin model has a card.  Returns the deck."""
+    deck = ckt.to_spice()
+    lines = element_lines(deck)
+    assert len(lines) == len(ckt.elements)
+    cards = model_cards(deck)
+    for elem, line in zip(ckt.elements, lines):
+        tokens = line.split()
+        n_nodes = len(elem.node_names)
+        assert tokens[0] == elem.name
+        assert tuple(tokens[1:1 + n_nodes]) == elem.node_names
+        rest = tokens[1 + n_nodes:]
+        if isinstance(elem, Mosfet):
+            assert rest[0] == elem.model.name
+            assert (elem.model.name in BUILTIN_MODELS
+                    or elem.model.name in cards)
+            rest = rest[1:]
+        assert numbers(rest) == expected_numbers(elem), line
+    return deck
 
 
 class TestRoundTrip:
@@ -17,107 +93,81 @@ class TestRoundTrip:
         ckt = Circuit("my amplifier deck")
         ckt.add_resistor("R1", "a", "0", 1e3)
         ckt.add_vsource("V1", "a", "0", 1.0)
-        assert roundtrip(ckt).title == "my amplifier deck"
+        deck = ckt.to_spice()
+        assert deck.splitlines()[0] == ".title my amplifier deck"
+        assert deck.splitlines()[-1] == ".end"
 
     def test_passives_and_sources(self):
-        ckt = Circuit("rlc")
+        ckt = Circuit("rc")
         ckt.add_vsource("V1", "in", "0", 2.5, ac=1.0)
         ckt.add_resistor("R1", "in", "mid", 2.2e3)
-        ckt.add_inductor("L1", "mid", "out", 1e-6)
+        ckt.add_resistor("R2", "mid", "out", 1 / 3)
         ckt.add_capacitor("C1", "out", "0", 4.7e-12)
         ckt.add_isource("I1", "0", "out", 1e-3)
-        back = roundtrip(ckt)
-        assert back["R1"].resistance == pytest.approx(2.2e3)
-        assert back["L1"].inductance == pytest.approx(1e-6)
-        assert back["C1"].capacitance == pytest.approx(4.7e-12)
-        assert back["V1"].ac == pytest.approx(1.0)
-        op_a = operating_point(ckt)
-        op_b = operating_point(back)
-        for node in ("in", "mid", "out"):
-            assert op_b.v(node) == pytest.approx(op_a.v(node), abs=1e-9)
+        deck = assert_deck_matches(ckt)
+        assert "V1 in 0 DC 2.5 AC 1" in deck
+        assert "R2 mid out 0.33333333333333331" in deck
 
     def test_waveforms_preserved(self):
         ckt = Circuit("waves")
         ckt.add_vsource("Vp", "a", "0",
                         Pulse(0.1, 1.2, td=1e-9, tr=2e-9, tf=3e-9,
                               pw=4e-9, per=20e-9))
-        ckt.add_vsource("Vs", "b", "0", Sine(0.9, 0.1, 1e6, td=1e-7))
-        ckt.add_vsource("Vw", "c", "0",
+        ckt.add_isource("Ip", "0", "b", Pulse(0.0, 1e-3), ac=0.5)
+        ckt.add_vsource("Vd", "c", "0", DCWave(0.9))
+        ckt.add_vsource("Vs", "d", "0", Sine(0.9, 0.1, 1e6, td=1e-7))
+        ckt.add_vsource("Vw", "e", "0",
                         PieceWiseLinear([(0.0, 0.0), (1e-6, 1.0)]))
-        ckt.add_resistor("Ra", "a", "0", 1e3)
-        ckt.add_resistor("Rb", "b", "0", 1e3)
-        ckt.add_resistor("Rc", "c", "0", 1e3)
-        back = roundtrip(ckt)
-        p = back["Vp"].waveform
-        assert isinstance(p, Pulse)
-        assert (p.v1, p.v2, p.per) == pytest.approx((0.1, 1.2, 20e-9))
-        s = back["Vs"].waveform
-        assert isinstance(s, Sine) and s.freq == pytest.approx(1e6)
-        w = back["Vw"].waveform
-        assert isinstance(w, PieceWiseLinear)
-
-    def test_controlled_sources(self):
-        ckt = Circuit("ctl")
-        ckt.add_vsource("V1", "in", "0", 1.0)
-        ckt.add_vcvs("E1", "o1", "0", "in", "0", 7.5)
-        ckt.add_vccs("G1", "0", "o2", "in", "0", 2e-3)
-        ckt.add_resistor("R1", "o1", "0", 1e3)
-        ckt.add_resistor("R2", "o2", "0", 1e3)
-        back = roundtrip(ckt)
-        assert back["E1"].mu == pytest.approx(7.5)
-        assert back["G1"].gm == pytest.approx(2e-3)
+        for node in "abcde":
+            ckt.add_resistor(f"R{node}", node, "0", 1e3)
+        deck = assert_deck_matches(ckt)
+        assert "Vp a 0 PULSE(0.10000000000000001 1.2 " in deck
+        assert "Vd c 0 DC 0.90000000000000002" in deck
+        assert "Vs d 0 SIN(0.90000000000000002 " in deck
+        assert "Vw e 0 PWL(0 0 9.9999999999999995e-07 1)" in deck
 
     def test_builtin_mosfet_models(self):
-        from repro.spice import NMOS_180
-
         ckt = Circuit("mos")
         ckt.add_vsource("Vdd", "vdd", "0", 1.8)
         ckt.add_resistor("RL", "vdd", "d", 10e3)
         ckt.add_mosfet("M1", "d", "d", "0", "0", NMOS_180, 10e-6, 1e-6, m=3)
-        back = roundtrip(ckt)
-        assert back["M1"].m == 3
-        assert back["M1"].model.name == "nmos180"
-        op_a, op_b = operating_point(ckt), operating_point(back)
-        assert op_b.v("d") == pytest.approx(op_a.v("d"), abs=1e-9)
+        deck = assert_deck_matches(ckt)
+        assert model_cards(deck) == {}
+        assert "M1 d d 0 0 nmos180 " in deck and deck.endswith("M=3\n.end")
 
     def test_custom_mosfet_model_card_emitted(self):
         model = MosfetModel(name="myn", polarity=1, vto=0.6, kp=2e-4)
         ckt = Circuit("custom")
         ckt.add_vsource("Vd", "d", "0", 1.8)
         ckt.add_mosfet("M1", "d", "d", "0", "0", model, 5e-6, 0.5e-6)
-        deck = ckt.to_spice()
-        assert ".model myn nmos" in deck
-        back = parse_netlist(deck)
-        assert back["M1"].model.vto == pytest.approx(0.6)
-        assert back["M1"].model.kp == pytest.approx(2e-4)
-
-    def test_diode_model_card(self):
-        ckt = Circuit("dio")
-        ckt.add_vsource("V1", "a", "0", 1.0)
-        ckt.add_resistor("R1", "a", "d", 1e3)
-        ckt.add_diode("D1", "d", "0",
-                      model=DiodeModel(name="dx", is_=2e-15, n=1.3))
-        back = roundtrip(ckt)
-        assert back["D1"].model.n == pytest.approx(1.3)
-
-    def test_flattened_subcircuit_exports(self):
-        """A circuit built via add_subcircuit exports and re-parses."""
-        sub = Circuit("blk")
-        sub.add_resistor("R1", "in", "out", 1e3)
-        top = Circuit("top")
-        top.add_vsource("V1", "a", "0", 1.0)
-        top.add_resistor("RL", "b", "0", 1e3)
-        top.add_subcircuit("U1", sub, {"in": "a", "out": "b"})
-        back = roundtrip(top)
-        assert "U1.R1" in back
-        assert operating_point(back).v("b") == pytest.approx(0.5, rel=1e-6)
+        card = model_cards(assert_deck_matches(ckt))["myn"]
+        assert card.startswith(".model myn nmos ")
+        params = dict(tok.split("=") for tok in card.split()[3:])
+        assert float(params["vto"]) == model.vto
+        assert float(params["kp"]) == model.kp
+        assert float(params["lambda_l"]) == model.lambda_l
 
     def test_ota_task_circuit_roundtrips(self):
+        """The OTA's step bench, pulse source included, at 17 digits."""
         from repro.circuits.ota import build_ota
-        from tests.circuits.test_ota import GOOD
 
-        ckt = build_ota(GOOD)
-        back = roundtrip(ckt)
-        op_a, op_b = operating_point(ckt), operating_point(back)
-        for node in ("out", "out1", "nb", "tail"):
-            assert op_b.v(node) == pytest.approx(op_a.v(node), abs=1e-6)
+        assert_deck_matches(build_ota(OTA_GOOD, closed_loop=True,
+                                      step_input=True))
+
+
+PAPER_TASKS = {"ota": (TwoStageOTA, OTA_GOOD), "tia": (ThreeStageTIA, TIA_GOOD),
+               "ldo": (LDORegulator, LDO_GOOD)}
+
+
+@pytest.mark.parametrize("corner", ["tt", "ff"])
+@pytest.mark.parametrize("name", sorted(PAPER_TASKS))
+def test_paper_circuit_deck(name, corner):
+    task_cls, good = PAPER_TASKS[name]
+    task = task_cls(corner=corner)
+    deck = assert_deck_matches(task.build_netlist(good))
+    cards = model_cards(deck)
+    if corner == "tt":
+        assert cards == {}
+    else:
+        assert set(cards) == {task.nmos.name, task.pmos.name}
+        assert cards[task.nmos.name].startswith(".model nmos180_f nmos ")

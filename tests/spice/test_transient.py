@@ -47,21 +47,6 @@ class TestRC:
         assert v[idx] == pytest.approx(np.exp(-1.0), abs=0.02)
 
 
-class TestRL:
-    def test_inductor_current_rise(self):
-        """L/R step: i(t) = (V/R)(1 - exp(-t R/L))."""
-        ckt = Circuit()
-        ckt.add_vsource("Vin", "in", "0",
-                        Pulse(0.0, 1.0, td=0.0, tr=1e-12, tf=1e-12, pw=1.0))
-        ckt.add_resistor("R", "in", "a", 100.0)
-        ckt.add_inductor("L", "a", "0", 1e-4)
-        tau = 1e-4 / 100.0
-        tr = transient_analysis(ckt, 5 * tau, tau / 100)
-        v_a = tr.v("a")  # v across L = V exp(-t/tau)
-        idx = np.argmin(np.abs(tr.times - tau))
-        assert v_a[idx] == pytest.approx(np.exp(-1.0), abs=0.02)
-
-
 class TestSineSteadyState:
     def test_amplitude_preserved_well_below_pole(self):
         ckt = Circuit()

@@ -58,12 +58,12 @@ class TestCommands:
         assert "metrics:" in out
 
     def test_compare_sphere(self, capsys):
-        rc = main(["compare", "sphere", "--methods", "Random,DE",
+        rc = main(["compare", "sphere", "--methods", "Random,BO",
                    "--runs", "1", "--sims", "5", "--init", "8", "--quiet"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Algorithm" in out
-        assert "Random" in out and "DE" in out
+        assert "Random" in out and "BO" in out
 
     def test_compare_honours_global_corner(self, monkeypatch):
         import repro.experiments
@@ -86,3 +86,10 @@ class TestCommands:
         assert main(["--corner", "ff", "netlist", "tia"]) == 0
         out = capsys.readouterr().out
         assert "nmos180_f" in out and "pmos180_f" in out
+
+    def test_netlist_prints_corner_model_cards(self, capsys):
+        """The deck carries the corner's model cards, not just their names."""
+        assert main(["--corner", "ff", "netlist", "tia"]) == 0
+        out = capsys.readouterr().out
+        assert ".model nmos180_f nmos " in out
+        assert ".model pmos180_f pmos " in out

@@ -4,16 +4,12 @@ import doctest
 
 import pytest
 
-import repro.spice.montecarlo
-import repro.spice.parser
-import repro.spice.sweep
+import repro.spice.netlist
 import repro.spice.units
 
 MODULES = [
     repro.spice.units,
-    repro.spice.parser,
-    repro.spice.sweep,
-    repro.spice.montecarlo,
+    repro.spice.netlist,
 ]
 
 

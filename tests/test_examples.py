@@ -46,13 +46,3 @@ class TestExamples:
         out = run_example("variants_comparison.py", "--circuit", "sphere",
                           "--sims", "6", "--init", "8", "--runs", "1")
         assert "FoM convergence" in out
-
-    def test_robustness_check(self):
-        out = run_example("robustness_check.py", "--mc", "4")
-        assert "corner sweep" in out
-        assert "offset sigma" in out
-
-    def test_spice_playground(self):
-        out = run_example("spice_playground.py")
-        assert "lint: clean" in out
-        assert "differential gain" in out

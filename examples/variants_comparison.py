@@ -34,7 +34,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", help="write Fig. 5 series to this file")
     parser.add_argument("--save-dir",
-                        help="archive every run (.npz + manifest) here")
+                        help="archive every run here (one checkpoint .npz "
+                             "per method and run); re-running with the "
+                             "same directory resumes instead of restarting")
     args = parser.parse_args()
 
     task = TASKS[args.circuit]()
@@ -44,7 +46,8 @@ def main() -> None:
     results = run_comparison(task, methods, n_runs=args.runs,
                              n_sims=args.sims, n_init=args.init,
                              seed=args.seed, verbose=True,
-                             maopt_overrides=MAOPT_OVERRIDES)
+                             maopt_overrides=MAOPT_OVERRIDES,
+                             checkpoint_dir=args.save_dir)
     print()
     print(comparison_table(results, task))
     print()
@@ -59,11 +62,6 @@ def main() -> None:
         with open(args.csv, "w") as f:
             f.write(curves_to_csv(curves))
         print(f"\nwrote series to {args.csv}")
-    if args.save_dir:
-        from repro.core.serialize import save_comparison
-
-        written = save_comparison(results, args.save_dir)
-        print(f"archived {len(written)} runs to {args.save_dir}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ MODULES = [
     "repro.spice.tf",
     "repro.core",
     "repro.core.synthetic",
-    "repro.core.serialize",
     "repro.analysis",
     "repro.analysis.erc",
     "repro.analysis.configlint",

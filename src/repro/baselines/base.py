@@ -33,8 +33,8 @@ class BaselineOptimizer(Driver):
     holds.  Resume is bit-exact for any subclass whose only state is the
     history plus ``self.rng`` (random search); a subclass with more
     mutable state extends :meth:`_state_arrays` / :meth:`_load_state`
-    (BO's GP hyper-parameters and iteration count), or refuses
-    :meth:`restore` (PPO) rather than diverge silently.
+    (BO's GP hyper-parameters and iteration count, PPO's networks and
+    episode).
     """
 
     checkpoint_kind = "baseline"
@@ -80,9 +80,14 @@ class BaselineOptimizer(Driver):
 
     def run(self, n_sims: int, n_init: int = 100,
             x_init: np.ndarray | None = None,
-            f_init: np.ndarray | None = None) -> OptimizationResult:
-        """Spend ``n_sims`` post-init simulations, one design per round."""
-        return self._drive(self.method_name, n_sims, n_init, x_init, f_init)
+            f_init: np.ndarray | None = None,
+            checkpoint_path: str | None = None,
+            checkpoint_every: int | None = None) -> OptimizationResult:
+        """Spend ``n_sims`` post-init simulations, one design per round,
+        checkpointing as :meth:`repro.core.ma_opt.MAOptimizer.run` does."""
+        return self._drive(None, n_sims, n_init, x_init, f_init,
+                           checkpoint_path=checkpoint_path,
+                           checkpoint_every=checkpoint_every)
 
     # -- checkpoint state ----------------------------------------------------
     def _state_arrays(self) -> dict[str, np.ndarray]:

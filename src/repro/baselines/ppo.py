@@ -23,8 +23,6 @@ sample-inefficiency the paper criticizes (see the RL-budget bench).
 
 from __future__ import annotations
 
-from typing import NoReturn
-
 import numpy as np
 
 from repro.baselines.base import BaselineOptimizer
@@ -75,16 +73,6 @@ class PPOSizer(BaselineOptimizer):
         self._t = 0
         self._traj: list[dict] = []
         self._pending: dict | None = None
-
-    @classmethod
-    def restore(cls, *args: object, **kwargs: object) -> NoReturn:
-        """Refused: a checkpoint holds neither the policy and value
-        networks, their Adam moments nor the episode in flight, so a
-        restored agent would silently diverge from an uninterrupted one."""
-        raise NotImplementedError(
-            "PPO runs cannot be resumed: the checkpoint does not hold the "
-            "policy/value networks, their optimizer moments or the "
-            "episode in flight")
 
     # -- observation/action plumbing ----------------------------------------
     def _observe_metrics(self, metrics: np.ndarray) -> np.ndarray:
@@ -188,3 +176,49 @@ class PPOSizer(BaselineOptimizer):
             self.value.zero_grad()
             self.value.backward((2.0 * diff / n)[:, None])
             self.value_opt.step()
+
+    # -- checkpoint state ----------------------------------------------------
+    # Bit-exact resume needs the networks, their Adam moments and the
+    # episode in flight (checkpoints fall between rounds, so no action is
+    # pending).  An empty ``ppo/x`` stands for "no episode started".
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        from repro.resilience.state import capture_mlp, capture_optimizer
+
+        d, obs_dim = self.task.d, self.task.d + self.task.m + 1
+        traj = self._traj
+        return {
+            **super()._state_arrays(),
+            **capture_mlp("ppo/policy", self.policy),
+            **capture_optimizer("ppo/policy_opt", self.policy_opt),
+            **capture_mlp("ppo/value", self.value),
+            **capture_optimizer("ppo/value_opt", self.value_opt),
+            "ppo/x": np.empty(0) if self._x is None else self._x,
+            "ppo/obs": np.empty(0) if self._obs is None else self._obs,
+            "ppo/t": np.array(self._t),
+            "ppo/traj_obs": np.array([s["obs"] for s in traj]).reshape(
+                -1, obs_dim),
+            "ppo/traj_choices": np.array(
+                [s["choices"] for s in traj], dtype=int).reshape(-1, d),
+            "ppo/traj_logp": np.array([s["logp"] for s in traj]),
+            "ppo/traj_reward": np.array([s["reward"] for s in traj]),
+        }
+
+    def _load_state(self, header: dict, arrays: dict[str, np.ndarray]
+                    ) -> None:
+        from repro.resilience.state import restore_mlp, restore_optimizer
+
+        super()._load_state(header, arrays)
+        restore_mlp("ppo/policy", self.policy, arrays)
+        restore_optimizer("ppo/policy_opt", self.policy_opt, arrays)
+        restore_mlp("ppo/value", self.value, arrays)
+        restore_optimizer("ppo/value_opt", self.value_opt, arrays)
+        x, obs = arrays["ppo/x"], arrays["ppo/obs"]
+        self._x = np.array(x) if x.size else None
+        self._obs = np.array(obs) if obs.size else None
+        self._t = int(arrays["ppo/t"])
+        self._traj = [
+            {"obs": np.array(o), "choices": np.array(c), "logp": float(lp),
+             "reward": float(r)}
+            for o, c, lp, r in zip(
+                arrays["ppo/traj_obs"], arrays["ppo/traj_choices"],
+                arrays["ppo/traj_logp"], arrays["ppo/traj_reward"])]

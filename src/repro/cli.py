@@ -136,23 +136,6 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
                    help="write one JSONL run event per evaluation/round")
 
 
-_MA_METHODS = ("DNN-Opt", "MA-Opt1", "MA-Opt2", "MA-Opt")
-
-
-def _reject_ma_only_flags(args: argparse.Namespace) -> None:
-    """Baselines take no checkpoint or resume settings."""
-    if args.method in _MA_METHODS:
-        return
-    given = [flag for flag, value in (
-        ("--resume", args.resume),
-        ("--checkpoint", args.checkpoint),
-        ("--checkpoint-every", args.checkpoint_every is not None)) if value]
-    if given:
-        raise SystemExit(
-            f"repro: error: {', '.join(given)}: only the MA-Opt family "
-            f"({', '.join(_MA_METHODS)}) supports this, not {args.method!r}")
-
-
 def _usage_error(message: str) -> None:
     print(f"repro: error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -184,11 +167,26 @@ def _check_checkpoint_flags(args: argparse.Namespace) -> None:
             _usage_error(str(exc))
 
 
+def _restore(args: argparse.Namespace, task, telemetry):
+    """Restore ``--resume``'s checkpoint with the class of ``--method``;
+    a checkpoint of another method exits 2."""
+    from repro.experiments.runner import optimizer_class
+
+    try:
+        opt = optimizer_class(args.method).restore(args.resume, task,
+                                                   telemetry=telemetry)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"--resume {args.resume}: {exc}")
+    if opt.method_name != args.method:
+        _usage_error(f"--resume {args.resume}: checkpoint is for method "
+                     f"{opt.method_name!r}, not {args.method!r}")
+    return opt
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.experiments import make_initial_set, run_method
 
     _check_budget(args)
-    _reject_ma_only_flags(args)
     _check_checkpoint_flags(args)
     task = _make_task(args.task, args.fidelity, args.corner)
     telemetry = _build_telemetry(args)
@@ -206,13 +204,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               f"(follow with: ma-opt tail {recorder.run_id})")
     try:
         if args.resume:
-            from repro.core.ma_opt import MAOptimizer
-
-            opt = MAOptimizer.restore(args.resume, task, telemetry=telemetry)
+            opt = _restore(args, task, telemetry)
             print(f"{args.method} on {task.name!r}: resumed from "
                   f"{args.resume} at {len(opt.records)} sims, "
                   f"running to {args.sims}")
-            res = opt.run(n_sims=args.sims, method_name=args.method,
+            res = opt.run(n_sims=args.sims,
                           checkpoint_path=args.checkpoint,
                           checkpoint_every=args.checkpoint_every)
         else:
@@ -229,7 +225,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if recorder is not None:
             recorder.finalize(status="interrupted")
         raise
-    except Exception as exc:
+    except (Exception, SystemExit) as exc:
         if recorder is not None:
             recorder.mark_failed(repr(exc))
         raise
@@ -244,11 +240,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print("metrics:")
     for name, value in zip(task.metric_names, best.metrics):
         print(f"  {name:10s} = {value:.5g}")
-    if args.save:
-        from repro.core.serialize import save_result
-
-        save_result(res, args.save)
-        print(f"saved run to {args.save}")
     return 0
 
 
@@ -551,17 +542,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sims", type=int, default=60)
     p.add_argument("--init", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--save", help="archive the run to this .npz file")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
-                   help="write optimizer checkpoints to this .npz path "
-                        "(MA-Opt family)")
+                   help="write optimizer checkpoints to this .npz path; "
+                        "the final one is the run's archive (read it with "
+                        "repro.core.driver.load_result)")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    metavar="ROUNDS",
                    help="checkpoint every ROUNDS rounds (with --checkpoint; "
                         "a final checkpoint is always written)")
     p.add_argument("--resume", metavar="PATH", default=None,
-                   help="resume a killed run from a checkpoint written by "
-                        "--checkpoint (MA-Opt family); the resumed run "
+                   help="resume a killed run of --method from a "
+                        "checkpoint written by --checkpoint; the resumed run "
                         "keeps checkpointing as the killed one did unless "
                         "--checkpoint/--checkpoint-every say otherwise")
     p.add_argument("--store", metavar="DIR", default=None,
@@ -579,8 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                   help="archive each completed (method, run) here and "
-                        "skip already-archived cells on re-invocation")
+                   help="checkpoint each (method, run) cell here; on "
+                        "re-invocation finished cells are loaded and "
+                        "in-flight ones resume")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="record every (method, run) cell as its own run "
                         "under DIR (query with 'runs')")

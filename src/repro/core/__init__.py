@@ -14,11 +14,12 @@ Contents map one-to-one onto the paper's Section II:
 * :mod:`repro.core.ma_opt` — Algorithms 1 and 3 tied together, with the
   DNN-Opt / MA-Opt1 / MA-Opt2 / MA-Opt variant presets.
 * :mod:`repro.core.driver` — the run loop, records and checkpoint format
-  MA-Opt shares with the baselines.
+  MA-Opt shares with the baselines; a run's final checkpoint is its
+  archive (:func:`~repro.core.driver.load_result`).
 """
 
 from repro.core.config import MAOptConfig, VariantPreset
-from repro.core.driver import Driver
+from repro.core.driver import Driver, load_result
 from repro.core.fom import FigureOfMerit
 from repro.core.ma_opt import MAOptimizer
 from repro.core.population import EliteSet, TotalDesignSet
@@ -39,6 +40,7 @@ __all__ = [
     "VariantPreset",
     "MAOptimizer",
     "Driver",
+    "load_result",
     "OptimizationResult",
     "EvaluationRecord",
 ]

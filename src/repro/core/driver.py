@@ -7,7 +7,9 @@ and its resume offset; the budget loop with its checkpoint cadence (run
 state, so a restored run keeps the cadence it was started with);
 evaluation records with their ``evaluation`` event; the
 :class:`OptimizationResult`; and the common checkpoint header and
-``records/*`` arrays.  The run log (:attr:`Driver.run_log`) is the one
+``records/*`` arrays.  A checkpoint is the run's one archive format: the
+final one a run writes is its result, which :func:`load_result` reads
+back.  The run log (:attr:`Driver.run_log`) is the one
 channel every event of the run goes through.  Every simulation goes
 through one :class:`~repro.core.parallel.SimulationExecutor`, so all
 methods share the ERC gate, the failure policy and the telemetry.
@@ -69,6 +71,11 @@ class Driver:
         self._init_best_fom = np.inf
         self._initialized = False
         self._t0: float | None = None
+        # Wall seconds of the run's finished segments, and the start of
+        # the running one: a resumed run's wall time counts every segment.
+        self._wall_s = 0.0
+        self._wall_t0: float | None = None
+        self._name: str | None = None
         self._checkpoint_path: str | None = None
         self._checkpoint_every = 0
 
@@ -172,24 +179,34 @@ class Driver:
         return self._step(budget)
 
     # -- full run --------------------------------------------------------------
-    def _drive(self, name: str, n_sims: int, n_init: int,
+    def _wall_time(self) -> float:
+        if self._wall_t0 is None:
+            return self._wall_s
+        return self._wall_s + time.perf_counter() - self._wall_t0
+
+    def _drive(self, name: str | None, n_sims: int, n_init: int,
                x_init: np.ndarray | None, f_init: np.ndarray | None,
                checkpoint_path: str | pathlib.Path | None = None,
                checkpoint_every: int | None = None) -> OptimizationResult:
         """Run rounds until ``n_sims`` post-init simulations are spent
         (see :meth:`repro.core.ma_opt.MAOptimizer.run`).
 
-        A checkpoint argument left at ``None`` keeps the optimizer's
-        current setting: none on a fresh optimizer, the checkpointed run's
-        after :meth:`restore`.
+        ``name`` is the run's name (``OptimizationResult.method``).  It
+        and a checkpoint argument left at ``None`` keep the optimizer's
+        current setting: the method name and no checkpoint on a fresh
+        optimizer, the checkpointed run's after :meth:`restore`.
         """
+        if name is not None:
+            self._name = name
+        name = self._name or self.method_name
         path = (self._checkpoint_path if checkpoint_path is None
                 else str(checkpoint_path))
         every = (self._checkpoint_every if checkpoint_every is None
                  else checkpoint_every)
         check_checkpointing(path, every)
         self._checkpoint_path, self._checkpoint_every = path, every
-        start = time.perf_counter()
+        if self._wall_t0 is None:
+            self._wall_t0 = time.perf_counter()
         run_id = self.obs.run_id or new_run_id()
         self.run_log.emit("run_start", method=name, task=self.task.name,
                           n_sims=n_sims, run_id=run_id)
@@ -204,6 +221,9 @@ class Driver:
                     self.step(budget=n_sims - len(self._records))
                     if path and every and self._round % every == 0:
                         self.save_checkpoint(path)
+            # Stop the wall clock first, so the final archive holds the
+            # result's own wall time.
+            self._wall_s, self._wall_t0 = self._wall_time(), None
             if path:
                 self.save_checkpoint(path)
         meta = {**self._result_meta(), "run_id": run_id}
@@ -211,7 +231,7 @@ class Driver:
             task_name=self.task.name, method=name,
             records=list(self._records),
             init_best_fom=self._init_best_fom,
-            wall_time_s=time.perf_counter() - start,
+            wall_time_s=self._wall_s,
             meta=meta,
         )
         self.run_log.emit("run_end", method=name, n_sims=len(self._records),
@@ -231,6 +251,7 @@ class Driver:
         header = {
             "kind": self.checkpoint_kind,
             "method": self.method_name,
+            "name": self._name or self.method_name,
             "task": self.task.name,
             "d": d,
             "m": m,
@@ -239,6 +260,7 @@ class Driver:
             "rng_state": rng_state(self.rng),
             "t_offset": (None if self._t0 is None
                          else time.perf_counter() - self._t0),
+            "wall_time_s": self._wall_time(),
             "checkpoint_path": self._checkpoint_path,
             "checkpoint_every": self._checkpoint_every,
             **self._state_header(),
@@ -252,6 +274,11 @@ class Driver:
             "records/feasible": np.array([r.feasible for r in recs],
                                          dtype=bool),
             "records/t_wall": np.array([r.t_wall for r in recs]),
+            "records/kind": (np.array([r.kind for r in recs], dtype=np.str_)
+                             if recs else np.empty(0, dtype="U1")),
+            "records/owner": np.array(
+                [-1 if r.owner is None else r.owner for r in recs],
+                dtype=int),
             **self._state_arrays(),
         }
         final = save_checkpoint(path, header, arrays)
@@ -279,7 +306,8 @@ class Driver:
         header, arrays = load_checkpoint(path)
         if header.get("kind") != cls.checkpoint_kind:
             raise ValueError(
-                f"{path} is not a {cls.checkpoint_kind!r} checkpoint")
+                f"checkpoint is for method {header.get('method')!r}, not "
+                f"a {cls.checkpoint_kind!r} optimizer")
         if (header["task"] != task.name or header["d"] != task.d
                 or header["m"] != task.m):
             raise ValueError(
@@ -291,25 +319,16 @@ class Driver:
             raise ValueError(
                 f"checkpoint is for method {header['method']!r}, "
                 f"restore it with that class (got {opt.method_name!r})")
-        kinds = arrays.get("records/kind")
-        owners = arrays.get("records/owner")
-        for i in range(len(arrays["records/fom"])):
-            owner = -1 if owners is None else int(owners[i])
-            opt._records.append(EvaluationRecord(
-                index=i,
-                x=np.array(arrays["records/x"][i]),
-                metrics=np.array(arrays["records/metrics"][i]),
-                fom=float(arrays["records/fom"][i]),
-                kind=opt.method_name if kinds is None else str(kinds[i]),
-                owner=None if owner < 0 else owner,
-                feasible=bool(arrays["records/feasible"][i]),
-                t_wall=float(arrays["records/t_wall"][i]),
-            ))
+        opt._records = _read_records(arrays)
         opt._initialized = bool(header["initialized"])
         opt._init_best_fom = float(header["init_best_fom"])
-        t_offset = header.get("t_offset")
-        opt._t0 = (None if t_offset is None
-                   else time.perf_counter() - float(t_offset))
+        # Both clocks restart now: the time between the checkpoint and
+        # the restore counts toward neither.
+        now = time.perf_counter()
+        t_offset = header["t_offset"]
+        opt._t0 = None if t_offset is None else now - float(t_offset)
+        opt._wall_s, opt._wall_t0 = float(header["wall_time_s"]), now
+        opt._name = header["name"]
         opt._checkpoint_path = header["checkpoint_path"]
         opt._checkpoint_every = int(header["checkpoint_every"])
         opt._load_state(header, arrays)
@@ -317,6 +336,39 @@ class Driver:
         opt.run_log.emit("checkpoint_restored", path=str(path),
                          round=opt._round, n_records=len(opt._records))
         return opt
+
+
+def _read_records(arrays: dict[str, np.ndarray]) -> list[EvaluationRecord]:
+    """The evaluation records of a checkpoint's ``records/*`` arrays."""
+    return [
+        EvaluationRecord(
+            index=i, x=np.array(arrays["records/x"][i]),
+            metrics=np.array(arrays["records/metrics"][i]),
+            fom=float(fom), kind=str(arrays["records/kind"][i]),
+            owner=None if owner < 0 else int(owner),
+            feasible=bool(arrays["records/feasible"][i]),
+            t_wall=float(arrays["records/t_wall"][i]))
+        for i, (fom, owner) in enumerate(zip(arrays["records/fom"],
+                                             arrays["records/owner"]))
+    ]
+
+
+def load_result(path: str | pathlib.Path) -> OptimizationResult:
+    """The result a checkpoint archive holds: the finished run for the
+    final archive of a run, the run so far for a mid-run one.
+
+    ``meta`` (run ID, config, diagnostics) is not archived and comes back
+    empty.  Loads never unpickle; archives of another checkpoint version
+    are refused with ``ValueError``.
+    """
+    from repro.resilience.checkpoint import load_checkpoint
+
+    header, arrays = load_checkpoint(path)
+    return OptimizationResult(
+        task_name=header["task"], method=header["name"],
+        records=_read_records(arrays),
+        init_best_fom=float(header["init_best_fom"]),
+        wall_time_s=float(header["wall_time_s"]))
 
 
 def check_checkpointing(path: str | None, every: int) -> None:

@@ -229,10 +229,10 @@ class MAOptimizer(Driver):
         ``checkpoint_every`` rounds (0: never) plus once at the end, so a
         killed run resumes bit-exactly via :meth:`restore`.  A restored
         optimizer continues toward ``n_sims`` from the records it already
-        holds, checkpointing as the run it was taken from did unless these
-        arguments say otherwise.
+        holds, under the name it was given and checkpointing as the run it
+        was taken from did unless these arguments say otherwise.
         """
-        return self._drive(method_name or self.method_name, n_sims, n_init,
+        return self._drive(method_name, n_sims, n_init,
                            x_init, f_init, checkpoint_path=checkpoint_path,
                            checkpoint_every=checkpoint_every)
 
@@ -259,18 +259,12 @@ class MAOptimizer(Driver):
     def _state_arrays(self) -> dict[str, np.ndarray]:
         from repro.resilience.state import capture_actor, capture_critic
 
-        recs = self._records
         arrays: dict[str, np.ndarray] = {
             "total/x": self.total.designs,
             "total/f": self.total.metrics,
             "total/fom": self.total.foms,
             "total/owner": np.array(
                 [-1 if o is None else o for o in self.total.owners],
-                dtype=int),
-            "records/kind": np.array([r.kind for r in recs], dtype=np.str_)
-            if recs else np.empty(0, dtype="U1"),
-            "records/owner": np.array(
-                [-1 if r.owner is None else r.owner for r in recs],
                 dtype=int),
         }
         arrays.update(capture_critic("critic", self.critic))

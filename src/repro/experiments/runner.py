@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 
 from repro.core.config import MAOptConfig, VariantPreset
+from repro.core.driver import Driver
 from repro.core.ma_opt import MAOptimizer
 from repro.core.problem import SizingTask
 from repro.core.result import OptimizationResult
@@ -57,6 +58,26 @@ def make_initial_set(task: SizingTask, n_init: int,
     return x_init, f_init
 
 
+#: Rounds between the checkpoints of a ``run_comparison`` cell.  Measured
+#: on the TIA, the cheapest circuit per round: a DNN-Opt save costs ~24 ms
+#: against ~60 ms per round, an MA-Opt save ~30-40 ms against ~170 ms, so
+#: saving every 30 rounds costs a paper-method cell at most ~1.3% (see
+#: docs/resilience.md).  A killed cell loses at most 30 rounds.
+CELL_CHECKPOINT_EVERY = 30
+
+
+def optimizer_class(method: str) -> type[Driver]:
+    """The optimizer class that runs ``method`` (one of
+    :data:`METHOD_NAMES`); its ``restore`` resumes that method's runs."""
+    if method in _PRESETS:
+        return MAOptimizer
+    if method in _BASELINES:
+        import repro.baselines
+
+        return getattr(repro.baselines, _BASELINES[method])
+    raise ValueError(f"unknown method {method!r}; options: {METHOD_NAMES}")
+
+
 def run_method(method: str, task: SizingTask, n_sims: int,
                x_init: np.ndarray, f_init: np.ndarray,
                seed: int | None = None,
@@ -69,31 +90,20 @@ def run_method(method: str, task: SizingTask, n_sims: int,
     ``telemetry`` (a :class:`repro.obs.Telemetry`) is threaded into the
     optimizer; sharing one bundle across calls aggregates their traces,
     metrics, and events (``run`` spans carry a ``method`` attribute).
-    ``checkpoint_path``/``checkpoint_every`` go to
-    :meth:`~repro.core.ma_opt.MAOptimizer.run`; only the MA-Opt family
-    checkpoints.
+    ``checkpoint_path``/``checkpoint_every`` go to the optimizer's
+    ``run`` (see :meth:`~repro.core.ma_opt.MAOptimizer.run`).
     """
-    if method in _PRESETS:
+    cls = optimizer_class(method)
+    if cls is MAOptimizer:
         cfg = MAOptConfig.from_preset(_PRESETS[method], seed=seed,
                                       **(maopt_overrides or {}))
-        opt = MAOptimizer(task, cfg, telemetry=telemetry)
-        return opt.run(n_sims=n_sims, x_init=x_init, f_init=f_init,
-                       method_name=method, checkpoint_path=checkpoint_path,
-                       checkpoint_every=checkpoint_every)
-    if method in _BASELINES:
-        if checkpoint_path is not None or checkpoint_every is not None:
-            raise ValueError(f"{method} does not checkpoint; only the "
-                             f"MA-Opt family ({', '.join(_PRESETS)}) does")
-        import repro.baselines
-
-        cls = getattr(repro.baselines, _BASELINES[method])
-        opt = cls(task, seed=seed, telemetry=telemetry)
-        return opt.run(n_sims=n_sims, x_init=x_init, f_init=f_init)
-    raise ValueError(f"unknown method {method!r}; options: {METHOD_NAMES}")
-
-
-def _checkpoint_name(method: str, run: int) -> str:
-    return f"{method.replace('/', '_')}_run{run}.npz"
+        return MAOptimizer(task, cfg, telemetry=telemetry).run(
+            n_sims=n_sims, x_init=x_init, f_init=f_init, method_name=method,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every)
+    return cls(task, seed=seed, telemetry=telemetry).run(
+        n_sims=n_sims, x_init=x_init, f_init=f_init,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
 
 
 def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
@@ -111,18 +121,18 @@ def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
     same initial set for every method (seeded by ``seed + r``).  A shared
     ``telemetry`` bundle collects every method's spans/metrics/events.
 
-    With ``checkpoint_dir`` the comparison becomes resumable at
-    (method, run) granularity: each completed run is archived there via
-    :func:`repro.core.serialize.save_result`, and a re-invocation with the
-    same directory loads the archives instead of re-running those cells.
-    Simulation budgets are the expensive resource, so a killed comparison
-    loses at most one in-flight run.
+    With ``checkpoint_dir`` the comparison is resumable: each (method,
+    repeat) cell checkpoints to ``<dir>/<method>_run<r>.npz`` every
+    :data:`CELL_CHECKPOINT_EVERY` rounds and at its end.  A re-invocation
+    with the same directory loads a finished cell's archive with
+    :func:`~repro.core.driver.load_result` and restores an in-flight cell,
+    which finishes its budget as the uninterrupted run would have.
 
     With ``run_store`` (a :class:`repro.obs.store.RunStore`) every
     (method, repeat) cell additionally gets its own durable run record —
     ``ma-opt runs list`` then shows the whole study as comparable rows.
     """
-    from repro.core.serialize import load_result, save_result
+    from repro.core.driver import load_result
 
     if checkpoint_dir is not None:
         checkpoint_dir = pathlib.Path(checkpoint_dir)
@@ -130,21 +140,25 @@ def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
     results: dict[str, list[OptimizationResult]] = {m: [] for m in methods}
     for r in range(n_runs):
         run_seed = seed + r
-        todo = [m for m in methods
-                if checkpoint_dir is None
-                or not (checkpoint_dir / _checkpoint_name(m, r)).exists()]
+        archives = {m: None if checkpoint_dir is None
+                    else checkpoint_dir / f"{m.replace('/', '_')}_run{r}.npz"
+                    for m in methods}
         x_init = f_init = None
-        if todo:  # a fully-restored repeat never re-simulates its init set
+        if any(a is None or not a.exists() for a in archives.values()):
+            # Only a cell without an archive needs the initial set.
             x_init, f_init = make_initial_set(task, n_init, seed=run_seed,
                                               telemetry=telemetry)
         for method in methods:
-            if method not in todo:
-                res = load_result(checkpoint_dir / _checkpoint_name(method, r))
-                results[method].append(res)
-                if verbose:
-                    print(f"[run {r}] {method:8s} restored from checkpoint "
-                          f"(best_fom={res.best_fom:.4g})")
-                continue
+            archive = archives[method]
+            resume = archive is not None and archive.exists()
+            if resume:
+                res = load_result(archive)
+                if res.n_sims >= n_sims:
+                    results[method].append(res)
+                    if verbose:
+                        print(f"[run {r}] {method:8s} restored from "
+                              f"checkpoint (best_fom={res.best_fom:.4g})")
+                    continue
             recorder = None
             cell_telemetry = telemetry
             if run_store is not None:
@@ -153,11 +167,19 @@ def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
                     meta={"repeat": r, "n_sims": n_sims, "n_init": n_init,
                           "seed": run_seed})
                 cell_telemetry = recorder.telemetry
+            checkpoint = ({} if archive is None else
+                          {"checkpoint_path": str(archive),
+                           "checkpoint_every": CELL_CHECKPOINT_EVERY})
             try:
-                res = run_method(method, task, n_sims, x_init, f_init,
-                                 seed=run_seed * 1000 + 7,
-                                 maopt_overrides=maopt_overrides,
-                                 telemetry=cell_telemetry)
+                if resume:
+                    res = optimizer_class(method).restore(
+                        archive, task, telemetry=cell_telemetry).run(
+                            n_sims=n_sims, **checkpoint)
+                else:
+                    res = run_method(method, task, n_sims, x_init, f_init,
+                                     seed=run_seed * 1000 + 7,
+                                     maopt_overrides=maopt_overrides,
+                                     telemetry=cell_telemetry, **checkpoint)
             except KeyboardInterrupt:
                 if recorder is not None:
                     recorder.finalize(status="interrupted")
@@ -167,8 +189,6 @@ def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
                     recorder.mark_failed(repr(exc))
                 raise
             results[method].append(res)
-            if checkpoint_dir is not None:
-                save_result(res, checkpoint_dir / _checkpoint_name(method, r))
             if verbose:
                 bf = res.best_feasible()
                 print(f"[run {r}] {method:8s} best_fom={res.best_fom:.4g} "

@@ -23,12 +23,12 @@ import numpy as np
 __all__ = ["CHECKPOINT_VERSION", "atomic_write_json", "load_checkpoint",
            "save_checkpoint"]
 
-# Version 4: the checkpoint cadence is run state in the header
-# (``checkpoint_path``, ``checkpoint_every``), and the config holds no
-# ``resilience`` block and no exploration or training-mode switches.
-# Versions 1-3 carry config settings that no longer exist, so their
-# headers are refused.
-CHECKPOINT_VERSION = 4
+# Version 5: a checkpoint is also the run's archive.  Every method writes
+# ``records/kind`` and ``records/owner``, and the header carries the run's
+# name (``name``) and its wall seconds over all segments (``wall_time_s``).
+# Version 4 lacks those; versions 1-3 carry config settings that no longer
+# exist.  All of them are refused.
+CHECKPOINT_VERSION = 5
 
 _HEADER_KEY = "__header__"
 

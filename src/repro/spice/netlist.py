@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from repro.spice.compiled import CompiledCircuit
@@ -202,7 +204,8 @@ class Circuit:
         value at 17 significant digits (so it ``float()``s back exactly),
         source waveforms as DC/PULSE/SIN/PWL specs, and a ``.model`` card for every
         MOSFET model other than the built-in ``nmos180``/``pmos180``
-        (process corners and temperatures included)."""
+        (process corners and temperatures included) stating every model
+        parameter."""
 
         def src_spec(elem) -> str:
             wave = elem.waveform
@@ -232,11 +235,10 @@ class Circuit:
             if model.name in ("nmos180", "pmos180"):
                 return model.name
             kind = "nmos" if model.polarity > 0 else "pmos"
-            model_cards[model.name] = (
-                f".model {model.name} {kind} vto={model.vto:.17g} "
-                f"kp={model.kp:.17g} n={model.n:.17g} "
-                f"lambda_l={model.lambda_l:.17g} tox={model.tox:.17g} "
-                f"kf={model.kf:.17g} af={model.af:.17g}")
+            params = " ".join(
+                f"{f.name}={getattr(model, f.name):.17g}"
+                for f in fields(model) if f.name not in ("name", "polarity"))
+            model_cards[model.name] = f".model {model.name} {kind} {params}"
             return model.name
 
         lines: list[str] = []

@@ -83,16 +83,6 @@ class Pulse(Waveform):
             return self.v2 + (self.v1 - self.v2) * tl / self.tf
         return self.v1
 
-    def breakpoints(self) -> list[float]:
-        """Corner times within the first period (for step control)."""
-        pts = [
-            self.td,
-            self.td + self.tr,
-            self.td + self.tr + self.pw,
-            self.td + self.tr + self.pw + self.tf,
-        ]
-        return pts
-
 
 class Sine(Waveform):
     """SPICE SIN(vo va freq td theta) waveform."""
@@ -143,9 +133,6 @@ class PieceWiseLinear(Waveform):
         t0, t1 = self.times[idx], self.times[idx + 1]
         v0, v1 = self.values[idx], self.values[idx + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def breakpoints(self) -> list[float]:
-        return list(self.times)
 
 
 def as_waveform(value: "float | Waveform") -> Waveform:

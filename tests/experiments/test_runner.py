@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner
+from repro.core.driver import load_result
 from repro.core.synthetic import ConstrainedSphere
 from repro.experiments import make_initial_set, run_comparison, run_method
+from tests.test_interrupted_runs import InterruptedSphere
 
 FAST = {"critic_steps": 20, "actor_steps": 10, "batch_size": 16, "n_elite": 6}
 
@@ -46,14 +49,13 @@ class TestRunMethod:
             run_method("SGD", task, 3, x, f)
 
     def test_checkpoint_arguments(self, task, tmp_path):
+        # Every method takes the checkpoint arguments.
         x, f = make_initial_set(task, 10, seed=0)
-        path = tmp_path / "ck.npz"
-        run_method("MA-Opt", task, 4, x, f, seed=1, maopt_overrides=FAST,
-                   checkpoint_path=str(path))
-        assert path.exists()
-        with pytest.raises(ValueError, match="does not checkpoint"):
-            run_method("Random", task, 4, x, f, seed=1,
-                       checkpoint_path=str(tmp_path / "rs.npz"))
+        for method in ("MA-Opt", "Random"):
+            path = tmp_path / f"{method}.npz"
+            run_method(method, task, 4, x, f, seed=1, maopt_overrides=FAST,
+                       checkpoint_path=str(path))
+            assert load_result(path).method == method
 
     def test_same_init_best_across_methods(self, task):
         x, f = make_initial_set(task, 10, seed=0)
@@ -126,3 +128,31 @@ class TestResumableComparison:
             [r.fom for r in both["Random"][0].records])
         # ... and the missing cell was run and archived
         assert (ckpt / "DNN-Opt_run0.npz").exists()
+
+    def test_killed_cell_resumes_mid_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "CELL_CHECKPOINT_EVERY", 2)
+        methods = ["Random", "DNN-Opt"]
+        kwargs = dict(n_runs=1, n_sims=8, n_init=6, seed=0,
+                      maopt_overrides=FAST)
+        ckpt = tmp_path / "cmp"
+        # Killed during DNN-Opt's 6th simulation, after the initial set
+        # and the whole Random cell.
+        with pytest.raises(KeyboardInterrupt):
+            run_comparison(InterruptedSphere(after=6 + 8 + 5), methods,
+                           checkpoint_dir=ckpt, **kwargs)
+        assert load_result(ckpt / "DNN-Opt_run0.npz").n_sims == 4
+        counting = InterruptedSphere(after=10**6)
+        resumed = run_comparison(counting, methods, checkpoint_dir=ckpt,
+                                 **kwargs)
+        # Only DNN-Opt's remaining 4 simulations ran: no initial set and
+        # no Random cell were simulated again.
+        assert counting.calls == 4
+        ref = run_comparison(InterruptedSphere(after=10**6), methods,
+                             **kwargs)
+        for method in methods:
+            (a,), (b,) = ref[method], resumed[method]
+            assert b.n_sims == 8
+            for r1, r2 in zip(a.records, b.records):
+                np.testing.assert_array_equal(r1.x, r2.x)
+                np.testing.assert_array_equal(r1.metrics, r2.metrics)
+                assert (r1.kind, r1.owner) == (r2.kind, r2.owner)

@@ -1,10 +1,14 @@
-"""Unit tests for the atomic checkpoint file format."""
+"""Unit tests for the atomic checkpoint file format, and for the
+checkpoint as a finished run's archive (:func:`repro.core.driver.load_result`)."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.driver import load_result
+from repro.core.synthetic import ConstrainedSphere
+from repro.experiments.runner import make_initial_set, run_method
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -69,10 +73,11 @@ class TestSafety:
 
     def test_version_1_header_rejected(self, tmp_path):
         # Version-1 to version-3 headers hold config settings this build
-        # no longer has; they must be refused by version, not by a
-        # TypeError from the config constructor.
+        # no longer has, and version 4 lacks the run archive's fields;
+        # they must be refused by version, not by a TypeError from the
+        # config constructor or a KeyError from the archive reader.
         path = tmp_path / "ck.npz"
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             header = json.dumps({"checkpoint_version": version,
                                  "config": {}})
             np.savez_compressed(path, __header__=np.array(header))
@@ -91,3 +96,109 @@ class TestSafety:
         path = save_checkpoint(tmp_path / "deep" / "dir" / "ck.npz",
                                {"kind": "t"}, {})
         assert path.exists()
+
+
+SMALL_MAOPT = dict(critic_steps=8, actor_steps=4, batch_size=8, n_elite=5,
+                   hidden=(8, 8))
+
+
+def archived_run(method, tmp_path, n_sims=6, **run_kwargs):
+    """(in-memory result, archive path) of one small run of ``method``."""
+    task = ConstrainedSphere(d=4, seed=0)
+    x, f = make_initial_set(task, 8, seed=0)
+    path = tmp_path / "run.npz"
+    result = run_method(method, task, n_sims, x, f, seed=7,
+                        maopt_overrides=SMALL_MAOPT,
+                        checkpoint_path=str(path), **run_kwargs)
+    return result, path
+
+
+class TestRunArchive:
+    """A run's final checkpoint is its archive: :func:`load_result` gives
+    back the in-memory result."""
+
+    @pytest.mark.parametrize("method", ["MA-Opt", "BO", "PPO"])
+    def test_all_fields_survive(self, method, tmp_path):
+        result, path = archived_run(method, tmp_path)
+        loaded = load_result(path)
+        assert loaded.task_name == result.task_name
+        assert loaded.method == result.method == method
+        assert loaded.init_best_fom == result.init_best_fom
+        assert loaded.wall_time_s == result.wall_time_s > 0
+        assert loaded.n_sims == result.n_sims == 6
+        for a, b in zip(loaded.records, result.records):
+            assert a.index == b.index
+            np.testing.assert_array_equal(a.x, b.x)
+            np.testing.assert_array_equal(a.metrics, b.metrics)
+            assert a.fom == b.fom
+            assert a.kind == b.kind
+            assert a.owner == b.owner
+            assert a.feasible == b.feasible
+            assert a.t_wall == b.t_wall
+
+    def test_custom_run_name_survives(self, tmp_path):
+        from repro.core.config import MAOptConfig
+        from repro.core.ma_opt import MAOptimizer
+
+        task = ConstrainedSphere(d=4, seed=0)
+        path = tmp_path / "run.npz"
+        result = MAOptimizer(task, MAOptConfig(seed=0, **SMALL_MAOPT)).run(
+            n_sims=6, n_init=8, method_name="2-actor",
+            checkpoint_path=str(path))
+        assert load_result(path).method == result.method == "2-actor"
+
+    def test_traces_identical(self, tmp_path):
+        result, path = archived_run("MA-Opt", tmp_path)
+        loaded = load_result(path)
+        np.testing.assert_array_equal(loaded.best_fom_trace(),
+                                      result.best_fom_trace())
+        np.testing.assert_array_equal(loaded.fom_vs_runtime(),
+                                      result.fom_vs_runtime())
+
+    def test_archives_load_without_pickle(self, tmp_path):
+        _, path = archived_run("PPO", tmp_path)
+        with np.load(path, allow_pickle=False) as data:
+            for key in data.files:
+                assert data[key].dtype != object, key
+
+    def test_older_archive_refused(self, tmp_path):
+        _, path = archived_run("BO", tmp_path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(str(arrays["__header__"]))
+        header["checkpoint_version"] = CHECKPOINT_VERSION - 1
+        arrays["__header__"] = np.array(json.dumps(header))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="unsupported checkpoint "
+                                             "version"):
+            load_result(path)
+
+    def test_foreign_archive_version_refused(self, tmp_path):
+        _, path = archived_run("MA-Opt", tmp_path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(str(arrays["__header__"]))
+        header["checkpoint_version"] = 99
+        arrays["__header__"] = np.array(json.dumps(header))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError):
+            load_result(path)
+
+    def test_archive_suffix_appended(self, tmp_path):
+        task = ConstrainedSphere(d=4, seed=0)
+        x, f = make_initial_set(task, 8, seed=0)
+        result = run_method("Random", task, 3, x, f, seed=7,
+                            checkpoint_path=str(tmp_path / "run"))
+        assert (tmp_path / "run.npz").exists()
+        assert load_result(tmp_path / "run.npz").n_sims == result.n_sims == 3
+
+    def test_zero_post_init_records(self, tmp_path):
+        _, path = archived_run("Random", tmp_path, n_sims=0)
+        loaded = load_result(path)
+        assert loaded.records == [] and loaded.method == "Random"
+
+    def test_zero_record_archive_keeps_init_best(self, tmp_path):
+        result, path = archived_run("Random", tmp_path, n_sims=0)
+        loaded = load_result(path)
+        assert loaded.n_sims == 0
+        assert loaded.best_fom == result.best_fom == result.init_best_fom

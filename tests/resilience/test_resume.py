@@ -1,13 +1,23 @@
-"""Bit-exact checkpoint/resume tests for both optimizer families."""
+"""Bit-exact checkpoint/resume tests for every method."""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.baselines import BayesOpt, PPOSizer, RandomSearch
 from repro.core.config import MAOptConfig
+from repro.core.driver import load_result
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
+from repro.experiments.runner import (
+    METHOD_NAMES,
+    make_initial_set,
+    optimizer_class,
+    run_method,
+)
 from repro.resilience.checkpoint import load_checkpoint
+from tests.test_interrupted_runs import InterruptedSphere
 
 
 def small_cfg(**overrides) -> MAOptConfig:
@@ -119,40 +129,76 @@ class TestCheckpointArguments:
         assert len(opt.total) == 0
 
 
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_every_method_resumes_bit_exactly(method, tmp_path):
+    """Kill a run after 5 of 14 simulations, restore its last checkpoint
+    and finish: the run matches an uninterrupted one record for record."""
+    task = ConstrainedSphere(d=4, seed=0)
+    x, f = make_initial_set(task, 8, seed=0)
+    kwargs = dict(seed=7, maopt_overrides=dict(
+        critic_steps=8, actor_steps=4, batch_size=8, n_elite=5,
+        hidden=(8, 8)))
+    ref = run_method(method, task, 14, x, f, **kwargs)
+    path = tmp_path / "ck.npz"
+    with pytest.raises(KeyboardInterrupt):
+        run_method(method, InterruptedSphere(5, d=4, seed=0), 14, x, f,
+                   checkpoint_path=str(path), checkpoint_every=1, **kwargs)
+    assert 0 < load_result(path).n_sims <= 5
+    res = optimizer_class(method).restore(path, task).run(n_sims=14)
+
+    assert_same_records(ref.records, res.records)
+    assert res.method == ref.method == method
+    assert res.init_best_fom == ref.init_best_fom
+
+
+def test_ppo_resumes_across_episodes(tmp_path):
+    # A 4-step horizon makes the checkpoint fall between PPO updates, so
+    # the resumed run updates networks and Adam moments it restored, on
+    # an episode that started before the checkpoint.  A sampled action
+    # rarely flips under a small weight change, so the whole agent state
+    # is compared, not only the records.
+    task = ConstrainedSphere(d=4, seed=0)
+    ref = PPOSizer(task, seed=7, horizon=4)
+    ref_result = ref.run(n_sims=14, n_init=8)
+    interrupted = PPOSizer(task, seed=7, horizon=4)
+    interrupted.run(n_sims=5, n_init=8)
+    assert interrupted._traj and interrupted.policy_opt.state_dict()["t"]
+    path = interrupted.save_checkpoint(tmp_path / "ck.npz")
+    resumed = PPOSizer.restore(path, task, horizon=4)
+    assert_same_records(ref_result.records, resumed.run(n_sims=14).records)
+    expected, got = ref._state_arrays(), resumed._state_arrays()
+    assert expected.keys() == got.keys()
+    for key in expected:
+        np.testing.assert_array_equal(got[key], expected[key], err_msg=key)
+
+
+def test_resumed_wall_time_counts_every_segment(tmp_path):
+    # Before the header carried wall_time_s, a resumed BO run reported
+    # 0.28 s while its own last record had t_wall 0.65 s.
+    path = tmp_path / "ck.npz"
+    with pytest.raises(KeyboardInterrupt):
+        BayesOpt(InterruptedSphere(8 + 10, d=4, seed=0), seed=7).run(
+            n_sims=20, n_init=8, checkpoint_path=str(path),
+            checkpoint_every=1)
+    first = load_result(path).wall_time_s
+    t0 = time.perf_counter()
+    res = BayesOpt.restore(path, ConstrainedSphere(d=4, seed=0)).run(
+        n_sims=20)
+    segment = time.perf_counter() - t0
+    assert res.wall_time_s >= res.records[-1].t_wall
+    assert first < res.wall_time_s <= first + segment
+
+
+def test_resumed_run_keeps_its_name(tmp_path):
+    task = ConstrainedSphere(d=4, seed=0)
+    path = tmp_path / "ck.npz"
+    MAOptimizer(task, small_cfg()).run(n_sims=6, n_init=8,
+                                       method_name="2-actor",
+                                       checkpoint_path=str(path))
+    assert MAOptimizer.restore(path, task).run(n_sims=12).method == "2-actor"
+
+
 class TestBaselineResume:
-    @staticmethod
-    def checkpoint_after_five(cls, task, tmp_path):
-        interrupted = cls(task, seed=7)
-        interrupted.run(n_sims=5, n_init=8)
-        return interrupted.save_checkpoint(tmp_path / "ck.npz")
-
-    def assert_bit_exact_resume(self, cls, tmp_path):
-        """Checkpoint after 5 of 14 simulations, restore, finish: the run
-        matches an uninterrupted one record for record."""
-        task = ConstrainedSphere(d=4, seed=0)
-        ref = cls(task, seed=7).run(n_sims=14, n_init=8)
-        path = self.checkpoint_after_five(cls, task, tmp_path)
-        res = cls.restore(path, task).run(n_sims=14, n_init=8)
-
-        assert_same_records(ref.records, res.records)
-        assert ref.init_best_fom == res.init_best_fom
-
-    def test_bit_exact_resume(self, tmp_path):
-        self.assert_bit_exact_resume(RandomSearch, tmp_path)
-
-    def test_bo_resume_restores_gp_state(self, tmp_path):
-        # The GP hyperparameters warm-start each fit, so they must travel
-        # with the checkpoint for the resumed run to match.
-        self.assert_bit_exact_resume(BayesOpt, tmp_path)
-
-    def test_ppo_restore_refuses(self, tmp_path):
-        # PPO's networks and optimizer moments are not checkpointed yet;
-        # restoring must fail loudly rather than diverge.
-        task = ConstrainedSphere(d=4, seed=0)
-        path = self.checkpoint_after_five(PPOSizer, task, tmp_path)
-        with pytest.raises(NotImplementedError, match="cannot be resumed"):
-            PPOSizer.restore(path, task)
-
     def test_restore_rejects_other_method(self, tmp_path):
         task = ConstrainedSphere(d=4, seed=0)
         rs = RandomSearch(task, seed=1)

@@ -2,6 +2,8 @@
 tokens read back (``float()``) exactly as the element values, plus a
 ``.model`` card for every non-builtin MOSFET model."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.circuits import LDORegulator, ThreeStageTIA, TwoStageOTA
@@ -64,6 +66,14 @@ def expected_numbers(elem) -> list[float]:
         return values + ([elem.ac] if elem.ac else [])
     assert isinstance(elem, Mosfet)
     return [elem.w, elem.l, elem.m]
+
+
+def assert_card_states_model(card: str, model: MosfetModel) -> None:
+    """The card gives every model parameter, reading back equal."""
+    params = {key: float(value) for key, value in
+              (tok.split("=") for tok in card.split()[3:])}
+    assert params == {f.name: getattr(model, f.name) for f in fields(model)
+                      if f.name not in ("name", "polarity")}
 
 
 def assert_deck_matches(ckt: Circuit) -> str:
@@ -142,10 +152,15 @@ class TestRoundTrip:
         ckt.add_mosfet("M1", "d", "d", "0", "0", model, 5e-6, 0.5e-6)
         card = model_cards(assert_deck_matches(ckt))["myn"]
         assert card.startswith(".model myn nmos ")
-        params = dict(tok.split("=") for tok in card.split()[3:])
-        assert float(params["vto"]) == model.vto
-        assert float(params["kp"]) == model.kp
-        assert float(params["lambda_l"]) == model.lambda_l
+        assert_card_states_model(card, model)
+
+    def test_temperature_model_card_states_temp(self):
+        task = TwoStageOTA(temp_c=125)
+        cards = model_cards(task.build_netlist(OTA_GOOD).to_spice())
+        assert set(cards) == {task.nmos.name, task.pmos.name}
+        for model in (task.nmos, task.pmos):
+            assert_card_states_model(cards[model.name], model)
+        assert task.nmos.temp != NMOS_180.temp
 
     def test_ota_task_circuit_roundtrips(self):
         """The OTA's step bench, pulse source included, at 17 digits."""
@@ -171,3 +186,5 @@ def test_paper_circuit_deck(name, corner):
     else:
         assert set(cards) == {task.nmos.name, task.pmos.name}
         assert cards[task.nmos.name].startswith(".model nmos180_f nmos ")
+        for model in (task.nmos, task.pmos):
+            assert_card_states_model(cards[model.name], model)

@@ -46,12 +46,6 @@ class TestPulse:
         with pytest.raises(ValueError):
             Pulse(0, 1, td=-1e-9)
 
-    def test_breakpoints(self):
-        w = Pulse(0, 1, td=1e-6, tr=1e-7, tf=1e-7, pw=1e-6)
-        bps = w.breakpoints()
-        assert bps[0] == pytest.approx(1e-6)
-        assert len(bps) == 4
-
 
 class TestSine:
     def test_offset_before_delay(self):

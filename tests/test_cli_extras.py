@@ -82,19 +82,6 @@ class TestObservabilityFlags:
         assert {r["name"] for r in rows} >= {"run", "simulate"}
 
 
-class TestSaveFlag:
-    def test_optimize_save_roundtrip(self, tmp_path, capsys):
-        from repro.core.serialize import load_result
-
-        out = tmp_path / "run.npz"
-        rc = main(["optimize", "sphere", "--sims", "4", "--init", "6",
-                   "--method", "Random", "--save", str(out)])
-        assert rc == 0
-        loaded = load_result(out)
-        assert loaded.method == "Random"
-        assert loaded.n_sims == 4
-
-
 class TestResilienceFlags:
     def test_run_with_checkpoint_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "ck.npz"
@@ -109,19 +96,61 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert "resumed from" in out
 
-    def test_resume_rejects_baselines(self, tmp_path):
-        with pytest.raises(SystemExit, match="MA-Opt family"):
-            main(["optimize", "sphere", "--method", "Random",
-                  "--resume", str(tmp_path / "ck.npz")])
+    def test_checkpoint_is_the_run_archive(self, tmp_path, capsys):
+        from repro.core.driver import load_result
 
-    @pytest.mark.parametrize("flags", [
-        ["--resume", "ck.npz"], ["--checkpoint", "ck.npz"],
-        ["--checkpoint-every", "2"]])
-    def test_ma_only_flags_reject_baselines(self, flags):
-        with pytest.raises(SystemExit, match="MA-Opt family") as exc:
-            main(["optimize", "sphere", "--method", "BO",
-                  "--sims", "4", "--init", "4", *flags])
-        assert flags[0] in str(exc.value)
+        out = tmp_path / "run.npz"
+        rc = main(["optimize", "sphere", "--sims", "4", "--init", "6",
+                   "--method", "Random", "--checkpoint", str(out)])
+        assert rc == 0
+        loaded = load_result(out)
+        assert loaded.method == "Random"
+        assert loaded.n_sims == 4
+
+    def test_save_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--sims", "4", "--init", "6",
+                  "--save", str(tmp_path / "run.npz")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --save" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["BO", "PPO"])
+    def test_baselines_checkpoint_and_resume(self, method, tmp_path,
+                                             capsys):
+        from repro.resilience.checkpoint import load_checkpoint
+
+        ckpt = tmp_path / "ck.npz"
+        assert main(["optimize", "sphere", "--method", method,
+                     "--sims", "6", "--init", "8",
+                     "--checkpoint", str(ckpt),
+                     "--checkpoint-every", "2"]) == 0
+        assert main(["optimize", "sphere", "--method", method,
+                     "--sims", "10", "--resume", str(ckpt)]) == 0
+        assert "resumed from" in capsys.readouterr().out
+        assert len(load_checkpoint(ckpt)[1]["records/fom"]) == 10
+
+    @pytest.mark.parametrize("method", ["Random", "MA-Opt", "DNN-Opt"])
+    def test_resume_with_another_method_exits_two(self, method, tmp_path,
+                                                  capsys):
+        ckpt = tmp_path / "ck.npz"
+        assert main(["optimize", "sphere", "--method", "MA-Opt1",
+                     "--sims", "3", "--init", "6",
+                     "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--method", method,
+                  "--sims", "6", "--resume", str(ckpt)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --resume ")
+        assert "MA-Opt1" in err
+
+    def test_resume_missing_file_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--method", "BO", "--sims", "4",
+                  "--resume", str(tmp_path / "none.npz")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("repro: error: --resume ")
 
     @pytest.mark.parametrize("flags", [
         ["--checkpoint-every", "2"], ["--checkpoint-every", "0"],

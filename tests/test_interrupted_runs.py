@@ -17,8 +17,8 @@ class InterruptedSphere(ConstrainedSphere):
     """Sphere task whose ``evaluate`` raises ``KeyboardInterrupt`` after
     ``after`` successful evaluations (mid-run, past the initial set)."""
 
-    def __init__(self, after: int) -> None:
-        super().__init__(d=12, seed=3)
+    def __init__(self, after: int, d: int = 12, seed: int = 3) -> None:
+        super().__init__(d=d, seed=seed)
         self.after = after
         self.calls = 0
 

@@ -3,8 +3,8 @@
 This package reproduces "MA-Opt: Reinforcement Learning-based Analog Circuit
 Optimization using Multi-Actors" (DATE 2023) end to end:
 
-* :mod:`repro.nn` — a small numpy neural-network library (MLPs, Adam,
-  backprop) standing in for PyTorch.
+* :mod:`repro.nn` — the numpy MLP and Adam optimizer behind the actors,
+  the critic and PPO, standing in for PyTorch.
 * :mod:`repro.spice` — a Modified-Nodal-Analysis circuit simulator (DC, AC,
   transient, noise) standing in for HSpice.
 * :mod:`repro.circuits` — the paper's three benchmark circuits (two-stage

@@ -65,8 +65,8 @@ class PPOSizer(BaselineOptimizer):
                           activation="tanh", seed=seed)
         self.value = MLP([obs_dim, *hidden, 1], activation="tanh",
                          seed=None if seed is None else seed + 1)
-        self.policy_opt = Adam(self.policy.parameters(), lr=lr)
-        self.value_opt = Adam(self.value.parameters(), lr=lr)
+        self.policy_opt = Adam(self.policy, lr=lr)
+        self.value_opt = Adam(self.value, lr=lr)
         # episode state
         self._x: np.ndarray | None = None
         self._obs: np.ndarray | None = None

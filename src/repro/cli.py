@@ -148,6 +148,19 @@ def _check_budget(args: argparse.Namespace) -> None:
             _usage_error(f"{flag} must be >= 1, got {value}")
 
 
+def _check_methods(flag: str, methods: list[str]) -> None:
+    """Every method name is one of ``METHOD_NAMES``, and there is one."""
+    from repro.experiments import METHOD_NAMES
+
+    if not methods:
+        _usage_error(f"{flag} names no method; options: "
+                     f"{','.join(METHOD_NAMES)}")
+    unknown = [m for m in methods if m not in METHOD_NAMES]
+    if unknown:
+        _usage_error(f"{flag}: unknown method {unknown[0]!r}; options: "
+                     f"{','.join(METHOD_NAMES)}")
+
+
 def _check_checkpoint_flags(args: argparse.Namespace) -> None:
     """Refuse a checkpoint plan the run would refuse, before the initial
     set is simulated.  ``--checkpoint-every`` needs a path:
@@ -187,6 +200,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.experiments import make_initial_set, run_method
 
     _check_budget(args)
+    _check_methods("--method", [args.method])
     _check_checkpoint_flags(args)
     task = _make_task(args.task, args.fidelity, args.corner)
     telemetry = _build_telemetry(args)
@@ -247,8 +261,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments import comparison_table, fom_curves, run_comparison
     from repro.experiments.figures import render_ascii
 
-    task = _make_task(args.task, args.fidelity, args.corner)
+    _check_budget(args)
+    if args.runs < 1:
+        _usage_error(f"--runs must be >= 1, got {args.runs}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    _check_methods("--methods", methods)
+    task = _make_task(args.task, args.fidelity, args.corner)
     telemetry = _build_telemetry(args)
     run_store = None
     if args.store:

@@ -87,7 +87,7 @@ class Critic:
         self.d = d
         self.n_metrics = n_metrics
         self.net = MLP([2 * d, *hidden, n_metrics], activation="relu", seed=seed)
-        self.opt = Adam(self.net.parameters(), lr=lr)
+        self.opt = Adam(self.net, lr=lr)
         self.scaler = MetricScaler(n_metrics, log_mask=log_mask,
                                    log_floors=log_floors)
 
@@ -173,19 +173,17 @@ class CriticEnsemble:
         losses = [m.train_step_scaled(inputs, targets) for m in self.members]
         return float(np.mean(losses))
 
-    # -- `net` facade (forward/backward) ---------------------------------------
+    # -- `net` facade (forward/input_grad) -------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.mean([m.net.forward(x) for m in self.members], axis=0)
 
-    def backward(self, grad_out: np.ndarray,
-                 param_grads: bool = True) -> np.ndarray:
+    def input_grad(self, grad_out: np.ndarray) -> np.ndarray:
         share = grad_out / len(self.members)
-        grads = [m.net.backward(share, param_grads) for m in self.members]
+        grads = [m.net.input_grad(share) for m in self.members]
         return np.sum(grads, axis=0)
 
     def parameter_count(self) -> int:
-        return sum(p.value.size for m in self.members
-                   for p in m.net.parameters())
+        return sum(m.net.values.size for m in self.members)
 
 
 class Actor:
@@ -200,7 +198,7 @@ class Actor:
         self.action_scale = action_scale
         self.net = MLP([d, *hidden, d], activation="relu",
                        output_activation="tanh", seed=seed)
-        self.opt = Adam(self.net.parameters(), lr=lr)
+        self.opt = Adam(self.net, lr=lr)
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Actions for a batch (or single) of normalized designs."""

@@ -77,8 +77,8 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
     """Run ``steps`` actor updates (Eq. 5); returns the final loss value.
 
     The critic stays frozen: each step back-propagates through it to its
-    inputs only (``param_grads=False``), leaving its weights and gradient
-    buffer untouched.
+    inputs only (``input_grad``), leaving its weights and gradient buffer
+    untouched.
 
     Batch states are drawn from X^tot plus the elite solution set tiled to
     at least X^tot's size, so about half come from each: the paper uses
@@ -114,7 +114,7 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
             # Backward: dL/d(metrics) -> dL/d(q_scaled) -> critic input grad.
             dmetrics = fom.gradient(metrics) / nb
             dq = dmetrics * critic.scaler.jacobian_from_raw(metrics)
-            din = critic.net.backward(dq, param_grads=False)
+            din = critic.net.input_grad(dq)
             dactions = din[:, actor.d:]
             # Violation-norm: d||w|| / da_j = w_j * lambda * dviol_j / ||w||.
             safe = np.where(norms > 1e-12, norms, 1.0)[:, None]

@@ -1,4 +1,4 @@
-"""Weight initialization schemes for :mod:`repro.nn` layers."""
+"""Weight initialization schemes for :class:`repro.nn.MLP`."""
 
 from __future__ import annotations
 
@@ -9,37 +9,14 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
     """Glorot/Xavier uniform initialization.
 
     Samples from ``U(-limit, limit)`` with ``limit = sqrt(6 / (fan_in +
-    fan_out))``.  Appropriate for tanh/sigmoid networks such as MA-Opt's
-    actors.
+    fan_out))``.  Appropriate for tanh networks such as PPO's policy and
+    value networks.
     """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def he_normal(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """He normal initialization, appropriate for ReLU networks (the critic)."""
+    """He normal initialization, for ReLU networks (the actors and critic)."""
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
-def zeros_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """All-zeros initializer (used for biases)."""
-    del rng
-    return np.zeros((fan_in, fan_out))
-
-
-INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "he_normal": he_normal,
-    "zeros": zeros_init,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name, raising ``KeyError`` with options."""
-    try:
-        return INITIALIZERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown initializer {name!r}; options: {sorted(INITIALIZERS)}"
-        ) from None

@@ -1,143 +1,165 @@
-"""Multi-layer perceptron assembled from :mod:`repro.nn.layers`.
+"""The multi-layer perceptron behind MA-Opt's actors and critic and PPO.
 
-MA-Opt's actors and critic are both 2-hidden-layer, 100-unit MLPs; this
-class is the shared implementation.  Each network keeps all its weights in
-one flat value buffer and all its gradients in one flat grad buffer (the
-layers' parameters are views into them), so zeroing the gradients and an
-optimizer step are each one array operation over the whole network.
+MA-Opt's actors and critic are both 2-hidden-layer, 100-unit MLPs; PPO's
+policy and value networks are smaller tanh ones.  Each network keeps all
+its weights in one flat value buffer and all its gradients in one flat
+grad buffer, so zeroing the gradients and an optimizer step are each one
+array operation over the whole network.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import (
-    Identity,
-    Linear,
-    Module,
-    Parameter,
-    make_activation,
-    pack_parameters,
-)
+from repro.nn.initializers import glorot_uniform, he_normal
+
+HIDDEN_ACTIVATIONS = ("relu", "tanh")
+OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 
-class MLP(Module):
-    """Fully-connected feed-forward network.
+class MLP:
+    """Fully-connected feed-forward network ``x @ W + b`` per layer.
 
     Parameters
     ----------
     sizes:
         Layer widths, e.g. ``[d_in, 100, 100, d_out]``.
     activation:
-        Hidden activation name (``tanh``, ``relu``, ...).
+        Hidden activation, ``relu`` (He-normal weights) or ``tanh``
+        (Glorot-uniform weights).  ReLU maps a NaN pre-activation to 0.
     output_activation:
-        Activation applied to the final layer (default ``identity``;
-        MA-Opt actors use ``tanh`` so actions live in a bounded box).
+        ``identity`` (default) or ``tanh``; MA-Opt's actors use ``tanh``
+        so actions live in a bounded box.
     seed:
-        Seed for weight initialization; pass ``rng`` instead for full
-        control.
+        Seed of the generator the weights are drawn from, layer by layer.
+        Biases start at zero.
+
+    ``weights`` are per-array views of the flat ``values`` buffer in
+    checkpoint order (``W0, b0, W1, b1, ...``); ``grads`` is laid out the
+    same way.
     """
 
-    def __init__(
-        self,
-        sizes: list[int],
-        activation: str = "relu",
-        output_activation: str = "identity",
-        weight_init: str | None = None,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, sizes: list[int], activation: str = "relu",
+                 output_activation: str = "identity",
+                 seed: int | None = None) -> None:
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        if weight_init is None:
-            weight_init = "he_normal" if activation == "relu" else "glorot_uniform"
+        if min(sizes) <= 0:
+            raise ValueError("layer sizes must be positive")
+        if activation not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; options: "
+                             f"{HIDDEN_ACTIVATIONS}")
+        if output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation {output_activation!r}"
+                             f"; options: {OUTPUT_ACTIVATIONS}")
         self.sizes = list(sizes)
-        self.layers: list[Module] = []
-        n_affine = len(sizes) - 1
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            self.layers.append(
-                Linear(n_in, n_out, rng=rng, weight_init=weight_init, name=f"fc{i}")
-            )
-            if i < n_affine - 1:
-                self.layers.append(make_activation(activation))
-            else:
-                self.layers.append(make_activation(output_activation))
-        # Drop a trailing Identity for speed/clarity.
-        if isinstance(self.layers[-1], Identity):
-            self.layers.pop()
-        self._grads = pack_parameters(self.parameters())[1]
+        self.activation = activation
+        self.output_activation = output_activation
+        self._shapes: list[tuple[int, ...]] = []
+        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+            self._shapes += [(n_in, n_out), (n_out,)]
+        n = sum(int(np.prod(shape)) for shape in self._shapes)
+        self.values = np.zeros(n)
+        self.grads = np.zeros(n)
+        self.weights = self.views(self.values)
+        self._grad_views = self.views(self.grads)
+        init = he_normal if activation == "relu" else glorot_uniform
+        rng = np.random.default_rng(seed)
+        for w in self.weights[::2]:
+            w[...] = init(*w.shape, rng)
+        # Per-layer inputs, hidden activations (ReLU masks or tanh outputs)
+        # and the tanh output, cached by forward for the backward passes.
+        self._xs: list[np.ndarray] | None = None
+        self._acts: list[np.ndarray] = []
+        self._y: np.ndarray | None = None
 
-    @property
-    def in_features(self) -> int:
-        return self.sizes[0]
-
-    @property
-    def out_features(self) -> int:
-        return self.sizes[-1]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(x, dtype=float))
-        for layer in self.layers:
-            out = layer.forward(out)
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-array views of a buffer laid out like :attr:`values`."""
+        out, off = [], 0
+        for shape in self._shapes:
+            k = int(np.prod(shape))
+            out.append(flat[off:off + k].reshape(shape))
+            off += k
         return out
 
-    def backward(self, grad_out: np.ndarray,
-                 param_grads: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Outputs for a batch (a single sample is promoted to a row)."""
+        out = np.atleast_2d(np.asarray(x, dtype=float))
+        w = self.weights
+        n = len(w) // 2
+        self._xs, self._acts = [], []
+        for k in range(n):
+            self._xs.append(out)
+            out = out @ w[2 * k] + w[2 * k + 1]
+            if k < n - 1:
+                if self.activation == "relu":
+                    mask = out > 0.0
+                    self._acts.append(mask)
+                    out = np.where(mask, out, 0.0)
+                else:
+                    out = np.tanh(out)
+                    self._acts.append(out)
+            elif self.output_activation == "tanh":
+                out = np.tanh(out)
+                self._y = out
+        return out
+
+    def _output_grad(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._xs is None:
+            raise RuntimeError("backward called before forward")
         grad = np.atleast_2d(grad_out)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad, param_grads)
+        if self.output_activation == "tanh":
+            grad = grad * (1.0 - self._y**2)
         return grad
+
+    def _hidden_grad(self, grad: np.ndarray, k: int) -> np.ndarray:
+        """``grad`` w.r.t. hidden layer ``k``'s output, taken back through
+        its activation."""
+        if self.activation == "relu":
+            return grad * self._acts[k]
+        return grad * (1.0 - self._acts[k]**2)
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate ``dL/dW`` and ``dL/db`` into :attr:`grads`.
+
+        ``grad_out`` is ``dL/d(output)`` for the last :meth:`forward` batch.
+        """
+        grad = self._output_grad(grad_out)
+        w, g = self.weights, self._grad_views
+        for k in range(len(w) // 2 - 1, -1, -1):
+            g[2 * k] += self._xs[k].T @ grad
+            g[2 * k + 1] += grad.sum(axis=0)
+            if k:
+                grad = self._hidden_grad(grad @ w[2 * k].T, k - 1)
+
+    def input_grad(self, grad_out: np.ndarray) -> np.ndarray:
+        """``dL/dx`` for the last :meth:`forward` batch; grads untouched.
+
+        This is how actors are trained through a frozen critic: nothing
+        accumulates into :attr:`grads`.
+        """
+        grad = self._output_grad(grad_out)
+        w = self.weights
+        for k in range(len(w) // 2 - 1, 0, -1):
+            grad = self._hidden_grad(grad @ w[2 * k].T, k - 1)
+        return grad @ w[0].T
 
     def zero_grad(self) -> None:
         """Zero every gradient (one fill of the flat grad buffer)."""
-        self._grads.fill(0.0)
-
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without keeping shapes 2-D for single samples."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        out = self.forward(x)
-        return out[0] if single else out
+        self.grads.fill(0.0)
 
     def get_weights(self) -> list[np.ndarray]:
-        """Snapshot all parameter values (copies)."""
-        return [p.value.copy() for p in self.parameters()]
+        """Snapshot all weights and biases (copies)."""
+        return [w.copy() for w in self.weights]
 
     def set_weights(self, weights: list[np.ndarray]) -> None:
-        """Load parameter values from :meth:`get_weights` output."""
-        params = self.parameters()
-        if len(weights) != len(params):
+        """Load weights and biases from :meth:`get_weights` output."""
+        if len(weights) != len(self.weights):
             raise ValueError(
-                f"expected {len(params)} arrays, got {len(weights)}"
-            )
-        for p, w in zip(params, weights):
-            if p.value.shape != np.asarray(w).shape:
-                raise ValueError(
-                    f"shape mismatch for {p.name}: {p.value.shape} vs {np.shape(w)}"
-                )
-            p.value[...] = w
-
-    def copy(self) -> "MLP":
-        """Structural + weight copy into fresh value and gradient buffers."""
-        clone = MLP.__new__(MLP)
-        clone.sizes = list(self.sizes)
-        clone.layers = []
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                new = Linear.__new__(Linear)
-                new.weight = Parameter(layer.weight.value.copy(), layer.weight.name)
-                new.bias = Parameter(layer.bias.value.copy(), layer.bias.name)
-                new._x = None
-                clone.layers.append(new)
-            else:
-                clone.layers.append(type(layer)())
-        clone._grads = pack_parameters(clone.parameters())[1]
-        return clone
+                f"expected {len(self.weights)} arrays, got {len(weights)}")
+        for j, (dst, src) in enumerate(zip(self.weights, weights)):
+            if dst.shape != np.shape(src):
+                raise ValueError(f"shape mismatch for array {j}: "
+                                 f"{dst.shape} vs {np.shape(src)}")
+        for dst, src in zip(self.weights, weights):
+            dst[...] = src

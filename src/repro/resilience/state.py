@@ -2,7 +2,7 @@
 
 Checkpoints store everything as flat ``{name: array}`` maps (see
 :mod:`repro.resilience.checkpoint`).  This module converts the stateful
-pieces of the MA-Opt stack — MLP weights, Adam/SGD moments, the critic's
+pieces of the MA-Opt stack — MLP weights, Adam moments, the critic's
 metric scaler, numpy ``Generator`` states — to and from that shape.
 Restores are *exact*: resuming reproduces the very float sequence an
 uninterrupted run would have produced.
@@ -48,7 +48,7 @@ def capture_mlp(prefix: str, net) -> dict[str, np.ndarray]:
 
 def restore_mlp(prefix: str, net, arrays: dict[str, np.ndarray]) -> None:
     net.set_weights(
-        [arrays[f"{prefix}/w{j}"] for j in range(len(net.parameters()))])
+        [arrays[f"{prefix}/w{j}"] for j in range(len(net.weights))])
 
 
 def capture_optimizer(prefix: str, opt) -> dict[str, np.ndarray]:

@@ -152,8 +152,8 @@ class TestSharedClosure:
 class TestRepoSources:
     def test_core_tree_has_no_findings(self):
         # src/repro is finding-free: the historical unseeded-fallback
-        # warning in nn/layers.py was fixed by threading an explicit seed
-        # parameter.  Any new finding, warning
+        # warning in the network layers went with them; MLP draws its
+        # weights from default_rng(seed).  Any new finding, warning
         # or error, fails here and in the CI lint gate.
         import pathlib
 

@@ -49,11 +49,11 @@ class TestCriticEnsemble:
         x = rng.uniform(size=(4, 6))
         out = ens.forward(x)
         grad = np.ones_like(out)
-        din = ens.backward(grad)
+        din = ens.input_grad(grad)
         member_grads = []
         for m in ens.members:
             m.net.forward(x)
-            member_grads.append(m.net.backward(grad))
+            member_grads.append(m.net.input_grad(grad))
         np.testing.assert_allclose(din, np.mean(member_grads, axis=0),
                                    atol=1e-12)
 

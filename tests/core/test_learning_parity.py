@@ -227,8 +227,7 @@ def members(critic):
 
 
 def critic_grads(critic):
-    return [p.grad.copy() for m in members(critic)
-            for p in m.net.parameters()]
+    return [m.net.grads.copy() for m in members(critic)]
 
 
 @pytest.mark.parametrize("n_members", [1, 2], ids=["critic", "ensemble"])

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import (
-    get_initializer,
-    glorot_uniform,
-    he_normal,
-    zeros_init,
-)
+from repro.nn import MLP, glorot_uniform, he_normal
 
 
 class TestGlorot:
@@ -34,18 +29,14 @@ class TestHeNormal:
         assert abs(w.mean()) < 0.01
 
 
-class TestZeros:
-    def test_all_zero(self, rng):
-        w = zeros_init(5, 7, rng)
-        assert np.all(w == 0.0)
-        assert w.shape == (5, 7)
-
-
 class TestRegistry:
     def test_lookup(self):
-        assert get_initializer("glorot_uniform") is glorot_uniform
-        assert get_initializer("he_normal") is he_normal
-
-    def test_unknown_lists_options(self):
-        with pytest.raises(KeyError, match="glorot_uniform"):
-            get_initializer("xavier")
+        """ReLU networks draw He-normal weights, tanh networks Glorot-uniform
+        ones, layer by layer from ``default_rng(seed)``; biases start at 0."""
+        for activation, init in (("relu", he_normal), ("tanh", glorot_uniform)):
+            net = MLP([3, 5, 2], activation=activation, seed=7)
+            rng = np.random.default_rng(7)
+            expected = [init(3, 5, rng), np.zeros(5),
+                        init(5, 2, rng), np.zeros(2)]
+            for w, e in zip(net.weights, expected, strict=True):
+                np.testing.assert_array_equal(w, e)

@@ -9,12 +9,14 @@ from repro.nn import MLP, Adam
 class TestConstruction:
     def test_layer_count(self):
         net = MLP([4, 8, 8, 2], seed=0)
-        # 3 affine layers + 2 hidden activations (+ output identity dropped)
-        assert len(net.layers) == 5
+        # 3 affine layers, each a weight matrix and a bias
+        assert len(net.weights) == 6
 
-    def test_tanh_output_kept(self):
-        net = MLP([2, 4, 1], output_activation="tanh", seed=0)
-        assert len(net.layers) == 4
+    def test_tanh_output_kept(self, rng):
+        x = rng.normal(size=(5, 2))
+        linear = MLP([2, 4, 1], seed=0).forward(x)
+        squashed = MLP([2, 4, 1], output_activation="tanh", seed=0).forward(x)
+        np.testing.assert_array_equal(squashed, np.tanh(linear))
 
     def test_too_few_sizes_raises(self):
         with pytest.raises(ValueError):
@@ -22,8 +24,8 @@ class TestConstruction:
 
     def test_in_out_features(self):
         net = MLP([7, 5, 3], seed=0)
-        assert net.in_features == 7
-        assert net.out_features == 3
+        assert net.weights[0].shape[0] == 7
+        assert net.weights[-1].shape == (3,)
 
 
 class TestForward:
@@ -43,10 +45,6 @@ class TestForward:
         b = MLP([4, 8, 2], seed=2).forward(x)
         assert not np.allclose(a, b)
 
-    def test_predict_single_sample_returns_1d(self):
-        net = MLP([4, 8, 2], seed=0)
-        assert net.predict(np.zeros(4)).shape == (2,)
-
     def test_tanh_output_bounded(self, rng):
         net = MLP([3, 16, 3], output_activation="tanh", seed=0)
         out = net.forward(rng.normal(size=(20, 3)) * 10)
@@ -59,69 +57,60 @@ class TestWeights:
         x = rng.normal(size=(4, 3))
         before = net.forward(x)
         weights = net.get_weights()
-        for p in net.parameters():
-            p.value += 1.0
+        net.values += 1.0
         assert not np.allclose(net.forward(x), before)
         net.set_weights(weights)
         np.testing.assert_allclose(net.forward(x), before)
 
     def test_set_weights_wrong_count_raises(self):
         net = MLP([3, 5, 2], seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 4 arrays"):
             net.set_weights(net.get_weights()[:-1])
 
     def test_set_weights_wrong_shape_raises(self):
         net = MLP([3, 5, 2], seed=0)
-        w = net.get_weights()
-        w[0] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
+        before = net.values.copy()
+        w = [np.zeros_like(a) for a in net.weights]
+        w[-1] = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="shape mismatch"):
             net.set_weights(w)
+        # A rejected load leaves every weight as it was.
+        np.testing.assert_array_equal(net.values, before)
 
     def test_copy_is_independent(self, rng):
+        """Neither get_weights() nor set_weights() shares a value or grad
+        buffer with the source: training the loaded net leaves the source
+        untouched."""
         net = MLP([3, 5, 2], seed=0)
-        clone = net.copy()
-        x = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(net.forward(x), clone.forward(x))
-        for p in clone.parameters():
-            p.value += 1.0
-        assert not np.allclose(net.forward(x), clone.forward(x))
-        # Neither copy() nor set_weights() shares a value or grad buffer
-        # with the source: training the result leaves the source untouched.
         net.forward(rng.normal(size=(4, 3)))
         net.backward(rng.normal(size=(4, 2)))
         loaded = MLP([3, 5, 2], seed=1)
         weights = net.get_weights()
         loaded.set_weights(weights)
-        arrays = [a for p in net.parameters() for a in (p.value, p.grad)]
-        values = [p.value.copy() for p in net.parameters()]
-        grads = [p.grad.copy() for p in net.parameters()]
-        for other in (net.copy(), loaded):
-            for p in other.parameters():
-                for a in (p.value, p.grad):
-                    assert not any(np.shares_memory(a, b)
-                                   for b in arrays + weights)
-            other.forward(rng.normal(size=(4, 3)))
-            other.zero_grad()
-            other.backward(rng.normal(size=(4, 2)))
-            Adam(other.parameters(), lr=0.1).step()
-            for p, value, grad in zip(net.parameters(), values, grads):
-                np.testing.assert_array_equal(p.value, value)
-                np.testing.assert_array_equal(p.grad, grad)
+        for w in weights:
+            assert not np.shares_memory(w, net.values)
+        for a in (loaded.values, loaded.grads):
+            assert not any(np.shares_memory(a, b)
+                           for b in [net.values, net.grads, *weights])
+        values, grads = net.values.copy(), net.grads.copy()
+        loaded.forward(rng.normal(size=(4, 3)))
+        loaded.backward(rng.normal(size=(4, 2)))
+        Adam(loaded, lr=0.1).step()
+        np.testing.assert_array_equal(net.values, values)
+        np.testing.assert_array_equal(net.grads, grads)
 
 
 class TestTraining:
     def test_can_fit_linear_map(self, rng):
         net = MLP([2, 32, 1], activation="tanh", seed=0)
-        from repro.nn import Adam, mse_loss
-
-        opt = Adam(net.parameters(), lr=1e-2)
+        opt = Adam(net, lr=1e-2)
         w_true = np.array([[1.5], [-0.7]])
         x = rng.uniform(-1, 1, size=(128, 2))
         y = x @ w_true
         for _ in range(300):
-            pred = net.forward(x)
-            loss, dloss = mse_loss(pred, y)
+            diff = net.forward(x) - y
+            loss = float(np.mean(diff**2))
             net.zero_grad()
-            net.backward(dloss)
+            net.backward(2.0 * diff / diff.size)
             opt.step()
         assert loss < 1e-3

@@ -3,134 +3,87 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam
-from repro.nn.layers import Parameter
+from repro.nn import MLP, Adam
 
 
-def quad_grad(p: Parameter) -> None:
-    """Gradient of 0.5 * ||x - 3||^2."""
-    p.grad[...] = p.value - 3.0
-
-
-class TestSGD:
-    def test_step_direction(self):
-        p = Parameter(np.zeros(3))
-        opt = SGD([p], lr=0.1)
-        quad_grad(p)
-        opt.step()
-        np.testing.assert_allclose(p.value, 0.3 * np.ones(3))
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.zeros(4))
-        opt = SGD([p], lr=0.3)
-        for _ in range(100):
-            quad_grad(p)
-            opt.step()
-        np.testing.assert_allclose(p.value, 3.0, atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        p_plain = Parameter(np.zeros(1))
-        p_mom = Parameter(np.zeros(1))
-        plain = SGD([p_plain], lr=0.01)
-        mom = SGD([p_mom], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            quad_grad(p_plain)
-            plain.step()
-            quad_grad(p_mom)
-            mom.step()
-        assert abs(p_mom.value[0] - 3.0) < abs(p_plain.value[0] - 3.0)
-
-    def test_invalid_momentum_raises(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.0)
-
-    def test_invalid_lr_raises(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    def test_empty_params_raise(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+def quad_grad(net: MLP) -> None:
+    """Gradient of 0.5 * ||values - 3||^2."""
+    net.grads[...] = net.values - 3.0
 
 
 class TestAdam:
     def test_converges_on_quadratic(self):
-        p = Parameter(np.full(4, 10.0))
-        opt = Adam([p], lr=0.2)
+        net = MLP([1, 2], seed=0)
+        net.values[...] = 10.0
+        opt = Adam(net, lr=0.2)
         for _ in range(300):
-            quad_grad(p)
+            quad_grad(net)
             opt.step()
-        np.testing.assert_allclose(p.value, 3.0, atol=1e-3)
+        np.testing.assert_allclose(net.values, 3.0, atol=1e-3)
 
     def test_first_step_magnitude_is_lr(self):
         """With bias correction, the first Adam step is ~lr regardless of
         gradient scale."""
-        p = Parameter(np.zeros(1))
-        opt = Adam([p], lr=0.5)
-        p.grad[...] = 1000.0
+        net = MLP([1, 1], seed=0)
+        net.values[...] = 0.0
+        opt = Adam(net, lr=0.5)
+        net.grads[...] = 1000.0
         opt.step()
-        assert p.value[0] == pytest.approx(-0.5, rel=1e-6)
+        np.testing.assert_allclose(net.values, -0.5, rtol=1e-6)
 
     def test_invalid_betas_raise(self):
         with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], betas=(1.0, 0.999))
+            Adam(MLP([1, 1], seed=0), betas=(1.0, 0.999))
 
     def test_invalid_eps_raises(self):
         with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], eps=0.0)
+            Adam(MLP([1, 1], seed=0), eps=0.0)
 
-    def test_zero_grad_helper(self):
-        p = Parameter(np.zeros(2))
-        opt = Adam([p])
-        p.grad += 5.0
-        opt.zero_grad()
-        assert np.all(p.grad == 0.0)
+    def test_invalid_lr_raises(self):
+        with pytest.raises(ValueError):
+            Adam(MLP([1, 1], seed=0), lr=0.0)
 
 
 class TestStateDict:
     @pytest.mark.parametrize("cls,kwargs", [
-        (SGD, {"lr": 0.1, "momentum": 0.9}),
+        (Adam, {"lr": 0.1, "betas": (0.8, 0.99)}),
         (Adam, {"lr": 0.01}),
     ])
     def test_resume_is_bit_exact(self, cls, kwargs):
         rng = np.random.default_rng(0)
 
         def fresh():
-            ps = [Parameter(np.ones((3, 2))), Parameter(np.zeros(4))]
-            return ps, cls(ps, **kwargs)
+            net = MLP([3, 2], seed=0)
+            return net, cls(net, **kwargs)
 
-        def step(ps, opt, g):
-            for p, grad in zip(ps, g):
-                p.grad[...] = grad
+        def step(net, opt, g):
+            net.grads[...] = g
             opt.step()
 
-        grads = [[rng.normal(size=(3, 2)), rng.normal(size=4)]
-                 for _ in range(6)]
-        ps_a, opt_a = fresh()
+        grads = [rng.normal(size=8) for _ in range(6)]
+        net_a, opt_a = fresh()
         for g in grads:
-            step(ps_a, opt_a, g)
+            step(net_a, opt_a, g)
 
-        ps_b, opt_b = fresh()
+        net_b, opt_b = fresh()
         for g in grads[:3]:
-            step(ps_b, opt_b, g)
+            step(net_b, opt_b, g)
         state = opt_b.state_dict()
-        ps_c, opt_c = fresh()
-        for p_c, p_b in zip(ps_c, ps_b):
-            p_c.value[...] = p_b.value
+        assert [m.shape for m in state["m"]] == [(3, 2), (2,)]
+        net_c, opt_c = fresh()
+        net_c.set_weights(net_b.get_weights())
         opt_c.load_state_dict(state)
         for g in grads[3:]:
-            step(ps_c, opt_c, g)
-        for p_a, p_c in zip(ps_a, ps_c):
-            np.testing.assert_array_equal(p_a.value, p_c.value)
+            step(net_c, opt_c, g)
+        np.testing.assert_array_equal(net_a.values, net_c.values)
 
     def test_state_dict_is_a_copy(self):
-        ps = [Parameter(np.ones(3))]
-        opt = Adam(ps, lr=0.01)
+        opt = Adam(MLP([3, 1], seed=0), lr=0.01)
         state = opt.state_dict()
         state["m"][0][:] = 99.0
-        assert np.all(opt._m[0] == 0.0)
+        assert np.all(opt._m == 0.0)
 
     def test_length_mismatch_rejected(self):
-        opt = SGD([Parameter(np.ones(3))], lr=0.1, momentum=0.5)
+        opt = Adam(MLP([3, 1], seed=0), lr=0.1)
         with pytest.raises(ValueError):
-            opt.load_state_dict({"velocity": []})
+            opt.load_state_dict({"t": 0, "m": [], "v": []})

@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import MLP, Adam, mse_loss
+from repro.nn import MLP, Adam
+
+
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error over all elements and its gradient."""
+    diff = pred - target
+    return float(np.mean(diff**2)), 2.0 * diff / diff.size
 
 
 @st.composite
@@ -13,7 +19,7 @@ def architectures(draw):
     sizes = [draw(st.integers(1, 6))]
     sizes += [draw(st.integers(2, 12)) for _ in range(n_hidden)]
     sizes.append(draw(st.integers(1, 4)))
-    activation = draw(st.sampled_from(["tanh", "relu", "sigmoid"]))
+    activation = draw(st.sampled_from(["tanh", "relu"]))
     return sizes, activation
 
 
@@ -41,11 +47,9 @@ def test_gradcheck_any_architecture(arch, seed):
     _, dloss = mse_loss(pred, target)
     net.zero_grad()
     net.backward(dloss)
-    # check one parameter tensor against finite differences
-    p = net.parameters()[0]
-    flat = p.value.ravel()
-    gflat = p.grad.ravel()
-    idx = rng.integers(0, flat.size)
+    # check one weight of the first layer against finite differences
+    flat, gflat = net.values, net.grads
+    idx = rng.integers(0, net.weights[0].size)
     eps = 1e-6
     orig = flat[idx]
     flat[idx] = orig + eps
@@ -62,7 +66,7 @@ def test_gradcheck_any_architecture(arch, seed):
 def test_adam_reduces_loss_on_regression(seed, lr):
     rng = np.random.default_rng(seed)
     net = MLP([3, 16, 1], activation="tanh", seed=seed)
-    opt = Adam(net.parameters(), lr=lr)
+    opt = Adam(net, lr=lr)
     x = rng.uniform(-1, 1, size=(64, 3))
     y = x[:, :1] * 0.5
     first, _ = mse_loss(net.forward(x), y)

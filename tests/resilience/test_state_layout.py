@@ -74,8 +74,8 @@ def test_per_parameter_checkpoint_restores_into_flat_buffers():
     train_actor_steps(actor, 1, 3)
     opt_state = actor.opt.state_dict()
     arrays = {"actor0/opt/t": np.asarray(opt_state["t"])}
-    for j, p in enumerate(actor.net.parameters()):
-        arrays[f"actor0/net/w{j}"] = np.array(p.value)
+    for j, w in enumerate(actor.net.weights):
+        arrays[f"actor0/net/w{j}"] = np.array(w)
         arrays[f"actor0/opt/m{j}"] = np.array(opt_state["m"][j])
         arrays[f"actor0/opt/v{j}"] = np.array(opt_state["v"][j])
 

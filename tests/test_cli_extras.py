@@ -195,6 +195,30 @@ class TestResilienceFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--sims", "0", "--init", "0"], "--sims must be >= 1"),
+        (["--runs", "0"], "--runs must be >= 1"),
+        (["--methods", ""], "--methods names no method"),
+        (["--methods", "Random,Bogus"], "--methods: unknown method 'Bogus'"),
+    ], ids=["budget", "runs", "no-methods", "unknown-method"])
+    def test_compare_checks_inputs_before_simulating(self, flags, message,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "sphere", "--methods", "Random", "--runs", "1",
+                  "--sims", "4", "--init", "4", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro: error: {message}")
+        assert captured.out == ""  # nothing simulated
+
+    def test_optimize_unknown_method_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "sphere", "--method", "Bogus",
+                  "--sims", "4", "--init", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "repro: error: --method: unknown method 'Bogus'")
+
     def test_compare_checkpoint_dir(self, tmp_path, capsys):
         cmd = ["compare", "sphere", "--methods", "Random",
                "--runs", "1", "--sims", "4", "--init", "6",

@@ -4,10 +4,12 @@ import doctest
 
 import pytest
 
+import repro.nn
 import repro.spice.netlist
 import repro.spice.units
 
 MODULES = [
+    repro.nn,
     repro.spice.units,
     repro.spice.netlist,
 ]

@@ -17,7 +17,7 @@ Commands
 ``runs <cmd>``        query the durable run store (``--store`` on
                       optimize/compare): ``list``, ``show``, ``diff``,
                       ``export`` (one JSON bundle per run).
-``tail <run>``        follow a live run's event/metric stream (poll +
+``tail <run>``        follow a live run's event stream (poll +
                       offset resume; works on finished runs with
                       ``--once``).
 
@@ -64,18 +64,15 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _build_telemetry(args: argparse.Namespace):
-    """Telemetry bundle for the CLI's --log-level/--trace-out/--metrics-out/
-    --events-out flags; returns None when no flag is set (no-op fast path)."""
-    from repro.obs import (MetricsRegistry, RunLogger, Telemetry, Tracer,
-                           configure_logging)
+    """Telemetry bundle for the CLI's --log-level/--trace-out/--events-out
+    flags; returns None when no flag is set (no-op fast path)."""
+    from repro.obs import RunLogger, Telemetry, Tracer, configure_logging
 
-    wants = (args.log_level or args.trace_out or args.metrics_out
-             or args.events_out)
-    if not wants:
+    if not (args.log_level or args.trace_out or args.events_out):
         return None
-    # Fail before the run, not after: --trace-out/--metrics-out only write
-    # at export time, so a bad path would otherwise waste the whole run.
-    for path in (args.trace_out, args.metrics_out, args.events_out):
+    # Fail before the run, not after: --trace-out only writes at export
+    # time, so a bad path would otherwise waste the whole run.
+    for path in (args.trace_out, args.events_out):
         if path:
             try:
                 open(path, "a", encoding="utf-8").close()
@@ -90,7 +87,6 @@ def _build_telemetry(args: argparse.Namespace):
         run_logger = RunLogger(path=args.events_out, logger=logger)
     return Telemetry(
         tracer=Tracer() if args.trace_out else None,
-        metrics=MetricsRegistry() if args.metrics_out else None,
         run_logger=run_logger,
     )
 
@@ -99,7 +95,7 @@ def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
     """Export the sinks selected on the command line.
 
     ``telemetry`` may be the bundle built by :func:`_build_telemetry` or a
-    run-store recorder's bundle (which always carries every channel), so
+    run-store recorder's bundle (which always carries both channels), so
     each export is gated on its flag actually being set.
     """
     if telemetry is None:
@@ -110,9 +106,6 @@ def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
         from repro.obs.report import report_from_tracer
 
         print(report_from_tracer(telemetry.tracer))
-    if telemetry.metrics is not None and args.metrics_out:
-        telemetry.metrics.export(args.metrics_out)
-        print(f"wrote metrics to {args.metrics_out}")
     if telemetry.run_logger is not None:
         telemetry.run_logger.close()
         if args.events_out:
@@ -130,8 +123,6 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write the span trace as JSONL and print a "
                         "per-phase wall-time breakdown")
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="export metrics (.csv -> CSV, else JSON)")
     p.add_argument("--events-out", metavar="PATH", default=None,
                    help="write one JSONL run event per evaluation/round")
 
@@ -349,21 +340,18 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 def cmd_runs_show(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.obs.store import RunStore
+    from repro.obs.store import RunStore, event_counts
 
     try:
         record = RunStore(args.store).load(args.run)
     except KeyError as exc:
         raise SystemExit(f"repro: error: {exc.args[0]}")
     print(_json.dumps(record.manifest, indent=2, sort_keys=True))
-    by_kind: dict[str, int] = {}
-    for event in record.events():
-        kind = str(event.get("event"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-    if by_kind:
+    counts = event_counts(record.events())
+    if counts:
         print("\nevents:")
-        for kind in sorted(by_kind):
-            print(f"  {kind:<20} {by_kind[kind]}")
+        for key, n in counts.items():
+            print(f"  {key:<28} {n}")
     trace = record.trace_rows()
     if trace:
         from repro.obs.report import breakdown, render_breakdown
@@ -383,16 +371,16 @@ def cmd_runs_diff(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise SystemExit(f"repro: error: {exc.args[0]}")
     print(f"diff {diff['a']} .. {diff['b']}")
-    if not diff["fields"] and not diff["counters"]:
+    if not diff["fields"] and not diff["events"]:
         print("  (no differences)")
         return 0
     for name, entry in diff["fields"].items():
         delta = (f"  (delta {entry['delta']:+g})" if "delta" in entry
                  else "")
         print(f"  {name}: {entry['a']} -> {entry['b']}{delta}")
-    for key, entry in diff["counters"].items():
-        print(f"  counter {key}: {entry['a']:g} -> {entry['b']:g} "
-              f"(delta {entry['delta']:+g})")
+    for key, entry in diff["events"].items():
+        print(f"  events {key}: {entry['a']} -> {entry['b']} "
+              f"(delta {entry['delta']:+d})")
     return 0
 
 
@@ -658,7 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run-store root (default: runs)")
     r.set_defaults(func=cmd_runs_show)
 
-    r = rsub.add_parser("diff", help="compare two runs field by field")
+    r = rsub.add_parser("diff", help="compare two runs field by field "
+                                     "and by event counts")
     r.add_argument("a", help="first run ID or prefix")
     r.add_argument("b", help="second run ID or prefix")
     r.add_argument("--store", metavar="DIR", default="runs",
@@ -667,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = rsub.add_parser(
         "export", help="render one run as a single JSON bundle "
-                       "(manifest, events, metrics, trace)")
+                       "(manifest, events, trace)")
     r.add_argument("run", help="run ID or unique ID prefix")
     r.add_argument("--output", metavar="PATH", default=None,
                    help="write here instead of stdout")
@@ -676,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_runs_export)
 
     p = sub.add_parser(
-        "tail", help="follow a live run's event/metric stream")
+        "tail", help="follow a live run's event stream")
     p.add_argument("run", help="run ID, unique ID prefix, or run directory")
     p.add_argument("--store", metavar="DIR", default="runs",
                    help="run-store root for ID lookup (default: runs)")

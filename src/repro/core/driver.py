@@ -61,8 +61,8 @@ class Driver:
         # RunLogger is falsy via __len__.)
         if obs.run_logger is None:
             self.run_log = RunLogger()
-            obs = Telemetry(tracer=obs.tracer, metrics=obs.metrics,
-                            run_logger=self.run_log, run_id=obs.run_id)
+            obs = Telemetry(tracer=obs.tracer, run_logger=self.run_log,
+                            run_id=obs.run_id)
         else:
             self.run_log = obs.run_logger
         self.obs = obs
@@ -284,7 +284,6 @@ class Driver:
         final = save_checkpoint(path, header, arrays)
         self.run_log.emit("checkpoint_saved", path=str(final),
                           round=self._round, n_records=len(recs))
-        self.obs.inc("checkpoints_total")
         return final
 
     @classmethod

@@ -175,8 +175,6 @@ class MAOptimizer(Driver):
             "elite_box_width": float(np.mean(ub - lb)),
             "best_fom": float(self.total.foms.min()),
         }
-        self.obs.set_gauge("elite_box_width", info["elite_box_width"])
-        self.obs.set_gauge("best_fom", info["best_fom"])
         self.run_log.emit("round_end", **info)
         return records
 
@@ -201,7 +199,6 @@ class MAOptimizer(Driver):
             "improved": bool(record.fom < self.total.foms[:-1].min()),
             "best_fom": float(self.total.foms.min()),
         }
-        self.obs.set_gauge("best_fom", info["best_fom"])
         self.run_log.emit("round_end", **info)
         return record
 

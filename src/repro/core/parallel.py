@@ -10,24 +10,24 @@ lockstep is the planned way to amortize per-simulation overhead.
 The executor is the single instrumented choke point every simulation flows
 through — MA-Opt's rounds, every baseline's proposals and the shared
 initial set alike.  Each batch opens a ``simulate`` span, each simulation
-is timed individually, and the timings feed the ``sim_latency_s``
-histogram and the ``sims_total{kind=...}`` counter.
+is timed individually, and a batch that reaches the simulator ends with
+one ``simulated`` run event carrying its ``kind`` and the per-design
+seconds.
 
 **ERC gate** (:mod:`repro.analysis.erc`): tasks exposing ``lint_design``
 (the circuit tasks) have every design electrically rule-checked before it
 is simulated.  Designs with error-severity findings never reach the
-simulator: they are charged the task's penalty metrics, counted under
-``lint_rejections_total{kind=...}``, and logged as ``lint_rejected`` run
-events.
+simulator: they are charged the task's penalty metrics and logged as
+``lint_rejected`` run events.
 
 **Failure rule** (:mod:`repro.resilience.policy`): every design is
 simulated once under :func:`~repro.resilience.policy.evaluate_design`.  A
 simulator error (:class:`~repro.spice.exceptions.SpiceError`) or a
 non-finite metric vector quarantines the design to the task's penalty
 metrics; any other exception is a bug and propagates.  Quarantined designs
-surface as ``sim_failed`` run events (with the failure reason) plus the
-``sim_failures_total`` counter.  ``lint_rejected`` and ``sim_failed``
-events both carry the design's index in the caller's batch.
+surface as ``sim_failed`` run events (with the failure reason).
+``lint_rejected`` and ``sim_failed`` events both carry the design's
+index in the caller's batch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class SimulationExecutor:
         """Metric vectors for a batch of normalized designs, shape (n, m+1).
 
         ``kind`` labels the batch's provenance (``init``/``actor``/``ns``)
-        in spans, metrics and run events.  An empty batch returns an empty
+        in spans and run events.  An empty batch returns an empty
         ``(0, m+1)`` array without touching the task.
         """
         designs = np.asarray(designs, dtype=float)
@@ -71,19 +71,17 @@ class SimulationExecutor:
         metrics = np.tile(penalty_metrics(self.task), (len(designs), 1))
         if not keep:
             return metrics
+        log = self.obs.run_logger
         with self.obs.span("simulate", n=len(keep), kind=kind):
             outcomes = [evaluate_design(self.task, designs[i]) for i in keep]
             for i, out in zip(keep, outcomes):
                 metrics[i] = out.metrics
-                if out.failed:
-                    self.obs.inc("sim_failures_total", kind=kind)
-                    if self.obs.run_logger is not None:
-                        self.obs.run_logger.emit(
-                            "sim_failed", kind=kind, design_index=i,
-                            reason=out.reason, error=out.error)
-        self.obs.inc("sims_total", len(keep), kind=kind)
-        for out in outcomes:
-            self.obs.observe("sim_latency_s", out.seconds, kind=kind)
+                if out.failed and log is not None:
+                    log.emit("sim_failed", kind=kind, design_index=i,
+                             reason=out.reason, error=out.error)
+        if log is not None:
+            log.emit("simulated", kind=kind,
+                     seconds=[out.seconds for out in outcomes])
         return metrics
 
     def _lint_rejections(self, designs: np.ndarray,
@@ -107,14 +105,12 @@ class SimulationExecutor:
                 errors = [d for d in lint(u) if d.severity >= Severity.ERROR]
                 if errors:
                     rejected[i] = errors
-        if rejected:
-            self.obs.inc("lint_rejections_total", len(rejected), kind=kind)
-            if self.obs.run_logger is not None:
-                for i, errors in rejected.items():
-                    self.obs.run_logger.emit(
-                        "lint_rejected", kind=kind, design_index=i,
-                        rules=sorted({d.rule for d in errors}),
-                        first=errors[0].message)
+        if self.obs.run_logger is not None:
+            for i, errors in rejected.items():
+                self.obs.run_logger.emit(
+                    "lint_rejected", kind=kind, design_index=i,
+                    rules=sorted({d.rule for d in errors}),
+                    first=errors[0].message)
         return rejected
 
     def __enter__(self) -> "SimulationExecutor":

@@ -45,10 +45,7 @@ def train_critic(critic: Critic, total: TotalDesignSet, steps: int,
             inputs, targets = pseudo_sample_batch(total, batch_size, rng,
                                                   targets=scaled)
             losses.append(critic.train_step_scaled(inputs, targets))
-    tail = losses[-10:]
-    loss = float(np.mean(tail))
-    obs.observe("critic_loss", loss)
-    return loss
+    return float(np.mean(losses[-10:]))
 
 
 def boundary_violation(x: np.ndarray, actions: np.ndarray,
@@ -124,10 +121,6 @@ def train_actor(actor: Actor, critic: Critic, fom: FigureOfMerit,
             actor.net.zero_grad()
             actor.net.backward(dactions * actor.action_scale)
             actor.opt.step()
-    if actor_index is None:
-        obs.observe("actor_loss", loss_val)
-    else:
-        obs.observe("actor_loss", loss_val, actor=actor_index)
     return loss_val
 
 

@@ -88,8 +88,8 @@ def run_method(method: str, task: SizingTask, n_sims: int,
     """Run one named method under the shared-initial-set protocol.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) is threaded into the
-    optimizer; sharing one bundle across calls aggregates their traces,
-    metrics, and events (``run`` spans carry a ``method`` attribute).
+    optimizer; sharing one bundle across calls aggregates their traces
+    and events (``run`` spans carry a ``method`` attribute).
     ``checkpoint_path``/``checkpoint_every`` go to the optimizer's
     ``run`` (see :meth:`~repro.core.ma_opt.MAOptimizer.run`).
     """
@@ -119,7 +119,7 @@ def run_comparison(task: SizingTask, methods: list[str] | tuple[str, ...],
 
     Returns method -> list of per-repeat results.  Repeat ``r`` uses the
     same initial set for every method (seeded by ``seed + r``).  A shared
-    ``telemetry`` bundle collects every method's spans/metrics/events.
+    ``telemetry`` bundle collects every method's spans and events.
 
     With ``checkpoint_dir`` the comparison is resumable: each (method,
     repeat) cell checkpoints to ``<dir>/<method>_run<r>.npz`` every

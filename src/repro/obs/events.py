@@ -22,6 +22,9 @@ sim_failed           kind, design_index, reason
                      quarantined by the failure rule
 lint_rejected        kind, design_index, rules, first — the ERC gate
                      rejected a design before simulation
+simulated            kind, seconds — one per batch that reached the
+                     simulator; ``seconds`` holds one wall time per
+                     simulated design, in batch order
 config_warning       rule, message, fix (severity when budget-aware) — a
                      config cross-validation warning
 checkpoint_saved     path, round or n_records — an optimizer snapshot

@@ -8,15 +8,15 @@ append-only directory under the store root::
       20260807-141503-a1b2c3/
         manifest.json    # repro.obs/run document (status, method, summary)
         events.jsonl     # streamed run events (written live, line-atomic)
-        metrics.jsonl    # metric snapshots appended at round ends
-        metrics.json     # final MetricsRegistry snapshot (on finalize)
         trace.jsonl      # flattened span tree (on finalize)
 
-``events.jsonl`` and ``metrics.jsonl`` are written while the run is in
-flight, which is what ``ma-opt tail`` follows; ``trace.jsonl`` and the
-manifest summary land when the run finalizes.  The manifest is a
-versioned document (``repro.obs/run``) so future readers can detect
-stale layouts instead of misparsing them.
+``events.jsonl`` is written while the run is in flight, which is what
+``ma-opt tail`` follows; ``trace.jsonl`` and the manifest summary land
+when the run finalizes.  Every count a reader shows is a fold over the
+events.  Run directories written by earlier builds may also hold
+``metrics.*`` files; nothing reads them, and the directories still load.
+The manifest is a versioned document (``repro.obs/run``) so future
+readers can detect stale layouts instead of misparsing them.
 
 Usage::
 
@@ -40,19 +40,18 @@ import time
 from typing import Any
 
 from repro.obs.events import RunEvent, RunLogger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer, _json_default
 
 SCHEMA_NAME = "repro.obs/run"
 SCHEMA_VERSION = 1
 #: Schema of the bundled single-file export (``ma-opt runs export``).
+#: Version 2 dropped the metric snapshots.
 EXPORT_SCHEMA_NAME = "repro.obs/run-export"
+EXPORT_SCHEMA_VERSION = 2
 
 MANIFEST = "manifest.json"
 EVENTS = "events.jsonl"
-METRICS_STREAM = "metrics.jsonl"
-METRICS_FINAL = "metrics.json"
 TRACE = "trace.jsonl"
 
 #: Manifest statuses.  ``interrupted`` seals a run stopped by Ctrl-C
@@ -132,17 +131,6 @@ class RunRecord:
             return rows
         return [r for r in rows if r.get("event") == kind]
 
-    def metric_snapshots(self) -> list[dict]:
-        """In-flight metric snapshots (one per round end)."""
-        return _read_jsonl(self.path / METRICS_STREAM)
-
-    def final_metrics(self) -> dict:
-        """The finalize-time registry snapshot ({} while still running)."""
-        path = self.path / METRICS_FINAL
-        if not path.exists():
-            return {}
-        return json.loads(path.read_text(encoding="utf-8"))
-
     def trace_rows(self) -> list[dict]:
         """Flattened span rows ([] while still running)."""
         return _read_jsonl(self.path / TRACE)
@@ -163,11 +151,8 @@ class RunRecord:
 
 
 class _RecorderLogger(RunLogger):
-    """The recorder's event stream: records each event, then reacts to it.
-
-    Round ends append a metric snapshot; ``run_end``
-    finalizes the record from the event's payload.
-    """
+    """The recorder's event stream: ``run_end`` finalizes the record
+    from the event's payload."""
 
     def __init__(self, recorder: "RunRecorder", path: str) -> None:
         super().__init__(path=path)
@@ -175,9 +160,7 @@ class _RecorderLogger(RunLogger):
 
     def emit(self, kind: str, /, **payload: Any) -> RunEvent:
         event = super().emit(kind, **payload)
-        if kind == "round_end":
-            self._recorder.snapshot_metrics()
-        elif kind == "run_end":
+        if kind == "run_end":
             self._recorder.finalize(payload)
         return event
 
@@ -185,12 +168,12 @@ class _RecorderLogger(RunLogger):
 class RunRecorder:
     """Writes one run's record while it happens.
 
-    Exposes a ready-made :attr:`telemetry` bundle (tracer + metrics +
-    events streamed into the run directory).  The recorder follows its
-    own event stream: round ends append metric snapshots and
-    the ``run_end`` event finalizes the record, so the normal optimizer
-    lifecycle needs no explicit calls.  A run abandoned mid-flight keeps
-    ``status="running"`` — visibly stale rather than silently absent.
+    Exposes a ready-made :attr:`telemetry` bundle (tracer + events
+    streamed into the run directory).  The recorder follows its own
+    event stream: the ``run_end`` event finalizes the record, so the
+    normal optimizer lifecycle needs no explicit calls.  A run abandoned
+    mid-flight keeps ``status="running"`` — visibly stale rather than
+    silently absent.
     """
 
     def __init__(self, path: str | pathlib.Path, run_id: str,
@@ -200,20 +183,19 @@ class RunRecorder:
         self.path = pathlib.Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.run_id = run_id
-        self._t0 = time.perf_counter()
         self._finalized = False
         tracer = base.tracer if base is not None and base.tracer else Tracer()
-        metrics = (base.metrics if base is not None and base.metrics
-                   else MetricsRegistry())
+        # A donated tracer may hold earlier runs' spans (one tracer serves
+        # every cell of a comparison): this run's trace starts after them.
+        self._first_root = len(tracer.roots())
         run_logger = _RecorderLogger(self, str(self.path / EVENTS))
         # The recorder keeps non-optional handles to its own channels:
         # the bundle's attributes are typed optional, but the record on
         # disk is always written from the real objects built here.
         self._tracer = tracer
-        self._metrics = metrics
         self._run_logger = run_logger
-        self.telemetry = Telemetry(tracer=tracer, metrics=metrics,
-                                   run_logger=run_logger, run_id=run_id)
+        self.telemetry = Telemetry(tracer=tracer, run_logger=run_logger,
+                                   run_id=run_id)
         self._manifest: dict = {
             "schema": SCHEMA_NAME,
             "schema_version": SCHEMA_VERSION,
@@ -226,18 +208,13 @@ class RunRecorder:
         }
         _write_json_atomic(self.path / MANIFEST, self._manifest)
 
-    # -- in-flight recording -------------------------------------------------
-    def snapshot_metrics(self) -> None:
-        """Append the current registry snapshot to the metrics stream."""
-        snap = self._metrics.snapshot()
-        snap["t"] = round(time.perf_counter() - self._t0, 6)
-        with open(self.path / METRICS_STREAM, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(snap, default=_json_default) + "\n")
-
     # -- completion ----------------------------------------------------------
     def finalize(self, summary: dict | None = None,
                  status: str = "finished") -> None:
-        """Export trace + final metrics and seal the manifest (idempotent).
+        """Export the trace and seal the manifest (idempotent).
+
+        The trace holds the root spans that finished after the recorder
+        was created.
 
         ``summary`` is a ``run_end`` event payload; its ``n_sims``,
         ``best_fom``, ``success`` and ``wall_time_s`` go into the manifest.
@@ -245,8 +222,8 @@ class RunRecorder:
         if self._finalized:
             return
         self._finalized = True
-        n_spans = self._tracer.export_jsonl(str(self.path / TRACE))
-        self._metrics.export_json(str(self.path / METRICS_FINAL))
+        n_spans = self._tracer.export_jsonl(str(self.path / TRACE),
+                                            first_root=self._first_root)
         self._run_logger.close()
         self._manifest["status"] = status
         self._manifest["n_spans"] = n_spans
@@ -280,8 +257,8 @@ class RunStore:
                    run_id: str | None = None) -> RunRecorder:
         """Allocate a run ID + directory and return its live recorder.
 
-        ``base`` donates already-built telemetry channels (tracer/metrics
-        from CLI flags); events always stream into the run directory.
+        ``base`` donates an already-built tracer (from CLI flags); events
+        always stream into the run directory.
         """
         run_id = run_id or new_run_id()
         return RunRecorder(self.root / run_id, run_id,
@@ -317,14 +294,35 @@ class RunStore:
         return RunRecord(self.resolve(ref))
 
 
+#: Event kinds whose counts are split by the event's own ``kind`` field
+#: (the provenance of the design: ``init``, ``actor``, ``ns``, ...).
+SPLIT_BY_KIND = ("evaluation", "sim_failed", "lint_rejected")
+
+
+def event_counts(events: list[dict]) -> dict[str, int]:
+    """Number of events of each kind, sorted by key.
+
+    The kinds in :data:`SPLIT_BY_KIND` are counted per provenance, keyed
+    like ``evaluation{kind=actor}``.
+    """
+    counts: dict[str, int] = {}
+    for row in events:
+        key = str(row.get("event"))
+        if key in SPLIT_BY_KIND:
+            key = f"{key}{{kind={row.get('kind')}}}"
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def diff_runs(a: RunRecord, b: RunRecord) -> dict:
-    """Field-by-field comparison of two runs (manifest + counters).
+    """Field-by-field comparison of two runs (manifest + event counts).
 
     Returns ``{"a", "b", "fields": {name: {"a", "b", "delta"?}},
-    "counters": {metric: {"a", "b", "delta"}}}`` — the structure
-    ``ma-opt runs diff`` renders.
+    "events": {key: {"a", "b", "delta"}}}`` — the structure
+    ``ma-opt runs diff`` renders; ``events`` keys are those of
+    :func:`event_counts`.
     """
-    out: dict = {"a": a.run_id, "b": b.run_id, "fields": {}, "counters": {}}
+    out: dict = {"a": a.run_id, "b": b.run_id, "fields": {}, "events": {}}
     for name in ("status", "method", "task", "n_sims", "best_fom",
                  "success", "wall_time_s"):
         va, vb = a.manifest.get(name), b.manifest.get(name)
@@ -335,29 +333,25 @@ def diff_runs(a: RunRecord, b: RunRecord) -> dict:
                 and not isinstance(va, bool) and not isinstance(vb, bool):
             entry["delta"] = vb - va
         out["fields"][name] = entry
-    ca = a.final_metrics().get("counters", {})
-    cb = b.final_metrics().get("counters", {})
+    ca, cb = event_counts(a.events()), event_counts(b.events())
     for key in sorted(set(ca) | set(cb)):
-        va, vb = ca.get(key, 0.0), cb.get(key, 0.0)
+        va, vb = ca.get(key, 0), cb.get(key, 0)
         if va != vb:
-            out["counters"][key] = {"a": va, "b": vb, "delta": vb - va}
+            out["events"][key] = {"a": va, "b": vb, "delta": vb - va}
     return out
 
 
 def export_run(record: RunRecord) -> str:
     """The whole run as one versioned ``repro.obs/run-export`` JSON text.
 
-    Manifest, events, metric snapshots, final metrics and trace rows — the
-    portable form for attaching a run to an issue or shipping it to
-    another machine.
+    Manifest, events and trace rows — the portable form for attaching a
+    run to a bug report or shipping it to another machine.
     """
     doc = {
         "schema": EXPORT_SCHEMA_NAME,
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": EXPORT_SCHEMA_VERSION,
         "manifest": record.manifest,
         "events": record.events(),
-        "metric_snapshots": record.metric_snapshots(),
-        "final_metrics": record.final_metrics(),
         "trace": record.trace_rows(),
     }
     return json.dumps(doc, indent=2, sort_keys=True,

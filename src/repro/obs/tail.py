@@ -1,11 +1,11 @@
-"""Live run monitoring: follow a run's event/metric streams as it happens.
+"""Live run monitoring: follow a run's event stream as it happens.
 
-``ma-opt tail <run-id|path>`` polls the run directory the store writes
-(``events.jsonl`` + ``metrics.jsonl``), reading only bytes appended since
-the previous poll (offset resume — a restarted tail picks up where the
-files are, not from scratch), and renders a one-screen status: run
-phase, round/evaluation progress, best FoM, failure counts and
-sim-latency p50/p95.
+``ma-opt tail <run-id|path>`` polls the ``events.jsonl`` of the run
+directory the store writes, reading only bytes appended since the
+previous poll (offset resume — a restarted tail picks up where the file
+is, not from scratch), and renders a one-screen status: run phase,
+round/evaluation progress, best FoM, failure counts and sim-latency
+p50/p95 over every ``simulated`` event's seconds.
 
 The reader is deliberately decoupled from the writer: it only ever opens
 files, so it can run in another process, on another machine over a
@@ -23,8 +23,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.store import (EVENTS, MANIFEST, METRICS_STREAM,
-                             TERMINAL_STATUSES, RunStore)
+import numpy as np
+
+from repro.obs.store import EVENTS, MANIFEST, TERMINAL_STATUSES, RunStore
 
 
 def manifest_status(run_dir: str | pathlib.Path) -> str | None:
@@ -79,8 +80,7 @@ class TailState:
     best_fom: float | None = None
     failures: int = 0
     lint_rejections: int = 0
-    sim_p50: float | None = None
-    sim_p95: float | None = None
+    sim_seconds: list[float] = field(default_factory=list)
     last_event_t: float | None = None   # writer clock of the latest event
     events_seen: int = 0
     extra: dict = field(default_factory=dict)
@@ -115,17 +115,27 @@ class TailState:
             self.failures += 1
         elif kind == "lint_rejected":
             self.lint_rejections += 1
+        elif kind == "simulated":
+            self.sim_seconds.extend(float(s) for s in row.get("seconds", ()))
         elif kind == "run_end":
             self.status = "finished"
             if row.get("best_fom") is not None:
                 self.best_fom = float(row["best_fom"])
 
-    def apply_metrics(self, snap: dict) -> None:
-        """Fold one ``metrics.jsonl`` snapshot into the state."""
-        for key, stats in snap.get("histograms", {}).items():
-            if key.startswith("sim_latency_s") and stats.get("count"):
-                self.sim_p50 = stats.get("p50")
-                self.sim_p95 = stats.get("p95")
+    @property
+    def sim_p50(self) -> float | None:
+        """Median seconds per simulation, over every kind (None if none)."""
+        return self._sim_percentile(50)
+
+    @property
+    def sim_p95(self) -> float | None:
+        """95th-percentile seconds per simulation, over every kind."""
+        return self._sim_percentile(95)
+
+    def _sim_percentile(self, q: float) -> float | None:
+        if not self.sim_seconds:
+            return None
+        return float(np.percentile(self.sim_seconds, q))
 
 
 def _fmt(value: Any, spec: str = "") -> str:
@@ -181,19 +191,15 @@ def tail_run(run_dir: str | pathlib.Path,
     run_dir = pathlib.Path(run_dir)
     out = out if out is not None else sys.stdout
     state = TailState(run_id=run_dir.name)
-    ev_offset = mt_offset = 0
+    offset = 0
     last_data = time.perf_counter()
     polls = 0
     while True:
         polls += 1
-        ev_lines, ev_offset = read_new_lines(run_dir / EVENTS, ev_offset)
-        mt_lines, mt_offset = read_new_lines(run_dir / METRICS_STREAM,
-                                             mt_offset)
-        fresh = bool(ev_lines or mt_lines)
-        for line in ev_lines:
+        lines, offset = read_new_lines(run_dir / EVENTS, offset)
+        fresh = bool(lines)
+        for line in lines:
             state.apply_event(json.loads(line))
-        for line in mt_lines:
-            state.apply_metrics(json.loads(line))
         now = time.perf_counter()
         if fresh:
             last_data = now

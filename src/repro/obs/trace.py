@@ -134,15 +134,17 @@ class Tracer:
         return sum(s.duration_s for s in self.find(name))
 
     # -- export --------------------------------------------------------------
-    def to_rows(self) -> list[dict]:
+    def to_rows(self, first_root: int = 0) -> list[dict]:
         """Flatten the trace to one dict per span.
 
         Each row carries ``id``/``parent_id`` so the tree can be rebuilt
-        (or leaves identified) from the JSONL file alone.
+        (or leaves identified) from the JSONL file alone.  Root spans
+        finished before the ``first_root``-th (completion order) are left
+        out.
         """
         rows: list[dict] = []
         next_id = 0
-        for root in self.roots():
+        for root in self.roots()[first_root:]:
             stack: list[tuple[Span, int | None, int]] = [(root, None, 0)]
             while stack:
                 span, parent_id, depth = stack.pop()
@@ -161,9 +163,13 @@ class Tracer:
                     stack.append((child, sid, depth + 1))
         return rows
 
-    def export_jsonl(self, path_or_file: str | TextIO) -> int:
-        """Write one JSON object per span; returns the span count."""
-        rows = self.to_rows()
+    def export_jsonl(self, path_or_file: str | TextIO,
+                     first_root: int = 0) -> int:
+        """Write one JSON object per span; returns the span count.
+
+        ``first_root`` is passed to :meth:`to_rows`.
+        """
+        rows = self.to_rows(first_root)
         if hasattr(path_or_file, "write"):
             fh, own = cast(TextIO, path_or_file), False
         else:

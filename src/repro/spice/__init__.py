@@ -13,8 +13,7 @@ Devices: resistors, capacitors, independent V/I sources, and a C1-smooth
 EKV-style MOSFET model with representative 180 nm parameter cards, at five
 process corners and any temperature.  These are exactly the element kinds
 the paper's three circuits (two-stage OTA, three-stage TIA, LDO) are built
-from.  Sources take DC, PULSE, SIN or PWL waveforms; SI-suffixed values
-(``2k``, ``1meg``) convert with :func:`parse_si`/:func:`format_si`.
+from.  Sources take DC or PULSE waveforms.
 
 The circuits in the MA-Opt paper are a few dozen nodes, so dense LU
 factorization is both simpler and faster than sparse machinery here.
@@ -34,8 +33,7 @@ from repro.spice.netlist import Circuit
 from repro.spice.noise import noise_analysis
 from repro.spice.tf import transfer_function
 from repro.spice.transient import transient_analysis
-from repro.spice.units import format_si, parse_si
-from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine
+from repro.spice.waveforms import DCWave, Pulse
 
 __all__ = [
     "Circuit",
@@ -50,10 +48,6 @@ __all__ = [
     "PMOS_180",
     "DCWave",
     "Pulse",
-    "Sine",
-    "PieceWiseLinear",
-    "parse_si",
-    "format_si",
     "SpiceError",
     "NetlistError",
     "ConvergenceError",

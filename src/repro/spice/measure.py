@@ -23,17 +23,6 @@ def phase_deg(h: np.ndarray) -> np.ndarray:
     return np.degrees(np.unwrap(np.angle(h)))
 
 
-def gain_at(freqs: np.ndarray, h: np.ndarray, f: float) -> complex:
-    """Complex transfer value at ``f`` by log-frequency interpolation."""
-    freqs = np.asarray(freqs, dtype=float)
-    if f < freqs[0] or f > freqs[-1]:
-        raise AnalysisError(f"frequency {f:g} outside analysis range")
-    lf = np.log10(freqs)
-    re = np.interp(np.log10(f), lf, np.real(h))
-    im = np.interp(np.log10(f), lf, np.imag(h))
-    return complex(re, im)
-
-
 def dc_gain(h: np.ndarray) -> float:
     """Low-frequency gain magnitude (first sweep point)."""
     return float(np.abs(h[0]))
@@ -77,30 +66,6 @@ def phase_margin(freqs: np.ndarray, h: np.ndarray) -> float | None:
     return 180.0 + ph_u
 
 
-def gain_margin(freqs: np.ndarray, h: np.ndarray) -> float | None:
-    """Gain margin in dB: ``-20 log10 |H|`` at the -180 deg phase crossing
-    (after normalizing the low-frequency phase to ~0, as in
-    :func:`phase_margin`).  None when the phase never reaches -180 in range.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    ph = phase_deg(np.asarray(h))
-    ph = ph - np.round(ph[0] / 360.0) * 360.0
-    if abs(ph[0]) > 90.0:
-        ph = ph - np.sign(ph[0]) * 180.0
-    below = ph <= -180.0
-    if not np.any(below):
-        return None
-    i = int(np.argmax(below))
-    if i == 0:
-        return float(-db(np.abs(h[0])))
-    # interpolate the crossing in log-frequency
-    frac = (ph[i - 1] + 180.0) / (ph[i - 1] - ph[i])
-    lf = np.log10(freqs)
-    f_cross = 10.0 ** (lf[i - 1] + frac * (lf[i] - lf[i - 1]))
-    mag = np.abs(gain_at(freqs, h, f_cross))
-    return float(-db(mag))
-
-
 def bandwidth_3db(freqs: np.ndarray, h: np.ndarray) -> float | None:
     """-3 dB bandwidth relative to the low-frequency gain."""
     mag = np.abs(np.asarray(h))
@@ -142,33 +107,3 @@ def settling_time(t: np.ndarray, y: np.ndarray, final_value: float | None = None
     if last_out + 1 >= t.size:
         return None  # still outside the band at the end of the window
     return float(t[last_out + 1] - t_start)
-
-
-def overshoot(t: np.ndarray, y: np.ndarray, t_start: float = 0.0) -> float:
-    """Fractional overshoot beyond the final value after ``t_start``."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    final = float(y[-1])
-    y0 = float(np.interp(t_start, t, y))
-    swing = final - y0
-    if abs(swing) < 1e-15:
-        return 0.0
-    seg = y[t >= t_start]
-    peak = np.max(seg) if swing > 0 else np.min(seg)
-    return float(max(0.0, (peak - final) / swing))
-
-
-def rise_time(t: np.ndarray, y: np.ndarray, lo: float = 0.1,
-              hi: float = 0.9) -> float | None:
-    """10-90 %% rise time of a monotone-ish step response."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y0, y1 = float(y[0]), float(y[-1])
-    if abs(y1 - y0) < 1e-15:
-        return None
-    norm = (y - y0) / (y1 - y0)
-    above_lo = np.nonzero(norm >= lo)[0]
-    above_hi = np.nonzero(norm >= hi)[0]
-    if above_lo.size == 0 or above_hi.size == 0:
-        return None
-    return float(t[above_hi[0]] - t[above_lo[0]])

@@ -18,7 +18,7 @@ from repro.spice.elements import (
 from repro.spice.exceptions import NetlistError
 from repro.spice.mna import MNASystem, StampContext
 from repro.spice.models import MosfetModel
-from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine, Waveform
+from repro.spice.waveforms import DCWave, Pulse, Waveform
 
 GROUND_NAMES = frozenset({"0", "gnd"})
 
@@ -202,7 +202,7 @@ class Circuit:
     def to_spice(self) -> str:
         """The circuit as a SPICE deck: one line per element with every
         value at 17 significant digits (so it ``float()``s back exactly),
-        source waveforms as DC/PULSE/SIN/PWL specs, and a ``.model`` card for every
+        source waveforms as DC/PULSE specs, and a ``.model`` card for every
         MOSFET model other than the built-in ``nmos180``/``pmos180``
         (process corners and temperatures included) stating every model
         parameter."""
@@ -217,14 +217,6 @@ class Circuit:
                     f"PULSE({wave.v1:.17g} {wave.v2:.17g} {wave.td:.17g} "
                     f"{wave.tr:.17g} {wave.tf:.17g} {wave.pw:.17g} "
                     f"{wave.per:.17g})")
-            elif isinstance(wave, Sine):
-                parts.append(f"SIN({wave.vo:.17g} {wave.va:.17g} "
-                             f"{wave.freq:.17g} {wave.td:.17g} "
-                             f"{wave.theta:.17g})")
-            elif isinstance(wave, PieceWiseLinear):
-                pts = " ".join(f"{t:.17g} {v:.17g}"
-                               for t, v in zip(wave.times, wave.values))
-                parts.append(f"PWL({pts})")
             if elem.ac:
                 parts.append(f"AC {elem.ac:.17g}")
             return " ".join(parts) or "DC 0"

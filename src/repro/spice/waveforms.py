@@ -7,7 +7,6 @@ point", for which sources report their DC/initial value.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 
 class Waveform:
@@ -82,57 +81,6 @@ class Pulse(Waveform):
         if tl < self.tf:
             return self.v2 + (self.v1 - self.v2) * tl / self.tf
         return self.v1
-
-
-class Sine(Waveform):
-    """SPICE SIN(vo va freq td theta) waveform."""
-
-    def __init__(
-        self,
-        vo: float,
-        va: float,
-        freq: float,
-        td: float = 0.0,
-        theta: float = 0.0,
-    ) -> None:
-        if freq <= 0:
-            raise ValueError("sine frequency must be positive")
-        self.vo, self.va, self.freq = float(vo), float(va), float(freq)
-        self.td, self.theta = float(td), float(theta)
-
-    def value(self, t: float | None) -> float:
-        if t is None:
-            return self.vo
-        if t < self.td:
-            return self.vo
-        dt = t - self.td
-        damp = math.exp(-dt * self.theta) if self.theta else 1.0
-        return self.vo + self.va * damp * math.sin(2.0 * math.pi * self.freq * dt)
-
-
-class PieceWiseLinear(Waveform):
-    """SPICE PWL waveform: linear interpolation through (t, v) points."""
-
-    def __init__(self, points: list[tuple[float, float]]) -> None:
-        if len(points) < 1:
-            raise ValueError("PWL needs at least one point")
-        times = [float(t) for t, _ in points]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("PWL times must be strictly increasing")
-        self.times = times
-        self.values = [float(v) for _, v in points]
-
-    def value(self, t: float | None) -> float:
-        if t is None:
-            return self.values[0]
-        if t <= self.times[0]:
-            return self.values[0]
-        if t >= self.times[-1]:
-            return self.values[-1]
-        idx = bisect_right(self.times, t) - 1
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        v0, v1 = self.values[idx], self.values[idx + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 def as_waveform(value: "float | Waveform") -> Waveform:

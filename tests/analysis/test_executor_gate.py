@@ -2,9 +2,13 @@
 
 import numpy as np
 
+from repro.analysis.erc import ERC_RULES
 from repro.circuits.ota import TwoStageOTA
+from repro.core.config import MAOptConfig
+from repro.core.ma_opt import MAOptimizer
 from repro.core.parallel import SimulationExecutor
-from repro.obs import MetricsRegistry, RunLogger, Telemetry
+from repro.core.synthetic import ConstrainedSphere
+from repro.obs import RunLogger, Telemetry
 from repro.resilience.policy import penalty_metrics
 from tests.resilience.stubs import DivergingSphere
 
@@ -26,13 +30,22 @@ class BrokenNetlistOTA(TwoStageOTA):
         return super().measure(params)
 
 
+class GatedSphere(ConstrainedSphere):
+    """Sphere whose ERC gate rejects every design with u[1] > 0.7."""
+
+    def lint_design(self, u):
+        if u[1] > 0.7:
+            return [ERC_RULES.diag("erc.no-ground", "forced")]
+        return []
+
+
 class RaisingBuilderOTA(TwoStageOTA):
     def build_netlist(self, params):
         raise RuntimeError("builder exploded")
 
 
 def telemetry():
-    return Telemetry(metrics=MetricsRegistry(), run_logger=RunLogger())
+    return Telemetry(run_logger=RunLogger())
 
 
 def rejected_indices(obs):
@@ -99,11 +112,11 @@ class TestGate:
         obs = telemetry()
         with SimulationExecutor(task, telemetry=obs) as ex:
             ex.evaluate_batch(np.full((2, task.d), 0.5), kind="actor")
-        snap = obs.metrics.snapshot()
-        (key, value), = [(k, v) for k, v in snap["counters"].items()
-                         if "lint_rejections_total" in k]
-        assert value == 2
-        assert "actor" in key
+        rejected = obs.run_logger.events("lint_rejected")
+        assert len(rejected) == 2
+        assert {e.payload["kind"] for e in rejected} == {"actor"}
+        # nothing reached the simulator, so no simulated event
+        assert obs.run_logger.events("simulated") == []
 
     def test_tasks_without_lint_design_skip_gate(self):
         from repro.core.synthetic import ConstrainedSphere
@@ -118,12 +131,8 @@ class TestGate:
     def test_failure_index_is_the_callers(self):
         # Gated designs are taken out before simulation; a later failure
         # must still be reported at its index in the caller's batch.
-        class GatedDivergingSphere(DivergingSphere):
-            def lint_design(self, u):
-                if u[1] > 0.9:
-                    from repro.analysis.erc import ERC_RULES
-                    return [ERC_RULES.diag("erc.no-ground", "forced")]
-                return []
+        class GatedDivergingSphere(GatedSphere, DivergingSphere):
+            pass
 
         task = GatedDivergingSphere(d=4, seed=0)
         u = np.full((3, task.d), 0.2)
@@ -136,3 +145,39 @@ class TestGate:
         (failed,) = obs.run_logger.events("sim_failed")
         assert rejected.payload["design_index"] == 0
         assert failed.payload["design_index"] == 2
+
+
+class TestSimulatedEvent:
+    def test_rejected_designs_have_no_seconds(self):
+        task = GatedSphere(d=4, seed=0)
+        u = np.full((4, task.d), 0.2)
+        u[[0, 2], 1] = 0.95   # ERC-rejected
+        obs = telemetry()
+        with SimulationExecutor(task, telemetry=obs) as ex:
+            ex.evaluate_batch(u, kind="actor")
+        (event,) = obs.run_logger.events("simulated")
+        assert event.payload["kind"] == "actor"
+        assert len(event.payload["seconds"]) == 2
+
+    def test_seconds_per_kind_are_evaluations_minus_rejections(self):
+        task = GatedSphere(d=4, seed=0)
+        cfg = MAOptConfig(seed=0, critic_steps=10, actor_steps=5,
+                          batch_size=8, n_elite=5, hidden=(8, 8))
+        opt = MAOptimizer(task, cfg)
+        opt.run(n_sims=12, n_init=20)
+        log = opt.run_log
+
+        def per_kind(kind):
+            out: dict[str, int] = {}
+            for e in log.events(kind):
+                k = e.payload["kind"]
+                n = len(e.payload["seconds"]) if kind == "simulated" else 1
+                out[k] = out.get(k, 0) + n
+            return out
+
+        evaluations = per_kind("evaluation")
+        rejected = per_kind("lint_rejected")
+        assert rejected  # the gate fired during the run
+        assert per_kind("simulated") == {
+            k: n - rejected.get(k, 0) for k, n in evaluations.items()
+            if n > rejected.get(k, 0)}

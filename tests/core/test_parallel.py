@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core.parallel import SimulationExecutor
 from repro.core.synthetic import ConstrainedSphere
-from repro.obs import MetricsRegistry, Telemetry, Tracer
+from repro.obs import RunLogger, Telemetry, Tracer
 
 
 class TestSerial:
@@ -23,15 +23,15 @@ class TestSerial:
 
     def test_empty_batch(self):
         task = ConstrainedSphere(d=4, seed=0)
-        reg, tracer = MetricsRegistry(), Tracer()
+        log, tracer = RunLogger(), Tracer()
         ex = SimulationExecutor(
-            task, telemetry=Telemetry(tracer=tracer, metrics=reg))
+            task, telemetry=Telemetry(tracer=tracer, run_logger=log))
         for empty in ([], np.empty((0, task.d))):
             out = ex.evaluate_batch(empty)
             assert out.shape == (0, task.m + 1)
         # nothing was simulated
         assert tracer.find("simulate") == []
-        assert reg.snapshot()["counters"] == {}
+        assert log.events() == []
 
     def test_context_manager(self):
         task = ConstrainedSphere(d=4, seed=0)
@@ -42,29 +42,35 @@ class TestSerial:
 class TestTelemetry:
     def test_batch_timing_recorded(self, rng):
         task = ConstrainedSphere(d=4, seed=0)
-        reg, tracer = MetricsRegistry(), Tracer()
+        log, tracer = RunLogger(), Tracer()
         ex = SimulationExecutor(
-            task, telemetry=Telemetry(tracer=tracer, metrics=reg))
+            task, telemetry=Telemetry(tracer=tracer, run_logger=log))
         us = task.space.sample(rng, 5)
         ex.evaluate_batch(us, kind="actor")
         ex.evaluate_batch(us[0], kind="ns")
         first, second = tracer.find("simulate")
         assert first.attrs == {"n": 5, "kind": "actor"}
         assert second.attrs == {"n": 1, "kind": "ns"}
-        stats = reg.histogram_stats("sim_latency_s", kind="actor")
-        assert stats["count"] == 5 and stats["min"] >= 0
+        actor, ns = log.events("simulated")
+        assert actor.payload["kind"] == "actor"
+        seconds = actor.payload["seconds"]
+        assert len(seconds) == 5 and min(seconds) >= 0
         # same clock, sane scale: the batch span covers its simulations
-        assert first.duration_s >= stats["sum"] * 0.5
-        assert reg.histogram_stats("sim_latency_s", kind="ns")["count"] == 1
+        assert first.duration_s >= sum(seconds) * 0.5
+        assert ns.payload["kind"] == "ns"
+        assert len(ns.payload["seconds"]) == 1
 
-    def test_metrics_and_spans(self, rng):
+    def test_events_and_spans(self, rng):
         task = ConstrainedSphere(d=4, seed=0)
-        reg, tracer = MetricsRegistry(), Tracer()
+        log, tracer = RunLogger(), Tracer()
         ex = SimulationExecutor(
-            task, telemetry=Telemetry(tracer=tracer, metrics=reg))
+            task, telemetry=Telemetry(tracer=tracer, run_logger=log))
         ex.evaluate_batch(task.space.sample(rng, 4), kind="actor")
-        assert reg.counter_value("sims_total", kind="actor") == 4
-        assert reg.histogram_stats("sim_latency_s", kind="actor")["count"] == 4
+        # one simulated event per batch, one second per design
+        (event,) = log.events()
+        assert event.kind == "simulated"
+        assert event.payload["kind"] == "actor"
+        assert len(event.payload["seconds"]) == 4
         spans = tracer.find("simulate")
         assert len(spans) == 1
         assert spans[0].attrs["n"] == 4

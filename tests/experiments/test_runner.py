@@ -83,20 +83,22 @@ class TestRunComparison:
 
 class TestInitialSetTelemetry:
     def test_counted_and_policy_covered(self):
-        from repro.obs import MetricsRegistry, Telemetry
+        from repro.obs import RunLogger, Telemetry
         from repro.resilience.policy import penalty_metrics
         from tests.resilience.stubs import NaNSphere, failure_reason
 
-        reg = MetricsRegistry()
+        log = RunLogger()
         task = NaNSphere(d=5, seed=4)
         x, f = make_initial_set(task, 10, seed=0,
-                                telemetry=Telemetry(metrics=reg))
+                                telemetry=Telemetry(run_logger=log))
         assert x.shape == (10, 5) and np.all(np.isfinite(f))
-        assert reg.counter_value("sims_total", kind="init") == 10
+        (simulated,) = log.events("simulated")
+        assert simulated.payload["kind"] == "init"
+        assert len(simulated.payload["seconds"]) == 10
         failed = [i for i, u in enumerate(x) if failure_reason(u)]
         assert failed
-        assert reg.counter_value("sim_failures_total",
-                                 kind="init") == len(failed)
+        assert [e.payload["kind"] for e in log.events("sim_failed")] == \
+            ["init"] * len(failed)
         for i in failed:
             np.testing.assert_array_equal(f[i], penalty_metrics(task))
 

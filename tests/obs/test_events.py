@@ -15,7 +15,6 @@ from repro.core.config import MAOptConfig
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
 from repro.obs import (
-    MetricsRegistry,
     RunLogger,
     RunStore,
     Telemetry,
@@ -24,7 +23,7 @@ from repro.obs import (
 )
 from repro.obs import events as events_module
 from repro.obs.tail import tail_run
-from tests.resilience.stubs import NaNSphere
+from tests.resilience.stubs import NaNSphere, failure_reason
 
 FAST = dict(critic_steps=10, actor_steps=5, batch_size=8, n_elite=5,
             hidden=(8, 8))
@@ -209,8 +208,8 @@ class TestBaselineEvents:
         state = tail_run(rec.path, once=True, out=io.StringIO())
         assert state.status == "finished"
         assert state.rounds == 5
-        # one metric snapshot per round end
-        assert len(rec.record().metric_snapshots()) == 5
+        # every simulation's seconds: the 6 initial designs and 5 rounds
+        assert len(state.sim_seconds) == 11
 
 
 class TestExecutorEventsReachRunLog:
@@ -219,19 +218,17 @@ class TestExecutorEventsReachRunLog:
         cfg = MAOptConfig(seed=0, **FAST)
         opt = MAOptimizer(task, cfg, telemetry=telemetry)
         x_init = task.space.sample(np.random.default_rng(123), 10)
-        opt.run(n_sims=15, x_init=x_init)
-        return opt
+        result = opt.run(n_sims=15, x_init=x_init)
+        evaluated = [*x_init, *(r.x for r in result.records)]
+        return opt, sum(failure_reason(u) is not None for u in evaluated)
 
     def test_sim_failed_without_a_telemetry_logger(self):
-        reg = MetricsRegistry()
-        metered = self._run(Telemetry(metrics=reg))
-        n_failed = sum(value for key, value
-                       in reg.snapshot()["counters"].items()
-                       if key.startswith("sim_failures_total"))
+        traced, n_failed = self._run(Telemetry(tracer=Tracer()))
         assert n_failed > 0
-        assert len(metered.run_log.events("sim_failed")) == n_failed
+        assert len(traced.run_log.events("sim_failed")) == n_failed
         # default telemetry: the same seeded run, no bundle at all
-        assert len(self._run(None).run_log.events("sim_failed")) == n_failed
+        plain, _ = self._run(None)
+        assert len(plain.run_log.events("sim_failed")) == n_failed
 
 
 class TestRunIds:

@@ -7,7 +7,7 @@ from repro.core.config import MAOptConfig
 from repro.core.ma_opt import MAOptimizer
 from repro.core.synthetic import ConstrainedSphere
 from repro.experiments.runner import make_initial_set, run_method
-from repro.obs import MetricsRegistry, RunLogger, Telemetry, Tracer
+from repro.obs import RunLogger, Telemetry, Tracer
 
 FAST = dict(critic_steps=10, actor_steps=5, batch_size=8, n_elite=5,
             hidden=(8, 8))
@@ -16,17 +16,18 @@ FAST = dict(critic_steps=10, actor_steps=5, batch_size=8, n_elite=5,
 class TestNearSamplingRouting:
     def test_ns_simulation_flows_through_executor(self):
         task = ConstrainedSphere(d=4, seed=0)
-        reg, tracer = MetricsRegistry(), Tracer()
+        tracer = Tracer()
         cfg = MAOptConfig(seed=0, t_ns=1, ns_samples=50, **FAST)
-        opt = MAOptimizer(task, cfg,
-                          telemetry=Telemetry(tracer=tracer, metrics=reg))
+        opt = MAOptimizer(task, cfg, telemetry=Telemetry(tracer=tracer))
         opt.initialize(n_init=30)
         if not opt._specs_met():
             pytest.skip("init infeasible for this seed")
         record = opt.step()[0]
         assert record.kind == "ns"
         # the simulation went through the instrumented choke point
-        assert reg.counter_value("sims_total", kind="ns") == 1
+        (ns,) = [e for e in opt.run_log.events("simulated")
+                 if e.payload["kind"] == "ns"]
+        assert len(ns.payload["seconds"]) == 1
         assert tracer.find("simulate")[-1].attrs["kind"] == "ns"
         # and produced the same metrics as a direct evaluation
         np.testing.assert_allclose(record.metrics, task.evaluate(record.x))
@@ -37,7 +38,6 @@ class TestTelemetryDefaults:
         task = ConstrainedSphere(d=4, seed=0)
         opt = MAOptimizer(task, MAOptConfig(seed=0, **FAST))
         assert opt.obs.tracer is None
-        assert opt.obs.metrics is None
         res = opt.run(n_sims=4, n_init=6)
         # events still collected internally (diagnostics view needs them)
         assert len(opt.diagnostics) >= 1
@@ -47,8 +47,7 @@ class TestTelemetryDefaults:
         task = ConstrainedSphere(d=4, seed=0)
         plain = MAOptimizer(task, MAOptConfig(seed=0, **FAST))
         res_plain = plain.run(n_sims=6, n_init=8)
-        tel = Telemetry(tracer=Tracer(), metrics=MetricsRegistry(),
-                        run_logger=RunLogger())
+        tel = Telemetry(tracer=Tracer(), run_logger=RunLogger())
         traced = MAOptimizer(ConstrainedSphere(d=4, seed=0),
                              MAOptConfig(seed=0, **FAST), telemetry=tel)
         res_traced = traced.run(n_sims=6, n_init=8)
@@ -58,7 +57,7 @@ class TestTelemetryDefaults:
 class TestRunnerThreading:
     def test_run_method_shares_bundle_across_methods(self):
         task = ConstrainedSphere(d=4, seed=0)
-        tel = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        tel = Telemetry(tracer=Tracer(), run_logger=RunLogger())
         x, f = make_initial_set(task, 8, seed=0)
         run_method("Random", task, 4, x, f, seed=0, telemetry=tel)
         run_method("DNN-Opt", task, 4, x, f, seed=0,
@@ -66,8 +65,11 @@ class TestRunnerThreading:
         roots = tel.tracer.roots()
         assert [r.name for r in roots] == ["run", "run"]
         assert {r.attrs["method"] for r in roots} == {"Random", "DNN-Opt"}
-        assert tel.metrics.counter_value("sims_total", kind="Random") == 4
-        assert tel.metrics.counter_value("sims_total", kind="actor") == 4
+        sims: dict[str, int] = {}
+        for e in tel.run_logger.events("simulated"):
+            k = e.payload["kind"]
+            sims[k] = sims.get(k, 0) + len(e.payload["seconds"])
+        assert sims == {"Random": 4, "actor": 4}
 
 
 class TestWallClockConvention:

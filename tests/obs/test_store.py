@@ -11,6 +11,7 @@ from repro.obs import RunRecord, RunStore, Telemetry, Tracer, new_run_id
 from repro.obs.store import (
     diff_runs,
     ensure_valid_manifest,
+    event_counts,
     export_run,
     validate_manifest,
 )
@@ -66,8 +67,10 @@ class TestRoundTrip:
         # streamed events and finalize-time artifacts are all readable
         assert record.events("run_start")[0]["run_id"] == rec.run_id
         assert record.events("run_end")
-        assert len(record.metric_snapshots()) >= 1  # one per round end
-        assert record.final_metrics()["counters"]
+        assert record.events("simulated")
+        # the events and the trace are the whole record
+        assert sorted(p.name for p in record.path.iterdir()) == [
+            "events.jsonl", "manifest.json", "trace.jsonl"]
         rows = record.trace_rows()
         assert any(r["name"] == "run" for r in rows)
         assert any(r["name"] == "simulate" for r in rows)
@@ -78,7 +81,7 @@ class TestRoundTrip:
         record = store.load(rec.run_id)
         assert record.manifest["status"] == "running"
         assert record.trace_rows() == []
-        assert record.final_metrics() == {}
+        assert record.events() == []
 
     def test_mark_failed(self, tmp_path):
         store = RunStore(tmp_path)
@@ -102,7 +105,7 @@ class TestRoundTrip:
         rec = RunStore(tmp_path).create_run(base=base)
         assert rec.telemetry.tracer is tracer
         assert rec.telemetry.run_id == rec.run_id
-        assert rec.telemetry.metrics is not None
+        assert rec.telemetry.run_logger is not None
 
 
 class TestStoreLookup:
@@ -134,11 +137,48 @@ class TestDiffAndExport:
         assert "best_fom" in diff["fields"]
         assert "status" not in diff["fields"]  # identical fields are elided
 
+    def test_diff_counts_events_by_kind(self, tmp_path):
+        store = RunStore(tmp_path)
+        ra, _ = _finished_run(store, seed=0)
+        rb, _ = _finished_run(store, seed=0, n_sims=9)
+        a, b = ra.record(), rb.record()
+        assert diff_runs(a, a)["events"] == {}
+        events = diff_runs(a, b)["events"]
+        # the same 6 initial designs, then 3 more proposals
+        assert "evaluation{kind=init}" not in events
+        evals = {k: v for k, v in events.items()
+                 if k.startswith("evaluation{")}
+        assert evals and sum(v["delta"] for v in evals.values()) == 3
+        for key, entry in events.items():
+            assert entry["a"] == event_counts(a.events()).get(key, 0)
+            assert entry["b"] == event_counts(b.events()).get(key, 0)
+            assert entry["delta"] == entry["b"] - entry["a"]
+
+    def test_event_counts_split_by_kind(self):
+        rows = [{"event": "evaluation", "kind": "init"},
+                {"event": "evaluation", "kind": "actor"},
+                {"event": "evaluation", "kind": "actor"},
+                {"event": "sim_failed", "kind": "ns"},
+                {"event": "lint_rejected", "kind": "init"},
+                {"event": "simulated", "kind": "actor", "seconds": [0.1]},
+                {"event": "round_end", "kind": "actor"}]
+        assert event_counts(rows) == {
+            "evaluation{kind=actor}": 2,
+            "evaluation{kind=init}": 1,
+            "lint_rejected{kind=init}": 1,
+            "round_end": 1,
+            "sim_failed{kind=ns}": 1,
+            "simulated": 1,
+        }
+
     def test_bundle_and_format_routing(self, tmp_path):
         store = RunStore(tmp_path)
         rec, _ = _finished_run(store)
         doc = json.loads(export_run(rec.record()))
         assert doc["schema"] == "repro.obs/run-export"
+        assert doc["schema_version"] == 2
+        assert sorted(doc) == ["events", "manifest", "schema",
+                               "schema_version", "trace"]
         assert doc["manifest"]["run_id"] == rec.run_id
         assert doc["events"] and doc["trace"]
 
@@ -157,3 +197,23 @@ class TestComparisonIntegration:
             ["MA-Opt", "Random"]
         assert all(r.manifest["status"] == "finished" for r in records)
         assert all(r.manifest["meta"]["repeat"] == 0 for r in records)
+
+    def test_each_cell_traces_only_its_own_run(self, tmp_path):
+        # One tracer serves every cell (as with compare --trace-out); a
+        # cell's stored trace must hold its own run span only.
+        from repro.experiments.runner import run_comparison
+
+        store = RunStore(tmp_path)
+        tracer = Tracer()
+        run_comparison(ConstrainedSphere(d=4, seed=0), ["Random", "MA-Opt"],
+                       n_runs=1, n_sims=5, n_init=5, seed=0,
+                       maopt_overrides=FAST,
+                       telemetry=Telemetry(tracer=tracer), run_store=store)
+        for record in store.list_runs():
+            roots = [r for r in record.trace_rows() if r["parent_id"] is None]
+            assert [(r["name"], r["attrs"].get("method")) for r in roots] == \
+                [("run", record.manifest["method"])]
+            assert record.manifest["n_spans"] == len(record.trace_rows())
+        # the shared tracer still holds every span
+        assert sorted(s.attrs["method"] for s in tracer.find("run")) == \
+            ["MA-Opt", "Random"]

@@ -3,9 +3,13 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from repro.obs.store import EVENTS, METRICS_STREAM, RunStore
+from repro.core.config import MAOptConfig
+from repro.core.ma_opt import MAOptimizer
+from repro.core.synthetic import ConstrainedSphere
+from repro.obs.store import EVENTS, RunStore
 from repro.obs.tail import (
     TailState,
     read_new_lines,
@@ -73,13 +77,16 @@ class TestTailState:
         state.apply_event({"event": "run_end", "best_fom": 0.25})
         assert state.status == "finished" and state.best_fom == 0.25
 
-    def test_metrics_folding(self):
+    def test_latency_folding(self):
         state = TailState()
-        state.apply_metrics({
-            "histograms": {'sim_latency_s{kind="actor"}':
-                           {"count": 4, "p50": 0.1, "p95": 0.2}},
-        })
-        assert state.sim_p50 == 0.1 and state.sim_p95 == 0.2
+        assert state.sim_p50 is None and state.sim_p95 is None
+        state.apply_event({"event": "simulated", "kind": "init",
+                           "seconds": [0.4, 0.1]})
+        state.apply_event({"event": "simulated", "kind": "actor",
+                           "seconds": [0.3, 0.2, 0.5]})
+        assert state.sim_seconds == [0.4, 0.1, 0.3, 0.2, 0.5]
+        assert state.sim_p50 == pytest.approx(0.3)
+        assert state.sim_p95 == pytest.approx(0.48)
 
     def test_render(self):
         state = TailState(run_id="r1", method="MA-Opt", task="sphere4",
@@ -97,10 +104,8 @@ class TestTailRun:
         _append(run_dir / EVENTS,
                 {"event": "run_start", "t": 0.0, "run_id": "r1",
                  "method": "MA-Opt", "task": "sphere4", "n_sims": 2},
-                {"event": "evaluation", "kind": "actor", "fom": 1.0})
-        _append(run_dir / METRICS_STREAM,
-                {"histograms": {'sim_latency_s{kind="actor"}':
-                                {"count": 1, "p50": 0.3, "p95": 0.3}}})
+                {"event": "evaluation", "kind": "actor", "fom": 1.0},
+                {"event": "simulated", "kind": "actor", "seconds": [0.3]})
         return run_dir
 
     def test_once_renders_current_state(self, tmp_path):
@@ -133,6 +138,25 @@ class TestTailRun:
         state = tail_run(self._run_dir(tmp_path), poll_s=0.0, max_polls=3,
                          out=out, sleep=lambda _s: None)
         assert state.status == "running"
+
+
+class TestStoredRunLatency:
+    def test_percentiles_cover_every_kind(self, tmp_path):
+        # A seeded MA-Opt run simulates init, actor and ns designs; the
+        # tail's p50/p95 are over all of them, not over one kind.
+        task = ConstrainedSphere(d=4, seed=0)
+        rec = RunStore(tmp_path).create_run(method="MA-Opt", task=task.name)
+        cfg = MAOptConfig(seed=0, critic_steps=10, actor_steps=5,
+                          batch_size=8, n_elite=5, hidden=(8, 8))
+        MAOptimizer(task, cfg, telemetry=rec.telemetry).run(
+            n_sims=30, n_init=10)
+        simulated = rec.record().events("simulated")
+        assert {e["kind"] for e in simulated} == {"init", "actor", "ns"}
+        seconds = [s for e in simulated for s in e["seconds"]]
+        assert len(seconds) == 40
+        state = tail_run(rec.path, once=True, out=io.StringIO())
+        assert state.sim_p50 == float(np.percentile(seconds, 50))
+        assert state.sim_p95 == float(np.percentile(seconds, 95))
 
 
 class TestResolveRunDir:

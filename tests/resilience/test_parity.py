@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.parallel import SimulationExecutor
-from repro.obs import MetricsRegistry, RunLogger, Telemetry
+from repro.obs import RunLogger, Telemetry
 from tests.resilience.stubs import NaNSphere, failure_reason
 
 
@@ -18,21 +18,21 @@ def failing_setup():
 
 
 def run_path(task, designs):
-    reg, log = MetricsRegistry(), RunLogger()
-    obs = Telemetry(metrics=reg, run_logger=log)
-    with SimulationExecutor(task, telemetry=obs) as ex:
+    log = RunLogger()
+    with SimulationExecutor(task, telemetry=Telemetry(run_logger=log)) as ex:
         metrics = ex.evaluate_batch(designs, kind="actor")
     failures = {e.payload["design_index"]: e.payload["reason"]
                 for e in log.events("sim_failed")}
-    return metrics, failures, reg
+    return metrics, failures, log
 
 
 class TestSerialGroundTruth:
     def test_matches_planned_outcomes(self):
         task, designs = failing_setup()
-        metrics, failures, reg = run_path(task, designs)
+        metrics, failures, log = run_path(task, designs)
         reasons = [failure_reason(u) for u in designs]
         assert failures == {i: r for i, r in enumerate(reasons)
                             if r is not None}
-        assert reg.counter_value("sim_failures_total", kind="actor") == sum(
+        assert sum(e.payload["kind"] == "actor"
+                   for e in log.events("sim_failed")) == sum(
             r is not None for r in reasons)

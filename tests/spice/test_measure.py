@@ -70,19 +70,6 @@ class TestBandwidth:
         assert M.bandwidth_3db(freqs, np.ones_like(freqs)) is None
 
 
-class TestGainAt:
-    def test_interpolates(self):
-        freqs = np.logspace(1, 5, 100)
-        h = single_pole(freqs, a0=10.0, fp=1e8)
-        g = M.gain_at(freqs, h, 1e3)
-        assert abs(g) == pytest.approx(10.0, rel=1e-3)
-
-    def test_out_of_range_raises(self):
-        freqs = np.logspace(1, 5, 10)
-        with pytest.raises(AnalysisError):
-            M.gain_at(freqs, np.ones(10), 1e9)
-
-
 class TestSettling:
     def test_exponential_settling(self):
         t = np.linspace(0, 10, 2000)
@@ -109,30 +96,3 @@ class TestSettling:
     def test_mismatched_arrays_raise(self):
         with pytest.raises(AnalysisError):
             M.settling_time(np.zeros(5), np.zeros(4))
-
-
-class TestOvershootRise:
-    def test_overshoot_of_damped_sine(self):
-        t = np.linspace(0, 20, 4000)
-        zeta = 0.3
-        wn = 1.0
-        wd = wn * np.sqrt(1 - zeta**2)
-        y = 1 - np.exp(-zeta * wn * t) * (
-            np.cos(wd * t) + zeta / np.sqrt(1 - zeta**2) * np.sin(wd * t))
-        expected = np.exp(-np.pi * zeta / np.sqrt(1 - zeta**2))
-        assert M.overshoot(t, y) == pytest.approx(expected, rel=0.05)
-
-    def test_no_overshoot_monotone(self):
-        t = np.linspace(0, 5, 500)
-        y = 1 - np.exp(-t)
-        assert M.overshoot(t, y) < 0.02
-
-    def test_rise_time_exponential(self):
-        t = np.linspace(0, 10, 5000)
-        y = 1 - np.exp(-t)
-        rt = M.rise_time(t, y)
-        assert rt == pytest.approx(np.log(9), rel=0.1)
-
-    def test_rise_time_flat_returns_none(self):
-        t = np.linspace(0, 1, 10)
-        assert M.rise_time(t, np.zeros(10)) is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.spice import Circuit, NMOS_180, transient_analysis
-from repro.spice.waveforms import Pulse, Sine
+from repro.spice.waveforms import Pulse
 
 
 def rc_step(r=1e3, c=1e-9, v=1.0, td=0.0):
@@ -45,18 +45,6 @@ class TestRC:
         v = tr.v("out")
         idx = np.argmin(np.abs(tr.times - 1e-6))
         assert v[idx] == pytest.approx(np.exp(-1.0), abs=0.02)
-
-
-class TestSineSteadyState:
-    def test_amplitude_preserved_well_below_pole(self):
-        ckt = Circuit()
-        ckt.add_vsource("Vin", "in", "0", Sine(0.0, 1.0, 1e5))
-        ckt.add_resistor("R", "in", "out", 1e3)
-        ckt.add_capacitor("C", "out", "0", 1e-12)  # pole at 160 MHz
-        tr = transient_analysis(ckt, 2e-5, 2e-8)
-        v = tr.v("out")
-        assert np.max(v) == pytest.approx(1.0, abs=0.02)
-        assert np.min(v) == pytest.approx(-1.0, abs=0.02)
 
 
 class TestNonlinearTransient:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.spice.waveforms import DCWave, PieceWiseLinear, Pulse, Sine, as_waveform
+from repro.spice.waveforms import DCWave, Pulse, as_waveform
 
 
 class TestDC:
@@ -45,46 +45,6 @@ class TestPulse:
     def test_negative_timing_raises(self):
         with pytest.raises(ValueError):
             Pulse(0, 1, td=-1e-9)
-
-
-class TestSine:
-    def test_offset_before_delay(self):
-        w = Sine(0.9, 0.1, 1e6, td=1e-6)
-        assert w.value(0.0) == 0.9
-
-    def test_quarter_period_peak(self):
-        w = Sine(0.0, 2.0, 1e6)
-        assert w.value(0.25e-6) == pytest.approx(2.0, rel=1e-9)
-
-    def test_damping(self):
-        w = Sine(0.0, 1.0, 1e6, theta=1e6)
-        assert abs(w.value(2.25e-6)) < 1.0
-
-    def test_dc_value_is_offset(self):
-        assert Sine(0.5, 1.0, 1e3).dc_value() == 0.5
-
-    def test_bad_freq_raises(self):
-        with pytest.raises(ValueError):
-            Sine(0, 1, 0.0)
-
-
-class TestPWL:
-    def test_interpolation(self):
-        w = PieceWiseLinear([(0.0, 0.0), (1e-6, 1.0)])
-        assert w.value(0.5e-6) == pytest.approx(0.5)
-
-    def test_clamps_outside_range(self):
-        w = PieceWiseLinear([(1e-6, 1.0), (2e-6, 2.0)])
-        assert w.value(0.0) == 1.0
-        assert w.value(3e-6) == 2.0
-
-    def test_non_monotone_times_raise(self):
-        with pytest.raises(ValueError):
-            PieceWiseLinear([(1e-6, 0.0), (0.5e-6, 1.0)])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            PieceWiseLinear([])
 
 
 class TestAsWaveform:

@@ -1,6 +1,7 @@
 """Tests for the newer CLI features (corners, report, run export)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -35,12 +36,19 @@ class TestObservabilityFlags:
 
         args = build_parser().parse_args(
             ["optimize", "sphere", "--log-level", "debug",
-             "--trace-out", "t.jsonl", "--metrics-out", "m.csv",
-             "--events-out", "e.jsonl"])
+             "--trace-out", "t.jsonl", "--events-out", "e.jsonl"])
         assert args.log_level == "debug"
         assert args.trace_out == "t.jsonl"
-        assert args.metrics_out == "m.csv"
         assert args.events_out == "e.jsonl"
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    def test_metrics_flag_is_gone(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "sphere", "--sims", "4", "--init", "6",
+                  "--metrics-out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metrics-out" in \
+            capsys.readouterr().err
 
     def test_optimize_trace_out(self, tmp_path, capsys):
         import json
@@ -56,19 +64,17 @@ class TestObservabilityFlags:
         assert "wall-time breakdown" in out
         assert "100.0" in out
 
-    def test_optimize_metrics_and_events_out(self, tmp_path, capsys):
+    def test_optimize_events_out(self, tmp_path, capsys):
         import json
 
-        metrics = tmp_path / "metrics.json"
         events = tmp_path / "events.jsonl"
         rc = main(["optimize", "sphere", "--sims", "4", "--init", "6",
-                   "--metrics-out", str(metrics),
                    "--events-out", str(events)])
         assert rc == 0
-        snap = json.loads(metrics.read_text())
-        assert snap["counters"]["sims_total{kind=actor}"] >= 1
         rows = [json.loads(line) for line in events.read_text().splitlines()]
         assert sum(r["event"] == "evaluation" for r in rows) >= 4
+        assert sum(len(r["seconds"]) for r in rows
+                   if r["event"] == "simulated" and r["kind"] == "actor") >= 1
 
     def test_compare_trace_out(self, tmp_path, capsys):
         import json
@@ -267,3 +273,67 @@ class TestRunsExport:
                   "--format", "prom"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRunsDiff:
+    def test_run_against_itself(self, stored_run, capsys):
+        store, run_id = stored_run
+        assert main(["runs", "diff", run_id, run_id, "--store", store]) == 0
+        assert "(no differences)" in capsys.readouterr().out
+
+    def test_event_counts_are_compared(self, stored_run, tmp_path, capsys):
+        import shutil
+
+        from repro.obs import RunStore
+
+        store, run_id = stored_run
+        root = tmp_path / "runs"
+        shutil.copytree(pathlib.Path(store) / run_id, root / run_id)
+        assert main(["optimize", "sphere", "--sims", "6", "--init", "6",
+                     "--store", str(root)]) == 0
+        other = [r for r in RunStore(root).run_ids() if r != run_id][0]
+        capsys.readouterr()
+        assert main(["runs", "diff", run_id, other,
+                     "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "n_sims: 4 -> 6  (delta +2)" in out
+        assert "events evaluation{kind=actor}: 4 -> 6 (delta +2)" in out
+        assert "evaluation{kind=init}" not in out  # both simulate 6
+
+
+class TestRunDirectoryWithMetricFiles:
+    """Run directories written before the metric files were dropped hold
+    ``metrics.json`` and a ``metrics`` JSONL stream; they still load."""
+
+    @pytest.fixture
+    def legacy_run(self, stored_run, tmp_path):
+        import shutil
+
+        store, run_id = stored_run
+        run_dir = tmp_path / "runs" / run_id
+        shutil.copytree(pathlib.Path(store) / run_id, run_dir)
+        snapshot = {"counters": {"sims_total{kind=actor}": 4.0},
+                    "gauges": {"best_fom": 1.0}, "histograms": {}}
+        for ext in ("json", "jsonl"):
+            (run_dir / f"metrics.{ext}").write_text(
+                json.dumps(snapshot) + "\n", encoding="utf-8")
+        return str(tmp_path / "runs"), run_id
+
+    def test_runs_commands_and_tail(self, legacy_run, tmp_path, capsys):
+        store, run_id = legacy_run
+        assert main(["runs", "list", "--store", store]) == 0
+        assert run_id in capsys.readouterr().out
+        assert main(["runs", "show", run_id, "--store", store]) == 0
+        assert "evaluation{kind=init}" in capsys.readouterr().out
+        assert main(["runs", "diff", run_id, run_id, "--store", store]) == 0
+        assert "(no differences)" in capsys.readouterr().out
+        out = tmp_path / "run.json"
+        assert main(["runs", "export", run_id, "--store", store,
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["schema_version"] == 2 and doc["events"]
+        capsys.readouterr()
+        assert main(["tail", run_id, "--store", store, "--once"]) == 0
+        text = capsys.readouterr().out
+        assert "[finished]" in text
+        assert "p50 -s" not in text  # latency comes from the events

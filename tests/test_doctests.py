@@ -6,11 +6,9 @@ import pytest
 
 import repro.nn
 import repro.spice.netlist
-import repro.spice.units
 
 MODULES = [
     repro.nn,
-    repro.spice.units,
     repro.spice.netlist,
 ]
 
